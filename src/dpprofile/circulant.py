@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .mechanism import ReconstructionConfig
 
@@ -156,6 +155,25 @@ def _cyclic_reverse(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v[:1], v[:0:-1]))
 
 
+def _next_smooth(target: int) -> int:
+    """Smallest integer >= target with no prime factor above 5.
+
+    Real transforms of such lengths factor entirely into the radix-2/3/5
+    passes of the FFT, which keeps them fast whatever m is.
+    """
+    best = 1 << (target - 1).bit_length()  # the power of two at or above
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two lifting p35 to the target
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _kernel_from_spectrum(spectral: np.ndarray, m: int) -> np.ndarray:
     """First column of the circulant whose eigenvalues are `spectral`.
 
@@ -163,7 +181,7 @@ def _kernel_from_spectrum(spectral: np.ndarray, m: int) -> np.ndarray:
     only roundoff in the imaginary part, so anything larger is treated as an
     implementation bug.
     """
-    col = np.asarray(scipy.fft.fft(spectral)) / m
+    col = np.fft.fft(spectral) / m
     resid = float(np.max(np.abs(col.imag)))
     scale = float(np.max(np.abs(col.real)))
     if resid > _IMAG_TOL * (1.0 + scale):
@@ -185,19 +203,19 @@ def _pack_kernel(col: np.ndarray) -> _Kernel:
         taps = np.concatenate((col[m - half_width :], col[: half_width + 1]))
         # blocks hold at least 8 half-widths so the overlap stays small, and
         # never exceed what a single block covering the whole ring needs
-        block_len = scipy.fft.next_fast_len(
-            max(8 * half_width, min(4096, m + 2 * half_width)), real=True
+        block_len = _next_smooth(
+            max(8 * half_width, min(4096, m + 2 * half_width))
         )
         return _Kernel(
             half_width=half_width,
             taps=taps,
-            spectrum=scipy.fft.rfft(taps, block_len),
+            spectrum=np.fft.rfft(taps, block_len),
             block_len=block_len,
         )
-    pad_len = scipy.fft.next_fast_len(2 * m - 1, real=True)
+    pad_len = _next_smooth(2 * m - 1)
     return _Kernel(
         half_width=(m - 1) // 2,
-        spectrum=scipy.fft.rfft(col, pad_len),
+        spectrum=np.fft.rfft(col, pad_len),
         pad_len=pad_len,
     )
 
@@ -222,8 +240,8 @@ def _banded_cyclic(x: np.ndarray, kernel: _Kernel) -> np.ndarray:
     padded[w : w + m] = x
     padded[w + m : 2 * w + m] = x[:w]
     blocks = np.lib.stride_tricks.sliding_window_view(padded, blk)[::step]
-    stacked = scipy.fft.irfft(
-        scipy.fft.rfft(blocks, axis=1) * kernel.spectrum, blk, axis=1
+    stacked = np.fft.irfft(
+        np.fft.rfft(blocks, axis=1) * kernel.spectrum, blk, axis=1
     )
     return stacked[:, 2 * w : blk].reshape(-1)[:m].copy()
 
@@ -233,8 +251,8 @@ def _apply_kernel(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
     if kernel.taps is not None:
         return _banded_cyclic(x, kernel)
     # full-ring kernel: zero-padded linear convolution, folded back cyclically
-    z = scipy.fft.irfft(
-        scipy.fft.rfft(x, kernel.pad_len) * kernel.spectrum, kernel.pad_len
+    z = np.fft.irfft(
+        np.fft.rfft(x, kernel.pad_len) * kernel.spectrum, kernel.pad_len
     )
     out = z[:m].copy()
     out[: m - 1] += z[m : 2 * m - 1]

@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from . import evaluation, mechanism, reconstruct, twoparty
-from .circulant import build_operator
 from .mechanism import ReconstructionConfig
 
 __all__ = ["main"]
@@ -74,20 +73,9 @@ def cmd_reconstruct(args) -> None:
 
 def cmd_update(args) -> None:
     sketch = mechanism.read_sketch(args.sketch)
-    # Delta entries may be any integers; read them without the [0, n] check.
-    deltas = []
-    with open(args.delta, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                deltas.append(int(text))
-            except ValueError:
-                raise ValueError(
-                    f"{args.delta}:{lineno}: expected an integer, got {text!r}"
-                ) from None
-    updated = mechanism.update(sketch, np.array(deltas, dtype=np.int64))
+    # Delta entries may be any integers: no [0, n] check.
+    deltas = mechanism.read_int_lines(args.delta)
+    updated = mechanism.update(sketch, deltas)
     _write_atomic_via(args.output, lambda p: mechanism.write_sketch(p, updated))
 
 

@@ -149,29 +149,37 @@ def theoretical_bounds(
     )
 
 
-def run_trial(
-    spec: SynthSpec, cfg: ReconstructionConfig, seed: int, trial: int = 0
-) -> list[ErrorReport]:
-    """One pipeline run per norm on a fresh sketch; returns three reports.
+@dataclass(frozen=True)
+class _Cell:
+    """What every trial of one grid cell shares: the histogram, its exact
+    profile, the operator and the analytic bounds."""
 
-    The same privatized sketch is reconstructed three times, once with each
-    norm objective, and the error of each reconstruction is measured in its
-    own norm against the true profile.
-    """
+    h: Histogram
+    f: Profile
+    op: CirculantOperator
+    bounds: BoundTriple
+
+
+def _prepare_cell(spec: SynthSpec, cfg: ReconstructionConfig) -> _Cell:
     h = synth_histogram(spec)
     f = true_profile(h)
     op = cached_operator(cfg)
-    bounds = theoretical_bounds(cfg, f, op)
+    return _Cell(h=h, f=f, op=op, bounds=theoretical_bounds(cfg, f, op))
+
+
+def _run_cell_trial(
+    cell: _Cell, cfg: ReconstructionConfig, seed: int, trial: int
+) -> list[ErrorReport]:
     rng = np.random.default_rng(seed)
-    sketch = privatize(h, cfg.epsilon, clip=False, rng=rng)
+    sketch = privatize(cell.h, cfg.epsilon, clip=False, rng=rng)
     f_tilde = empirical_profile(sketch, cfg)
     reports = []
     for p in NORMS:
         start = time.perf_counter()
-        relaxed = fast_inversion(op, f_tilde, p)
+        relaxed = fast_inversion(cell.op, f_tilde, p)
         rounded = rounding(relaxed, cfg.n)
         elapsed = time.perf_counter() - start
-        err = lp_norm(rounded.values - f.values, p)
+        err = lp_norm(rounded.values - cell.f.values, p)
         reports.append(
             ErrorReport(
                 d=cfg.d,
@@ -181,11 +189,23 @@ def run_trial(
                 p=p,
                 trial=trial,
                 err=err,
-                bound=bounds.for_norm(p),
+                bound=cell.bounds.for_norm(p),
                 seconds=elapsed,
             )
         )
     return reports
+
+
+def run_trial(
+    spec: SynthSpec, cfg: ReconstructionConfig, seed: int, trial: int = 0
+) -> list[ErrorReport]:
+    """One pipeline run per norm on a fresh sketch; returns three reports.
+
+    The same privatized sketch is reconstructed three times, once with each
+    norm objective, and the error of each reconstruction is measured in its
+    own norm against the true profile.
+    """
+    return _run_cell_trial(_prepare_cell(spec, cfg), cfg, seed, trial)
 
 
 def thread_budget() -> int:
@@ -215,27 +235,31 @@ def sweep(
 
     The per-trial seed is a stable 64-bit mix of (master_seed, cell index,
     trial index), so the report set is reproducible regardless of scheduling;
-    rows come back in (cell, trial, norm) order.
+    rows come back in (cell, trial, norm) order.  The histogram, its profile
+    and the bounds are fixed per cell, so they are built once per cell.
     """
     if not grid:
         raise ValueError("sweep grid is empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    specs, cfgs = zip(*grid)
     tasks = [
-        (ci, ti, spec, cfg, derive_seed(master_seed, ci, ti))
-        for ci, (spec, cfg) in enumerate(grid)
+        (ci, ti, derive_seed(master_seed, ci, ti))
+        for ci in range(len(grid))
         for ti in range(trials)
     ]
 
     def _run(task):
-        ci, ti, spec, cfg, seed = task
-        return ci, ti, run_trial(spec, cfg, seed, trial=ti)
+        ci, ti, seed = task
+        return ci, ti, _run_cell_trial(cells[ci], cfgs[ci], seed, ti)
 
     workers = min(thread_budget(), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(_prepare_cell, specs, cfgs))
             finished = list(pool.map(_run, tasks))
     else:
+        cells = list(map(_prepare_cell, specs, cfgs))
         finished = [_run(t) for t in tasks]
     finished.sort(key=lambda item: (item[0], item[1]))
     return [report for _, _, triple in finished for report in triple]

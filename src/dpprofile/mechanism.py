@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +29,30 @@ __all__ = [
     "unfold",
     "update",
     "empirical_profile",
+    "read_int_lines",
     "read_histogram",
     "write_histogram",
     "read_sketch",
     "write_sketch",
 ]
+
+
+# sample_geometric draws U from (0, 1] on a 2^-53 grid, so -ln(U) never
+# exceeds 53 ln 2.  Below this epsilon a draw -ln(U) / epsilon could leave
+# int64 (2^62 keeps the difference of two draws in range as well).
+_MIN_EPSILON = 53 * math.log(2) / 2**62
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Reject an epsilon that would not give the noise its distribution.
+
+    NaN and infinity cast to the same int64 for both geometric draws, so
+    they would add no noise at all; tiny values overflow the cast.
+    """
+    if not (math.isfinite(epsilon) and epsilon >= _MIN_EPSILON):
+        raise ValueError(
+            f"epsilon must be a finite number >= {_MIN_EPSILON:.3g}, got {epsilon!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,8 +92,7 @@ class PrivateSketch:
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("sketch counts must be a non-empty 1-d integer vector")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         if self.clipped and (counts.min() < 0 or counts.max() > self.n):
             raise ValueError("clipped sketch has counts outside [0, n]")
         counts.flags.writeable = False
@@ -115,8 +135,7 @@ def truncation_radius(epsilon: float, eta: float, d: int) -> int:
     Computed as ceil( (1/eps) * ln(max{ 2d / (eta (e^eps + 1)),
     8 e^eps / (e^{2 eps} - 1) }) ), clamped below at zero.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     if d < 1:
@@ -147,8 +166,7 @@ class ReconstructionConfig:
     allow_small_n: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
         if self.n < 1 or self.d < 1:
@@ -179,8 +197,7 @@ def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
     Drawn as floor(-ln(U) / eps) with U uniform on (0, 1], which realizes the
     pmf exactly with a single uniform per sample.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     u = 1.0 - rng.random(size)  # in (0, 1]: keeps the logarithm finite
     g = np.floor(-np.log(u) / epsilon).astype(np.int64)
     if size is None:
@@ -279,11 +296,54 @@ def empirical_profile(
 
 # --- file formats ---------------------------------------------------------
 #
-# Histogram file: plain text, one non-negative integer per line, lines
-# beginning with '#' ignored.  Sketch file: a flat JSON object.
+# Integer file (histograms, update deltas): plain text, one integer per line,
+# blank lines and lines beginning with '#' ignored.  Sketch file: a flat JSON
+# object with exactly the keys in _SKETCH_KEYS.
 
-def read_histogram(path: str, n: int) -> Histogram:
-    counts = []
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _load_int_column(path: str) -> np.ndarray | None:
+    """Parse a plain one-integer-per-line file with a single numpy call.
+
+    Returns None for anything else (comment lines, underscores, several
+    values on a line, no values at all), so that the caller's line loop
+    decides.  The file is decoded as ASCII because numpy's integer parser
+    reads some non-ASCII letters as digits.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            values = np.loadtxt(
+                path, dtype=np.int64, comments=None, ndmin=2, encoding="ascii"
+            )
+    except (ValueError, OverflowError):
+        return None
+    # whitespace inside a line splits it into columns; the loop rejects it
+    if values.shape[1] != 1 or not values.size:
+        return None
+    return values.ravel()
+
+
+def read_int_lines(
+    path: str,
+    lo: int = _INT64_MIN,
+    hi: int = _INT64_MAX,
+    out_of_range: Callable[[int], str] | None = None,
+) -> np.ndarray:
+    """Integers of a file holding one per line, as an int64 vector.
+
+    Blank lines and lines starting with '#' are skipped.  Every value must lie
+    in [lo, hi] (by default the int64 range); out_of_range(value) gives the
+    message for one that does not.  Errors name the line as path:lineno.
+    """
+    values = _load_int_column(path)
+    if values is not None and lo <= values.min() and values.max() <= hi:
+        return values
+    # Whatever the single-call parse did not accept is decided line by line,
+    # so accepted inputs and error messages do not depend on the fast path.
+    parsed = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -295,16 +355,27 @@ def read_histogram(path: str, n: int) -> Histogram:
                 raise ValueError(
                     f"{path}:{lineno}: expected an integer, got {text!r}"
                 ) from None
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: negative count {value}")
-            if value > n:
-                raise ValueError(
-                    f"{path}:{lineno}: count {value} exceeds the maximum n={n}"
+            if not lo <= value <= hi:
+                reason = (
+                    out_of_range(value)
+                    if out_of_range is not None
+                    else f"{value} does not fit in a 64-bit integer"
                 )
-            counts.append(value)
-    if not counts:
+                raise ValueError(f"{path}:{lineno}: {reason}")
+            parsed.append(value)
+    return np.array(parsed, dtype=np.int64)
+
+
+def read_histogram(path: str, n: int) -> Histogram:
+    def out_of_range(value: int) -> str:
+        if value < 0:
+            return f"negative count {value}"
+        return f"count {value} exceeds the maximum n={n}"
+
+    counts = read_int_lines(path, 0, n, out_of_range)
+    if not len(counts):
         raise ValueError(f"{path}: no counts found")
-    return Histogram(counts=np.array(counts, dtype=np.int64), n=n)
+    return Histogram(counts=counts, n=n)
 
 
 def write_histogram(path: str, h: Histogram) -> None:
@@ -313,20 +384,51 @@ def write_histogram(path: str, h: Histogram) -> None:
             fh.write(f"{int(c)}\n")
 
 
+_SKETCH_KEYS = frozenset(("version", "epsilon", "n", "d", "clipped", "counts"))
+
+
+def _is_json_int(value) -> bool:
+    return type(value) is int  # json gives bool for true/false, a subclass of int
+
+
 def read_sketch(path: str) -> PrivateSketch:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("version") != 1:
-        raise ValueError(f"{path}: unsupported sketch version {obj.get('version')!r}")
-    counts = np.array(obj["counts"], dtype=np.int64)
-    if len(counts) != obj["d"]:
-        raise ValueError(f"{path}: d={obj['d']} but {len(counts)} counts present")
-    return PrivateSketch(
-        counts=counts,
-        epsilon=float(obj["epsilon"]),
-        n=int(obj["n"]),
-        clipped=bool(obj["clipped"]),
-    )
+    if not isinstance(obj, dict) or obj.keys() != _SKETCH_KEYS:
+        found = sorted(obj) if isinstance(obj, dict) else f"a JSON {type(obj).__name__}"
+        raise ValueError(
+            f"{path}: a sketch is a JSON object with the keys "
+            f"{sorted(_SKETCH_KEYS)}, got {found}"
+        )
+    version, epsilon, n, d = obj["version"], obj["epsilon"], obj["n"], obj["d"]
+    clipped, counts = obj["clipped"], obj["counts"]
+    if not _is_json_int(version) or version != 1:
+        raise ValueError(f"{path}: unsupported sketch version {version!r}")
+    if not _is_json_int(n) or n < 1:
+        raise ValueError(f"{path}: n must be an integer >= 1, got {n!r}")
+    if not _is_json_int(d):
+        raise ValueError(f"{path}: d must be an integer, got {d!r}")
+    if type(clipped) is not bool:
+        raise ValueError(f"{path}: clipped must be true or false, got {clipped!r}")
+    if type(epsilon) not in (int, float):
+        raise ValueError(f"{path}: epsilon must be a number, got {epsilon!r}")
+    if type(counts) is not list:
+        raise ValueError(f"{path}: counts must be a list of integers")
+    stray = set(map(type, counts)) - {int}
+    if stray:
+        names = ", ".join(sorted(t.__name__ for t in stray))
+        raise ValueError(f"{path}: counts must be integers, found {names}")
+    if len(counts) != d:
+        raise ValueError(f"{path}: d={d} but {len(counts)} counts present")
+    try:
+        return PrivateSketch(
+            counts=np.fromiter(counts, dtype=np.int64, count=len(counts)),
+            epsilon=float(epsilon),
+            n=n,
+            clipped=clipped,
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_sketch(path: str, s: PrivateSketch) -> None:
@@ -336,8 +438,7 @@ def write_sketch(path: str, s: PrivateSketch) -> None:
         "n": int(s.n),
         "d": int(s.d),
         "clipped": bool(s.clipped),
-        "counts": [int(c) for c in s.counts],
+        "counts": s.counts.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")

@@ -218,3 +218,11 @@ def test_imaginary_residue_guard(monkeypatch):
     monkeypatch.setattr(circulant, "_eigenvalues_closed_form", corrupted)
     with pytest.raises(AssertionError, match="imaginary residue"):
         build_operator(cfg)
+
+
+def test_next_smooth_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    targets = [*range(1, 5001), *range(2 * 10**6 - 50, 2 * 10**6 + 50)]
+    for t in targets:
+        assert circulant._next_smooth(t) == next_fast_len(t, real=True), t

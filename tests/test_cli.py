@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from dpprofile.cli import main
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -51,6 +53,16 @@ def test_sketch_bad_input_line_exits_2_no_partial_output(tmp_path):
     assert res.returncode == 2
     assert "2" in res.stderr  # names the offending line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "1e-300"])
+def test_sketch_unusable_epsilon_exits_2_no_output(hist_file, tmp_path, epsilon):
+    out = tmp_path / "s.json"
+    res = run_cli("sketch", "--input", hist_file, "--output", str(out),
+                  "--epsilon", epsilon, "--n", "5")
+    assert res.returncode == 2
+    assert "epsilon" in res.stderr
+    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
 
 
 def test_sketch_deterministic(hist_file, tmp_path):
@@ -108,6 +120,29 @@ def test_reconstruct_small_n_exits_2(tmp_path):
     assert "n >= B" in res.stderr
 
 
+MALFORMED_SKETCHES = {
+    "fractional counts": '{"version": 1, "epsilon": 1.0, "n": 8, "d": 3, "clipped": false, '
+                         '"counts": [1.7, 2.2, 3.9]}',
+    "bool counts": '{"version": 1, "epsilon": 1.0, "n": 8, "d": 2, "clipped": false, '
+                   '"counts": [1, true]}',
+    "missing d": '{"version": 1, "epsilon": 1.0, "n": 8, "clipped": false, "counts": [1]}',
+    "not an object": "[1, 2, 3]",
+    "nan epsilon": '{"version": 1, "epsilon": NaN, "n": 8, "d": 1, "clipped": false, '
+                   '"counts": [1]}',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SKETCHES)
+def test_reconstruct_malformed_sketch_exits_2_no_output(tmp_path, capsys, name):
+    sketch = tmp_path / "sketch.json"
+    sketch.write_text(MALFORMED_SKETCHES[name])
+    out = tmp_path / "p.csv"
+    code = main(["reconstruct", "--input", str(sketch), "--output", str(out), "--eta", "0.05"])
+    assert code == 2
+    assert "sketch.json" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+
+
 # --- update ---------------------------------------------------------------------
 
 def test_update_round_trip(tmp_path):
@@ -133,6 +168,18 @@ def test_update_zero_delta_identity(tmp_path):
     assert run_cli("update", "--sketch", sketch, "--delta", str(delta),
                    "--output", out).returncode == 0
     assert json.loads(open(out).read())["counts"] == [3, 1, 2]
+
+
+@pytest.mark.parametrize("bad", ["oops", "2.5", "12345678901234567890"])
+def test_update_names_bad_delta_line(tmp_path, capsys, bad):
+    sketch = write_sketch_file(tmp_path, [1, 2, 3], 1.0, 5)
+    delta = tmp_path / "d.txt"
+    delta.write_text(f"0\n# note\n{bad}\n0\n")
+    out = tmp_path / "o.json"
+    code = main(["update", "--sketch", sketch, "--delta", str(delta), "--output", str(out)])
+    assert code == 2
+    assert "d.txt:3: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_update_rejects_clipped(tmp_path):
@@ -200,6 +247,28 @@ def test_eval_fit_appends_slopes(tmp_path):
 
 # --- innerprod ----------------------------------------------------------------------
 
+def test_eval_fit_equals_independent_trials(tmp_path, monkeypatch):
+    # sweep builds each cell's histogram, profile and bounds once; the rows
+    # must be exactly those of running every trial on its own
+    from dpprofile import evaluation
+
+    monkeypatch.setenv("DP_PROFILE_THREADS", "2")
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--dist", "zipf:1.1", "--d-list", "200,400,800", "--n", "8",
+                 "--epsilon", "2", "--eta", "0.2", "--trials", "20", "--fit",
+                 "--seed", "11", "--output", str(out)]) == 0
+    reports = []
+    for cell, d in enumerate((200, 400, 800)):
+        spec = evaluation.SynthSpec("zipf", d=d, n=8, param=1.1,
+                                    seed=evaluation.derive_seed(11, cell, 1 << 32))
+        cfg = evaluation.ReconstructionConfig(epsilon=2.0, eta=0.2, n=8, d=d)
+        for trial in range(20):
+            seed = evaluation.derive_seed(11, cell, trial)
+            reports += evaluation.run_trial(spec, cfg, seed, trial=trial)
+    slopes = {p: evaluation.fit_scaling(reports, p) for p in evaluation.NORMS}
+    assert out.read_text() == evaluation.rows_to_csv(reports, slopes)
+
+
 def test_innerprod_csv_and_determinism(tmp_path):
     args = ("innerprod", "--d", "4096", "--epsilon", "50",
             "--trials", "2", "--seed", "3")
@@ -221,3 +290,16 @@ def test_innerprod_small_d_exits_2(tmp_path):
     res = run_cli("innerprod", "--d", "8", "--epsilon", "1",
                   "--trials", "1", "--output", str(tmp_path / "x.csv"))
     assert res.returncode == 2
+
+
+# --- runtime dependencies ---------------------------------------------------------
+
+def test_cli_import_pulls_in_no_scipy():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dpprofile, dpprofile.cli; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

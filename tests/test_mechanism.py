@@ -1,9 +1,12 @@
 """Tests for the discrete Laplace mechanism and its sketch plumbing."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpprofile.mechanism import (
     EmpiricalProfile,
@@ -13,6 +16,7 @@ from dpprofile.mechanism import (
     empirical_profile,
     privatize,
     read_histogram,
+    read_int_lines,
     read_sketch,
     sample_dlap,
     sample_geometric,
@@ -321,3 +325,175 @@ def test_sketch_file_rejects_bad_version(tmp_path):
     path.write_text('{"version": 2, "epsilon": 1.0, "n": 4, "d": 1, "clipped": false, "counts": [1]}')
     with pytest.raises(ValueError, match="version"):
         read_sketch(str(path))
+
+
+# --- epsilon validation ----------------------------------------------------
+
+BAD_EPSILONS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e-300]
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+def test_every_epsilon_entry_point_fails_closed(epsilon):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="epsilon"):
+        sample_geometric(epsilon, rng, size=3)
+    with pytest.raises(ValueError, match="epsilon"):
+        sample_dlap(epsilon, rng)
+    with pytest.raises(ValueError, match="epsilon"):
+        truncation_radius(epsilon, 0.05, 100)
+    with pytest.raises(ValueError, match="epsilon"):
+        PrivateSketch(counts=np.array([1, 2]), epsilon=epsilon, n=4, clipped=False)
+    with pytest.raises(ValueError, match="epsilon"):
+        ReconstructionConfig(epsilon=epsilon, eta=0.05, n=4, d=10, B=1)
+
+
+def test_smallest_accepted_epsilon_keeps_draws_in_int64():
+    # U = 2^-53 is the smallest uniform the sampler can draw
+    eps = 1e-17
+    assert 53 * math.log(2) / eps < 2**63
+    draws = sample_dlap(eps, np.random.default_rng(1), size=1000)
+    assert draws.dtype == np.int64 and np.any(draws != 0)
+
+
+# --- integer-per-line files --------------------------------------------------
+
+def reference_int_lines(path):
+    """The plain per-line parse every read_int_lines result must equal."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                values.append(int(text))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected an integer") from None
+            if not -(2**63) <= values[-1] < 2**63:
+                raise ValueError(f"{path}:{lineno}: out of range")
+    return np.array(values, dtype=np.int64)
+
+
+def outcome(reader, path):
+    """The array a reader returns, or the path:lineno its error names."""
+    try:
+        return reader(path).tolist()
+    except ValueError as exc:
+        return str(exc).split(": ")[0]
+
+
+INT_FILE_CASES = {
+    "plain": b"3\n0\n7\n",
+    "comments": b"# header\n3\n# middle\n4\n",
+    "blank lines": b"\n3\n\n  \n4\n\n",
+    "crlf": b"3\r\n4\r\n",
+    "no trailing newline": b"3\n4",
+    "plus sign": b"+5\n1\n",
+    "underscore": b"1_0\n2\n",
+    "padded": b" 7 \n\t8\t\n",
+    "two per line": b"1 2\n",
+    "two per line everywhere": b"1 2\n3 4\n",
+    "trailing comment": b"3 # x\n",
+    "20 digits": b"1\n12345678901234567890\n",
+    "int64 edges": b"9223372036854775807\n-9223372036854775808\n",
+    "empty": b"",
+    "only blanks": b"\n \n",
+    "float": b"1\n2.0\n",
+    "non-ascii digit": "1\n\u0663\n".encode(),
+    "non-ascii letter": "1\n7\u01fe\n".encode(),
+    "vertical tab inside": b"7\x0b8\n",
+    "negative": b"-3\n4\n",
+}
+
+
+@pytest.mark.parametrize("name", INT_FILE_CASES)
+def test_read_int_lines_matches_line_loop(tmp_path, name):
+    path = tmp_path / "ints.txt"
+    path.write_bytes(INT_FILE_CASES[name])
+    assert outcome(read_int_lines, str(path)) == outcome(reference_int_lines, str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("0123456789 -+_#\n\r\t\x0b\x0c.e\u0663")), max_size=30))
+def test_read_int_lines_matches_line_loop_on_random_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ints") / "ints.txt"
+    path.write_bytes(text.encode())
+    assert outcome(read_int_lines, str(path)) == outcome(reference_int_lines, str(path))
+
+
+def test_histogram_file_range_errors_name_the_line(tmp_path):
+    path = tmp_path / "hist.txt"
+    path.write_text("1\n2\n-1\n")
+    with pytest.raises(ValueError, match=r":3: negative count -1"):
+        read_histogram(str(path), n=4)
+    path.write_text("1\n# c\n12345678901234567890\n")
+    with pytest.raises(ValueError, match=r":3: count 12345678901234567890 exceeds the maximum n=4"):
+        read_histogram(str(path), n=4)
+    # the first bad line wins, whichever check it fails
+    path.write_text("1\n9\noops\n")
+    with pytest.raises(ValueError, match=r":2: count 9 exceeds"):
+        read_histogram(str(path), n=4)
+    path.write_text("# nothing\n\n")
+    with pytest.raises(ValueError, match="no counts"):
+        read_histogram(str(path), n=4)
+
+
+# --- sketch files --------------------------------------------------------------
+
+def test_write_sketch_bytes_match_streamed_json(tmp_path):
+    s = PrivateSketch(counts=np.array([5, 0, 6, 1]), epsilon=0.5, n=6, clipped=True)
+    path = tmp_path / "sketch.json"
+    write_sketch(str(path), s)
+    streamed = io.StringIO()
+    json.dump({"version": 1, "epsilon": 0.5, "n": 6, "d": 4, "clipped": True,
+               "counts": [5, 0, 6, 1]}, streamed)
+    assert path.read_bytes() == (streamed.getvalue() + "\n").encode()
+    assert path.read_bytes() == (
+        b'{"version": 1, "epsilon": 0.5, "n": 6, "d": 4, "clipped": true, '
+        b'"counts": [5, 0, 6, 1]}\n'
+    )
+
+
+GOOD_SKETCH = {"version": 1, "epsilon": 1.0, "n": 8, "d": 3, "clipped": False,
+               "counts": [1, 2, 3]}
+
+BAD_SKETCHES = {
+    "fractional counts": dict(GOOD_SKETCH, counts=[1.7, 2.2, 3.9]),
+    "integral floats": dict(GOOD_SKETCH, counts=[1.0, 2, 3]),
+    "bool counts": dict(GOOD_SKETCH, counts=[1, True, 3]),
+    "string counts": dict(GOOD_SKETCH, counts=["1", 2, 3]),
+    "nested counts": dict(GOOD_SKETCH, counts=[[1], 2, 3]),
+    "counts not a list": dict(GOOD_SKETCH, counts={"a": 1}),
+    "huge count": dict(GOOD_SKETCH, counts=[1, 2**70, 3]),
+    "empty counts": dict(GOOD_SKETCH, d=0, counts=[]),
+    "missing d": {k: v for k, v in GOOD_SKETCH.items() if k != "d"},
+    "extra key": dict(GOOD_SKETCH, note="x"),
+    "not an object": [1, 2, 3],
+    "version 2": dict(GOOD_SKETCH, version=2),
+    "version true": dict(GOOD_SKETCH, version=True),
+    "float n": dict(GOOD_SKETCH, n=8.0),
+    "zero n": dict(GOOD_SKETCH, n=0),
+    "string d": dict(GOOD_SKETCH, d="3"),
+    "wrong d": dict(GOOD_SKETCH, d=4),
+    "clipped as int": dict(GOOD_SKETCH, clipped=0),
+    "string epsilon": dict(GOOD_SKETCH, epsilon="1.0"),
+    "nan epsilon": dict(GOOD_SKETCH, epsilon=float("nan")),
+    "infinite epsilon": dict(GOOD_SKETCH, epsilon=float("inf")),
+    "zero epsilon": dict(GOOD_SKETCH, epsilon=0),
+    "clipped out of range": dict(GOOD_SKETCH, clipped=True, counts=[1, 9, 3]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SKETCHES)
+def test_read_sketch_rejects_malformed_files(tmp_path, name):
+    path = tmp_path / "sketch.json"
+    path.write_text(json.dumps(BAD_SKETCHES[name]))
+    with pytest.raises(ValueError, match="sketch.json"):
+        read_sketch(str(path))
+
+
+def test_read_sketch_accepts_integer_epsilon(tmp_path):
+    path = tmp_path / "sketch.json"
+    path.write_text(json.dumps(dict(GOOD_SKETCH, epsilon=2)))
+    s = read_sketch(str(path))
+    assert s.epsilon == 2.0 and s.counts.tolist() == [1, 2, 3]
