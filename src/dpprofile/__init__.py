@@ -3,10 +3,10 @@
 A histogram over a domain of d items is privatized by adding two-sided
 geometric noise to every count.  This package reconstructs the dataset
 profile (the fraction of items appearing exactly t times, t = 0..n) from the
-noisy sketch in O(d + n log n) time by inverting a circulant smearing
-operator with the FFT and projecting the result back onto the profile
-polytope, and ships the measurement harness that checks the achievable
-error against analytic bounds.
+noisy sketch in near-linear time by inverting a circulant smearing operator
+and projecting the result back onto the profile polytope, and ships the
+measurement harness that checks the achievable error against analytic
+bounds.
 """
 
 from .circulant import (
@@ -15,7 +15,6 @@ from .circulant import (
     apply,
     apply_inverse,
     build_operator,
-    left_apply_inverse,
     norm_bounds,
 )
 from .mechanism import (

@@ -4,19 +4,20 @@ The operator A maps a (padded) profile to the expected empirical profile of
 its noisy histogram: each unit of mass is smeared by a truncated two-sided
 exponential kernel with decay e^{-eps} and support radius B, normalized so
 every row sums to one.  Because the kernel wraps cyclically on the index
-window of length m = n + 2B + 1, A is circulant: its eigenvalues have a
-closed form, its inverse is again circulant, and both act on a vector as a
-cyclic convolution with their first column.
+window of length m = n + 2B + 1, A is circulant, and because the kernel is
+symmetric, so is A: its eigenvalues are real (a cosine closed form), and
+its inverse is again a symmetric circulant, so A^{-T} = A^{-1}.
 
-Products are computed in the time domain.  The forward kernel is banded by
-construction (2B + 1 taps); the inverse kernel decays geometrically, so its
-entries fall below the double-precision noise floor within a few multiples
-of B, after which keeping them only adds roundoff.  A kernel that is narrow
-relative to m is applied as a direct banded convolution with wraparound,
-which streams through cache and costs O(m B) with a small constant,
-regardless of how m factorizes.  Kernels that span the whole ring (only
-possible at small m) fall back to one zero-padded FFT convolution at a
-5-smooth length.  Both routes are algebraically exact cyclic products.
+A and A^{-1} are stored the same way, as a vector of centred taps (the
+first column at offsets -w..w), and applied by one cyclic banded product:
+the operand is wrap-extended by the half-width w and convolved directly,
+at O(m w) cost whatever m is.  The forward taps are the generator's 2B + 1
+entries.  The inverse kernel decays geometrically, so its entries fall
+below the double-precision noise floor within a few dozen offsets; they are
+read off the inverse on a small ring, a power of two doubled until the
+trimmed taps sit well inside it, where the wrapped-around tails are far
+below roundoff.  When the taps would span the whole window (only at small
+m), the window's own inverse column is used whole, which is exact.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "build_operator",
     "apply",
     "apply_inverse",
-    "left_apply_inverse",
     "norm_bounds",
 ]
 
@@ -44,35 +44,18 @@ __all__ = [
 # reliably; construction refuses instead of regularizing.
 MIN_EIGENVALUE = 1e-12
 
-# Imaginary parts above this (scaled) threshold when realizing a kernel from
-# its spectrum indicate a bug in the transform plumbing, not data.
-_IMAG_TOL = 1e-8
-
 # Kernel entries below this fraction of the peak are indistinguishable from
 # the roundoff already present in an FFT-computed kernel; dropping them
 # changes products by strictly less than ordinary transform roundoff.
 _TAP_FLOOR = 1e-15
 
-
-@dataclass(eq=False)
-class _Kernel:
-    """One circulant factor, stored however it is cheapest to apply.
-
-    Banded kernels keep their centered taps plus the taps' transform at the
-    overlap-save block length; full-ring kernels keep the first column's
-    transform at a zero-padding length covering a whole linear convolution.
-    """
-
-    half_width: int
-    taps: np.ndarray | None = None
-    spectrum: np.ndarray | None = None
-    block_len: int = 0   # overlap-save block size (banded kernels)
-    pad_len: int = 0     # full linear-convolution length (full kernels)
+# Smallest ring tried for the inverse taps; rings double from here.
+_FIRST_RING = 64
 
 
 @dataclass(eq=False)
 class CirculantOperator:
-    """The deconvolution operator: generator row, spectrum, product kernels."""
+    """The deconvolution operator: generator row, spectrum, product taps."""
 
     m: int
     n: int
@@ -80,16 +63,14 @@ class CirculantOperator:
     epsilon: float
     p_norm_const: float
     generator: np.ndarray      # first row; 2B+1 non-zeros, scaled by 1/p_norm_const
-    eigenvalues: np.ndarray    # complex, index i holds the eigenvalue of mode i
-    _fwd: _Kernel = field(repr=False, default=None)
-    _inv: _Kernel = field(repr=False, default=None)
-    _inv_left: _Kernel = field(repr=False, default=None)
-    # memo for derived data-independent vectors (callers guard concurrency)
-    cache: dict = field(repr=False, default_factory=dict)
+    eigenvalues: np.ndarray    # real, index i holds the eigenvalue of mode i
+    _fwd_taps: np.ndarray = field(repr=False)  # centred taps of A
+    _inv_taps: np.ndarray = field(repr=False)  # centred taps of A^{-1}
 
     def __post_init__(self):
-        self.generator.flags.writeable = False
-        self.eigenvalues.flags.writeable = False
+        # operators are shared through the cache, so nothing may edit them
+        for arr in (self.generator, self.eigenvalues, self._fwd_taps, self._inv_taps):
+            arr.flags.writeable = False
 
 
 class NormBounds(NamedTuple):
@@ -110,33 +91,27 @@ def generator_vector(epsilon: float, n: int, B: int) -> np.ndarray:
     gen = np.zeros(m)
     decay = np.exp(-epsilon * np.arange(B + 1))
     gen[: B + 1] = decay
-    if B > 0:
-        gen[m - B :] = decay[1:][::-1]
+    gen[m - B :] = decay[1:][::-1]  # empty when B = 0
     return gen / p_norm
 
 
-def _eigenvalues_closed_form(epsilon: float, n: int, B: int) -> np.ndarray:
-    """Spectrum of the operator without touching the generator row.
+def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:
+    """Eigenvalues of modes 0..ring//2 of the kernel wrapped on a ring.
 
-    Summing the two geometric tails of the kernel collapses the transform of
-    the generator into a ratio of short complex expressions, one per mode, so
-    the full spectrum costs O(m) scalar operations.
+    The eigenvalue at angle theta is (1 + 2 sum_{j=1..B} q^j cos(j theta)) / P;
+    summing the geometric series collapses it to a ratio of three cosines,
+    so the spectrum costs O(ring) scalar operations.  The other modes mirror
+    these, since the kernel is symmetric.
     """
-    m = n + 2 * B + 1
     q = math.exp(-epsilon)
-    p_norm = kernel_normalizer(epsilon, B)
-    w = np.exp(-2j * np.pi * np.arange(m) / m)
-    w_inv = np.conj(w)  # |w| = 1
-    # 1 + sum_{j=1..B} q^j (w^j + w^-j), with both geometric tails summed in
-    # closed form over the common denominator (1 - q w)(1 - q w^-1).
-    numer = (
-        1.0
-        - q * q
-        - q ** (B + 1)
-        * (w ** (B + 1) + w_inv ** (B + 1) - q * w**B - q * w_inv**B)
-    )
-    denom = 1.0 - q * w - q * w_inv + q * q
-    return numer / denom / p_norm
+    k = np.arange(ring // 2 + 1)
+
+    def cos_of(j: int) -> np.ndarray:
+        return np.cos((2.0 * np.pi / ring) * ((j * k) % ring))
+
+    numer = 1.0 - q * q - 2.0 * q ** (B + 1) * (cos_of(B + 1) - q * cos_of(B))
+    denom = 1.0 - 2.0 * q * cos_of(1) + q * q
+    return numer / denom / kernel_normalizer(epsilon, B)
 
 
 def spectrum_floor(epsilon: float, B: int) -> float:
@@ -150,120 +125,49 @@ def spectrum_floor(epsilon: float, B: int) -> float:
     return (1.0 - q - 2.0 * q ** (B + 1)) / ((1.0 + q) * p_norm)
 
 
-def _cyclic_reverse(v: np.ndarray) -> np.ndarray:
-    """out[k] = v[-k mod m]; maps a first row to a first column and back."""
-    return np.concatenate((v[:1], v[:0:-1]))
+def _centred(col: np.ndarray, w: int) -> np.ndarray:
+    """taps[w + u] = col[u mod len(col)] for centred offsets u in [-w, w]."""
+    return np.concatenate((col[len(col) - w :], col[: w + 1]))
 
 
-def _next_smooth(target: int) -> int:
-    """Smallest integer >= target with no prime factor above 5.
+def _trimmed_half_width(col: np.ndarray) -> int:
+    """Largest offset whose entry is above the tap floor (col is symmetric)."""
+    mag = np.abs(col[: len(col) // 2 + 1])
+    return int(np.flatnonzero(mag > _TAP_FLOOR * mag.max())[-1])
 
-    Real transforms of such lengths factor entirely into the radix-2/3/5
-    passes of the FFT, which keeps them fast whatever m is.
+
+def _inverse_taps(epsilon: float, B: int, half_spectrum: np.ndarray, m: int) -> np.ndarray:
+    """Centred taps of A^{-1}, given the first m//2 + 1 eigenvalues of A.
+
+    On a ring of any size the inverse column is the line kernel summed over
+    its wrap-arounds, so once the trimmed taps fill at most a quarter of a
+    small ring, the wrapped tails are below the tap floor and the ring's
+    taps are the window's.  This needs the symbol bounded away from zero
+    (a positive analytic floor); otherwise only the window's own column
+    is used.
     """
-    best = 1 << (target - 1).bit_length()  # the power of two at or above
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two lifting p35 to the target
-            p2 = 1 << (-(-target // p35) - 1).bit_length()
-            best = min(best, p2 * p35)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _kernel_from_spectrum(spectral: np.ndarray, m: int) -> np.ndarray:
-    """First column of the circulant whose eigenvalues are `spectral`.
-
-    The column comes out of a complex transform; a real operator must leave
-    only roundoff in the imaginary part, so anything larger is treated as an
-    implementation bug.
-    """
-    col = np.fft.fft(spectral) / m
-    resid = float(np.max(np.abs(col.imag)))
-    scale = float(np.max(np.abs(col.real)))
-    if resid > _IMAG_TOL * (1.0 + scale):
-        raise AssertionError(
-            f"imaginary residue {resid:.3e} while realizing a kernel; "
-            "transform plumbing is broken"
-        )
-    return np.ascontiguousarray(col.real)
-
-
-def _pack_kernel(col: np.ndarray) -> _Kernel:
-    """Choose the cheapest exact representation for a first-column kernel."""
-    m = len(col)
-    dist = np.minimum(np.arange(m), m - np.arange(m))
-    alive = np.abs(col) > _TAP_FLOOR * float(np.max(np.abs(col)))
-    half_width = int(dist[alive].max()) if alive.any() else 0
-    if 2 * half_width + 1 < m:
-        # taps[w + u] = col[u mod m] for centered offsets u in [-w, w]
-        taps = np.concatenate((col[m - half_width :], col[: half_width + 1]))
-        # blocks hold at least 8 half-widths so the overlap stays small, and
-        # never exceed what a single block covering the whole ring needs
-        block_len = _next_smooth(
-            max(8 * half_width, min(4096, m + 2 * half_width))
-        )
-        return _Kernel(
-            half_width=half_width,
-            taps=taps,
-            spectrum=np.fft.rfft(taps, block_len),
-            block_len=block_len,
-        )
-    pad_len = _next_smooth(2 * m - 1)
-    return _Kernel(
-        half_width=(m - 1) // 2,
-        spectrum=np.fft.rfft(col, pad_len),
-        pad_len=pad_len,
-    )
-
-
-def _banded_cyclic(x: np.ndarray, kernel: _Kernel) -> np.ndarray:
-    """Cyclic convolution with a narrow centered kernel by overlap-save.
-
-    The operand is wrap-extended by the kernel half-width, split into
-    fixed-size overlapping blocks, and convolved blockwise with batched real
-    transforms.  The block size depends only on the kernel width, so the
-    cost is exactly linear in m and every block stays cache-resident.
-    """
-    m = len(x)
-    w = kernel.half_width
-    if w == 0:
-        return kernel.taps[0] * x
-    blk = kernel.block_len
-    step = blk - 2 * w
-    n_blocks = -(-m // step)
-    padded = np.zeros(n_blocks * step + 2 * w)
-    padded[:w] = x[m - w :]
-    padded[w : w + m] = x
-    padded[w + m : 2 * w + m] = x[:w]
-    blocks = np.lib.stride_tricks.sliding_window_view(padded, blk)[::step]
-    stacked = np.fft.irfft(
-        np.fft.rfft(blocks, axis=1) * kernel.spectrum, blk, axis=1
-    )
-    return stacked[:, 2 * w : blk].reshape(-1)[:m].copy()
-
-
-def _apply_kernel(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
-    m = len(x)
-    if kernel.taps is not None:
-        return _banded_cyclic(x, kernel)
-    # full-ring kernel: zero-padded linear convolution, folded back cyclically
-    z = np.fft.irfft(
-        np.fft.rfft(x, kernel.pad_len) * kernel.spectrum, kernel.pad_len
-    )
-    out = z[:m].copy()
-    out[: m - 1] += z[m : 2 * m - 1]
-    return out
+    ring = _FIRST_RING if spectrum_floor(epsilon, B) > 0 else m
+    while ring < m:
+        col = np.fft.irfft(1.0 / _half_spectrum(epsilon, B, ring), ring)
+        w = _trimmed_half_width(col)
+        if 4 * w < ring:
+            return _centred(col, w)
+        ring *= 2
+    col = np.fft.irfft(1.0 / half_spectrum, m)
+    w = _trimmed_half_width(col)  # at most m // 2
+    taps = _centred(col, w)
+    if 2 * w == m:
+        # offsets -m/2 and +m/2 are the same antipodal entry; split it
+        taps[0] = taps[-1] = col[w] / 2.0
+    return taps
 
 
 def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
     """Construct the operator for a configuration and verify its spectrum."""
-    gen = generator_vector(cfg.epsilon, cfg.n, cfg.B)
-    eig = _eigenvalues_closed_form(cfg.epsilon, cfg.n, cfg.B)
-    min_abs = float(np.min(np.abs(eig)))
+    m = cfg.m
+    half = _half_spectrum(cfg.epsilon, cfg.B, m)
+    eig = np.concatenate((half, half[1 : m - len(half) + 1][::-1]))
+    min_abs = float(np.min(np.abs(half)))
     if min_abs < MIN_EIGENVALUE:
         raise ValueError(
             f"operator is ill-conditioned: min |eigenvalue| = {min_abs:.3e} "
@@ -274,45 +178,41 @@ def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
         raise AssertionError(
             f"spectrum fell below its analytic floor: {min_abs} < {floor}"
         )
-    col_inv = _kernel_from_spectrum(1.0 / eig, cfg.m)  # first column of A^{-1}
+    gen = generator_vector(cfg.epsilon, cfg.n, cfg.B)
     return CirculantOperator(
-        m=cfg.m,
+        m=m,
         n=cfg.n,
         B=cfg.B,
         epsilon=cfg.epsilon,
         p_norm_const=kernel_normalizer(cfg.epsilon, cfg.B),
         generator=gen,
         eigenvalues=eig,
-        _fwd=_pack_kernel(_cyclic_reverse(gen)),
-        _inv=_pack_kernel(col_inv),
-        _inv_left=_pack_kernel(_cyclic_reverse(col_inv)),
+        _fwd_taps=_centred(gen, cfg.B),
+        _inv_taps=_inverse_taps(cfg.epsilon, cfg.B, half, m),
     )
 
 
-def _check_dim(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
+def _cyclic_product(op: CirculantOperator, taps: np.ndarray, x) -> np.ndarray:
+    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for centred taps.
+
+    Wrap-extending x by the half-width w turns the cyclic product into the
+    m "valid" outputs of a plain linear convolution.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.m,):
         raise ValueError(f"vector has shape {x.shape}, operator expects ({op.m},)")
-    return x
+    w = len(taps) // 2
+    return np.convolve(np.concatenate((x[op.m - w :], x, x[:w])), taps, mode="valid")
 
 
 def apply(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
     """A @ x."""
-    return _apply_kernel(op._fwd, _check_dim(op, x))
+    return _cyclic_product(op, op._fwd_taps, x)
 
 
 def apply_inverse(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
-    """A^{-1} @ x, via the reciprocal-spectrum kernel."""
-    return _apply_kernel(op._inv, _check_dim(op, x))
-
-
-def left_apply_inverse(op: CirculantOperator, v: np.ndarray) -> np.ndarray:
-    """v^T A^{-1}, i.e. the transposed inverse applied to v.
-
-    Transposing a circulant reverses its kernel cyclically, so this is one
-    more convolution with a precomputed kernel.
-    """
-    return _apply_kernel(op._inv_left, _check_dim(op, v))
+    """A^{-1} @ x; since A is symmetric, also x^T A^{-1}."""
+    return _cyclic_product(op, op._inv_taps, x)
 
 
 def norm_bounds(op: CirculantOperator) -> NormBounds:

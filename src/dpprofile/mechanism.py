@@ -267,9 +267,19 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
         raise ValueError(
             f"delta has length {len(delta)}, sketch has length {s.d}"
         )
-    return PrivateSketch(
-        counts=s.counts + delta, epsilon=s.epsilon, n=s.n, clipped=False
-    )
+    counts = s.counts + delta
+    # int64 addition wraps silently.  No sum can when the extreme ones fit;
+    # otherwise a sum whose sign differs from both operands' has wrapped.
+    lo = int(s.counts.min()) + int(delta.min())
+    hi = int(s.counts.max()) + int(delta.max())
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        wrapped = ((s.counts ^ counts) & (delta ^ counts)) < 0
+        if wrapped.any():
+            i = int(np.argmax(wrapped))
+            raise ValueError(
+                f"count {i}: {s.counts[i]} + {delta[i]} does not fit in a 64-bit integer"
+            )
+    return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
 
 
 def empirical_profile(
@@ -393,7 +403,10 @@ def _is_json_int(value) -> bool:
 
 def read_sketch(path: str) -> PrivateSketch:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply for a sketch") from None
     if not isinstance(obj, dict) or obj.keys() != _SKETCH_KEYS:
         found = sorted(obj) if isinstance(obj, dict) else f"a JSON {type(obj).__name__}"
         raise ValueError(

@@ -11,7 +11,7 @@ l1/l2 error and at most doubling the linf error.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+
+# Operators kept for reuse (unit-sum corrections: three norms per operator).
+# At m ~ 1e6 an operator holds about 16 MB and a correction 8 MB.
+_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -115,30 +119,30 @@ def direction_vector(c: np.ndarray, p: str) -> np.ndarray:
     raise ValueError(f"unknown norm selector {p!r}")
 
 
+@functools.lru_cache(maxsize=3 * _CACHE_SIZE)
 def _correction_direction(op: CirculantOperator, p: str) -> tuple[np.ndarray, float]:
-    """The cached unit-sum correction for (operator, norm): (A^{-1} a, <1, A^{-1} a>).
+    """The unit-sum correction for (operator, norm): (A^{-1} a, <1, A^{-1} a>).
 
-    The window image c = 1^T A^{-1} and the optimal direction a depend only
-    on the operator and the norm, never on the data, so they are computed
-    once per operator and memoized on it.
+    The window image c = 1^T A^{-1} (= A^{-1} 1, as A is symmetric) and the
+    optimal direction a depend only on the operator and the norm, never on
+    the data, so they are computed once per pair and memoized.
     """
-    with _CACHE_LOCK:
-        cached = op.cache.get(("correction", p))
-        if cached is not None:
-            return cached
-        ones = np.zeros(op.m)
-        ones[op.B : op.B + op.n + 1] = 1.0
-        c = circulant.left_apply_inverse(op, ones)
-        a = direction_vector(c, p)
-        correction = circulant.apply_inverse(op, a)
-        denom = float(correction[op.B : op.B + op.n + 1].sum())
-        if abs(denom) < 1e-300:
-            raise ArithmeticError(
-                "degenerate correction direction; operator spectrum is broken"
-            )
-        correction.flags.writeable = False
-        op.cache[("correction", p)] = (correction, denom)
-        return correction, denom
+    ones = np.zeros(op.m)
+    ones[op.B : op.B + op.n + 1] = 1.0
+    c = circulant.apply_inverse(op, ones)
+    # c mirrors about the window centre, since the window sits centred in
+    # the ring; making that exact lets the l1 direction's tie between the
+    # two window edges resolve by index (the lowest) instead of by roundoff
+    c = 0.5 * (c + c[::-1])
+    a = direction_vector(c, p)
+    correction = circulant.apply_inverse(op, a)
+    denom = float(correction[op.B : op.B + op.n + 1].sum())
+    if abs(denom) < 1e-300:
+        raise ArithmeticError(
+            "degenerate correction direction; operator spectrum is broken"
+        )
+    correction.flags.writeable = False
+    return correction, denom
 
 
 def fast_inversion(
@@ -151,15 +155,9 @@ def fast_inversion(
     window sum.  The returned vector satisfies the sum constraint exactly and
     attains the minimum residual among all vectors that do.
     """
-    if isinstance(f_tilde, EmpiricalProfile):
-        f = f_tilde.values
-    else:
-        f = np.asarray(f_tilde, dtype=np.float64)
-    if f.shape != (op.m,):
-        raise ValueError(f"profile has shape {f.shape}, operator expects ({op.m},)")
-
+    f = f_tilde.values if isinstance(f_tilde, EmpiricalProfile) else f_tilde
+    u = circulant.apply_inverse(op, f)  # rejects a vector of the wrong shape
     correction, denom = _correction_direction(op, p)
-    u = circulant.apply_inverse(op, f)
     window_sum = float(u[op.B : op.B + op.n + 1].sum())
     r = u - ((window_sum - 1.0) / denom) * correction
     return RelaxedSolution(values=r, n=op.n, B=op.B, objective_norm=p)
@@ -219,20 +217,18 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
     return Profile(values=core)
 
 
-# Repeated reconstructions with the same (n, B, epsilon) reuse one operator;
-# the eigenvalue setup is paid once per key.
-_OPERATOR_CACHE: dict[tuple[int, int, float], CirculantOperator] = {}
-_CACHE_LOCK = threading.Lock()
-
-
 def cached_operator(cfg: ReconstructionConfig) -> CirculantOperator:
-    key = (cfg.n, cfg.B, cfg.epsilon)
-    with _CACHE_LOCK:
-        op = _OPERATOR_CACHE.get(key)
-        if op is None:
-            op = circulant.build_operator(cfg)
-            _OPERATOR_CACHE[key] = op
-    return op
+    """The operator for cfg, shared by every config with the same (n, B, epsilon)."""
+    return _operator(cfg.n, cfg.B, cfg.epsilon)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _operator(n: int, B: int, epsilon: float) -> CirculantOperator:
+    # eta and d only derive B, which is given here
+    cfg = ReconstructionConfig(
+        epsilon=epsilon, eta=0.5, n=n, d=1, B=B, allow_small_n=True
+    )
+    return circulant.build_operator(cfg)
 
 
 def reconstruct_profile(

@@ -4,7 +4,7 @@ Everything here is quadratic or worse and exists to cross-check the fast
 paths: dense realizations of the circulant operator, exact constrained least
 squares via the stationarity system, Monte-Carlo simulation of the
 mass-smearing process, bisection for the drain threshold, and the iterative
-form of the rounding adjustment.  Production code never imports this module.
+form of the rounding adjustment.  The package itself never imports this module.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import generator_vector
-from .mechanism import ReconstructionConfig
-from .reconstruct import Profile
+from dpprofile.circulant import generator_vector
+from dpprofile.mechanism import ReconstructionConfig
+from dpprofile.reconstruct import Profile
 
 __all__ = [
     "DenseOperator",

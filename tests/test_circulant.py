@@ -1,4 +1,4 @@
-"""Tests for the FFT-backed deconvolution operator against dense oracles."""
+"""Tests for the banded-taps deconvolution operator against dense oracles."""
 
 import math
 
@@ -14,7 +14,9 @@ from dpprofile.circulant import (
     spectrum_floor,
 )
 from dpprofile.mechanism import ReconstructionConfig
-from dpprofile.oracle import dense_operator, dense_solve
+from dpprofile.twoparty import protocol_config
+
+from oracle import dense_operator, dense_solve
 
 CONFIGS = [(32, 4, 1.0), (64, 6, 0.5), (128, 8, 2.0)]
 
@@ -88,10 +90,11 @@ def test_ill_conditioned_configuration_rejected(monkeypatch):
 
 def test_apply_preserves_ones(cfg):
     op = build_operator(cfg)
+    inv = np.linalg.inv(dense_operator(cfg).entries)
     ones = np.ones(op.m)
     np.testing.assert_allclose(circulant.apply(op, ones), ones, atol=1e-9)
     np.testing.assert_allclose(circulant.apply_inverse(op, ones), ones, atol=1e-9)
-    np.testing.assert_allclose(circulant.left_apply_inverse(op, ones), ones, atol=1e-9)
+    np.testing.assert_allclose(circulant.apply_inverse(op, ones), ones @ inv, atol=1e-9)
 
 
 def test_apply_matches_dense(cfg):
@@ -128,22 +131,24 @@ def test_apply_inverse_round_trip_and_dense(cfg):
 
 
 def test_left_apply_inverse_matches_dense(cfg):
+    # A^{-1} is symmetric, so apply_inverse is also the left product v^T A^{-1}
     op = build_operator(cfg)
     dense = dense_operator(cfg)
     inv = np.linalg.inv(dense.entries)
     rng = np.random.default_rng(29)
     for _ in range(10):
         v = rng.normal(size=op.m)
-        np.testing.assert_allclose(circulant.left_apply_inverse(op, v), v @ inv, atol=1e-8)
+        np.testing.assert_allclose(circulant.apply_inverse(op, v), v @ inv, atol=1e-8)
 
 
 def test_left_apply_inverse_adjoint_identity(cfg):
     op = build_operator(cfg)
+    inv = np.linalg.inv(dense_operator(cfg).entries)
     rng = np.random.default_rng(31)
     for _ in range(10):
         v, x = rng.normal(size=op.m), rng.normal(size=op.m)
-        lhs = float(circulant.left_apply_inverse(op, v) @ x)
-        rhs = float(v @ circulant.apply_inverse(op, x))
+        lhs = float(circulant.apply_inverse(op, v) @ x)
+        rhs = float(v @ inv @ x)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -205,24 +210,27 @@ def test_dense_realization_is_circulant():
         )
 
 
-def test_imaginary_residue_guard(monkeypatch):
-    # a non-Hermitian spectrum cannot belong to a real operator; realizing
-    # its kernel must trip the residue assertion during construction
-    cfg = make_cfg(16, 3, 1.0)
-    honest = circulant._eigenvalues_closed_form
-
-    def corrupted(epsilon, n, B):
-        eig = honest(epsilon, n, B)
-        return eig + np.linspace(0, 1, len(eig)) * 5j
-
-    monkeypatch.setattr(circulant, "_eigenvalues_closed_form", corrupted)
-    with pytest.raises(AssertionError, match="imaginary residue"):
-        build_operator(cfg)
+# (label, config, whether the inverse taps span the whole window)
+TAP_CASES = [
+    ("small-ring", make_cfg(600, 10, 0.5), False),
+    ("full-ring-odd", make_cfg(16, 10, 1.0), True),
+    ("full-ring-even", make_cfg(7, 6, 0.5), True),
+    ("protocol-n4", protocol_config(0.5, 1000), True),
+]
 
 
-def test_next_smooth_matches_scipy_next_fast_len():
-    from scipy.fft import next_fast_len
-
-    targets = [*range(1, 5001), *range(2 * 10**6 - 50, 2 * 10**6 + 50)]
-    for t in targets:
-        assert circulant._next_smooth(t) == next_fast_len(t, real=True), t
+@pytest.mark.parametrize("label, tap_cfg, full_ring", TAP_CASES, ids=[c[0] for c in TAP_CASES])
+def test_inverse_taps_match_dense(label, tap_cfg, full_ring):
+    op = build_operator(tap_cfg)
+    assert (op.m % 2 == 0) == (label == "full-ring-even")
+    assert (len(op._inv_taps) >= op.m) == full_ring
+    inv = np.linalg.inv(dense_operator(tap_cfg).entries)
+    np.testing.assert_allclose(inv, inv.T, atol=1e-12)
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        x = rng.normal(size=op.m)
+        np.testing.assert_allclose(circulant.apply_inverse(op, x), inv @ x, atol=1e-8)
+        np.testing.assert_allclose(circulant.apply_inverse(op, x), x @ inv, atol=1e-8)
+        np.testing.assert_allclose(
+            circulant.apply_inverse(op, circulant.apply(op, x)), x, atol=1e-9
+        )

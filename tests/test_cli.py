@@ -129,6 +129,7 @@ MALFORMED_SKETCHES = {
     "not an object": "[1, 2, 3]",
     "nan epsilon": '{"version": 1, "epsilon": NaN, "n": 8, "d": 1, "clipped": false, '
                    '"counts": [1]}',
+    "deeply nested": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -180,6 +181,17 @@ def test_update_names_bad_delta_line(tmp_path, capsys, bad):
     assert code == 2
     assert "d.txt:3: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_update_overflow_exits_2_no_output(tmp_path, capsys):
+    sketch = write_sketch_file(tmp_path, [1, 5, 3], 1.0, 5)
+    delta = tmp_path / "d.txt"
+    delta.write_text(f"0\n{2**63 - 1}\n0\n")
+    out = tmp_path / "o.json"
+    code = main(["update", "--sketch", sketch, "--delta", str(delta), "--output", str(out)])
+    assert code == 2
+    assert "64-bit" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.json.tmp").exists()
 
 
 def test_update_rejects_clipped(tmp_path):

@@ -178,6 +178,23 @@ def test_update_rejects_clipped_and_bad_length():
         update(s2, np.array([1, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    "count, delta",
+    [(5, 2**63 - 1), (-5, -(2**63) + 1), (2**62, 2**62), (-(2**63), -1)],
+)
+def test_update_rejects_int64_overflow(count, delta):
+    s = PrivateSketch(counts=np.array([0, count]), epsilon=1.0, n=4, clipped=False)
+    with pytest.raises(ValueError, match="count 1: .* 64-bit"):
+        update(s, np.array([0, delta]))
+
+
+def test_update_accepts_sums_at_the_int64_limits():
+    top, bottom = 2**63 - 1, -(2**63)
+    s = PrivateSketch(counts=np.array([5, -5, top, bottom]), epsilon=1.0, n=4, clipped=False)
+    out = update(s, np.array([top - 5, bottom + 5, bottom, top]))
+    assert out.counts.tolist() == [top, bottom, -1, -1]
+
+
 def test_update_matches_fresh_privatize_distribution():
     d = 10**5
     h = Histogram(counts=np.full(d, 1, dtype=np.int64), n=5)

@@ -8,7 +8,10 @@ import pytest
 from dpprofile import circulant
 from dpprofile.evaluation import pad_profile
 from dpprofile.mechanism import ReconstructionConfig
-from dpprofile.oracle import (
+from dpprofile.reconstruct import Profile
+
+from helpers import random_profile
+from oracle import (
     bisection_tau,
     dense_operator,
     dense_solve,
@@ -17,9 +20,6 @@ from dpprofile.oracle import (
     monte_carlo_generator,
     sample_truncated_dlap,
 )
-from dpprofile.reconstruct import Profile
-
-from helpers import random_profile
 
 
 def make_cfg(n, B, eps, d=1000):
@@ -113,7 +113,7 @@ def test_ecls_beats_random_feasible_vectors():
 def test_ecls_size_guard():
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=1200, d=10**6, B=14)
     dense_entries = np.eye(cfg.m)
-    from dpprofile.oracle import DenseOperator
+    from oracle import DenseOperator
 
     with pytest.raises(ValueError, match="refused"):
         equality_constrained_ls(

@@ -1,11 +1,14 @@
 """Tests for fast inversion, rounding, and the end-to-end reconstruction."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dpprofile import circulant
+from dpprofile import circulant, reconstruct
 from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
@@ -13,7 +16,6 @@ from dpprofile.mechanism import (
     empirical_profile,
     privatize,
 )
-from dpprofile.oracle import bisection_tau, equality_constrained_ls, dense_operator, iterated_adjustment
 from dpprofile.reconstruct import (
     Profile,
     RelaxedSolution,
@@ -26,8 +28,10 @@ from dpprofile.reconstruct import (
     write_profile_csv,
 )
 from dpprofile._util import lp_norm
+from dpprofile.twoparty import protocol_config
 
 from helpers import random_feasible, random_profile
+from oracle import bisection_tau, equality_constrained_ls, dense_operator, iterated_adjustment
 
 
 def make_cfg(n, B, eps, d=1000, p="l2"):
@@ -296,6 +300,60 @@ def test_operator_cache_reuses_instances():
     cfg_a = make_cfg(12, 3, 1.25)
     cfg_b = make_cfg(12, 3, 1.25, d=5000)
     assert cached_operator(cfg_a) is cached_operator(cfg_b)
+
+
+def test_operator_cache_is_bounded():
+    reconstruct._operator.cache_clear()
+    size = reconstruct._CACHE_SIZE
+    cfgs = [make_cfg(12, 3, 1.0 + k / 8) for k in range(size + 1)]
+    first = cached_operator(cfgs[0])
+    assert cached_operator(cfgs[0]) is first
+    for cfg in cfgs[1:]:
+        cached_operator(cfg)
+    assert reconstruct._operator.cache_info().currsize == size
+    rebuilt = cached_operator(cfgs[0])
+    assert rebuilt is not first
+    np.testing.assert_array_equal(rebuilt.generator, first.generator)
+
+
+def test_operator_cache_shared_by_threads():
+    reconstruct._operator.cache_clear()
+    cfgs = [make_cfg(12, 3, 1.0 + k / 8) for k in range(reconstruct._CACHE_SIZE)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            ops = list(pool.map(lambda i: cached_operator(cfgs[i % len(cfgs)]), range(200), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert reconstruct._operator.cache_info().currsize == len(cfgs)
+    for i, op in enumerate(ops):
+        kept = cached_operator(cfgs[i % len(cfgs)])
+        assert op.epsilon == kept.epsilon
+        np.testing.assert_array_equal(circulant.apply_inverse(op, np.ones(op.m)),
+                                      circulant.apply_inverse(kept, np.ones(op.m)))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        protocol_config(0.3, 1000, p="l1"),
+        protocol_config(1.0, 1000, p="l1"),
+        ReconstructionConfig(epsilon=2.0, eta=0.05, n=32, d=10**4, p_norm="l1"),
+        ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=10**6, p_norm="l1"),
+    ],
+    ids=["n4e0.3", "n4e1", "n32e2", "n32e1"],
+)
+def test_l1_correction_takes_lower_window_edge(cfg):
+    # the window image of A^{-1} mirrors about the window centre, so the two
+    # window edges tie for the l1 direction; the lower one must win whatever
+    # the roundoff of the product
+    op = cached_operator(cfg)
+    correction, _ = reconstruct._correction_direction(op, "l1")
+    basis = circulant.apply(op, correction)
+    t = int(np.argmax(np.abs(basis)))
+    assert abs(abs(basis[t]) - 1.0) < 1e-9
+    assert t < op.m - 1 - t
 
 
 def test_profile_validation():
