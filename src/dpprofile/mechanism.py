@@ -9,6 +9,7 @@ reconstruction pipeline.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -194,8 +195,11 @@ class ReconstructionConfig:
 def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
     """Geometric variable G >= 0 with P[G = t] = (1 - e^{-eps}) e^{-eps t}.
 
-    Drawn as floor(-ln(U) / eps) with U uniform on (0, 1], which realizes the
-    pmf exactly with a single uniform per sample.
+    Drawn as floor(-ln(U) / eps) with U uniform on (0, 1], a single uniform
+    per sample.  This matches the pmf only up to floating point: U lies on a
+    2^-53 grid, so no draw exceeds 53 ln(2) / eps (about 36.7 / eps) and the
+    far tail is distorted.  Item 3 of ROADMAP.md plans an exact integer
+    sampler.
     """
     _check_epsilon(epsilon)
     u = 1.0 - rng.random(size)  # in (0, 1]: keeps the logarithm finite
@@ -209,7 +213,8 @@ def sample_dlap(epsilon: float, rng: np.random.Generator, size=None):
     """Two-sided integer noise with P[Z = t] proportional to e^{-eps |t|}.
 
     Realized as the difference of two independent geometric draws, which has
-    exactly the target pmf ((1 - e^{-eps}) / (1 + e^{-eps})) e^{-eps |t|}.
+    exactly the target pmf ((1 - e^{-eps}) / (1 + e^{-eps})) e^{-eps |t|}
+    when the draws are exact; sample_geometric says where they are not.
     """
     g1 = sample_geometric(epsilon, rng, size)
     g2 = sample_geometric(epsilon, rng, size)
@@ -396,17 +401,107 @@ def write_histogram(path: str, h: Histogram) -> None:
 
 _SKETCH_KEYS = frozenset(("version", "epsilon", "n", "d", "clipped", "counts"))
 
+# write_sketch puts the counts last: <head>"counts": [<counts>]}\n
+_COUNTS_KEY = b'"counts": '
+_SKETCH_END = b"}\n"
+
+# 10 .. 10**18: a magnitude at or above k of them has k + 1 digits
+_POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
+
+
+def _format_counts(counts: np.ndarray) -> bytes:
+    """json.dumps(counts.tolist()) of an int64 vector, byte for byte.
+
+    The digits are computed for all counts at once and scattered into one
+    byte buffer laid out as "<sign><digits>, " per count.
+    """
+    values = np.asarray(counts, dtype=np.int64)
+    if not len(values):
+        return b"[]"
+    rest = np.abs(values).view(np.uint64)  # |INT64_MIN| wraps to 2**63
+    width = (values < 0) + np.uint8(3)  # a sign, one digit and the ", "
+    ndigits = 1
+    for power in _POW10:
+        longer = rest >= power
+        if not longer.any():
+            break
+        width += longer
+        ndigits += 1
+    last = np.cumsum(width, dtype=np.intp)  # one past each count's ", "
+    text = np.full(last[-1], ord(" "), dtype=np.uint8)
+    # every count gets a "-"; the digits overwrite it where it is not negative
+    text[last - width] = ord("-")
+    last -= 3  # each count's last digit
+    text[last + 1] = ord(",")
+    spare = len(text) - 1  # the final ", " is cut below, so finished counts write here
+    for _ in range(ndigits):
+        digit = rest.astype(np.uint8)
+        np.floor_divide(rest, 10, out=rest)
+        # the digit is below 10, so the low bytes give it exactly
+        digit -= rest.astype(np.uint8) * np.uint8(10)
+        digit += ord("0")
+        text[last] = digit
+        last -= 1
+        np.copyto(last, spare, where=rest == 0)
+    return b"[" + text[:-2].tobytes() + b"]"
+
+
+def _parse_canonical(data: bytes) -> dict | None:
+    """The sketch object of a file in write_sketch's exact layout, else None.
+
+    The counts are parsed by numpy and taken only if they format back to the
+    same bytes, which proves they are JSON integers within int64.  The rest
+    is parsed by json with an empty list in their place.  If that gives an
+    object with exactly the sketch keys, the empty list is the value of
+    "counts" (no sketch key holds a quote, so the match was not inside a
+    string) and the object's last entry, so json.loads of the whole file
+    gives the same object with the counts in that list.  Anything else, a
+    valid sketch in another layout included, returns None.
+    """
+    start = data.rfind(_COUNTS_KEY + b"[")
+    if start < 0 or not data.endswith(b"]" + _SKETCH_END):
+        return None
+    counts_text = data[start + len(_COUNTS_KEY) : -len(_SKETCH_END)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy warns on a stray byte
+            counts = np.fromstring(counts_text[1:-1], dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if _format_counts(counts) != counts_text:
+        return None
+    head = data[: start + len(_COUNTS_KEY)]
+    try:
+        obj = json.loads(head.decode("utf-8") + "[]}")
+    except (ValueError, RecursionError):  # decoding and JSON errors alike
+        return None
+    if not isinstance(obj, dict) or obj.keys() != _SKETCH_KEYS:
+        return None
+    obj["counts"] = counts
+    return obj
+
 
 def _is_json_int(value) -> bool:
     return type(value) is int  # json gives bool for true/false, a subclass of int
 
 
 def read_sketch(path: str) -> PrivateSketch:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
+    """Read a sketch file, failing with a ValueError that names the path.
+
+    A file in write_sketch's layout takes a vectorised parse; any other JSON
+    is parsed whole.  Both go through the same checks, so the outcome, value
+    or message, does not depend on the path taken.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    obj = _parse_canonical(data)
+    if obj is None:
+        try:  # decoded as open(path, encoding="utf-8") does, newlines included
+            obj = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply for a sketch") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict) or obj.keys() != _SKETCH_KEYS:
         found = sorted(obj) if isinstance(obj, dict) else f"a JSON {type(obj).__name__}"
         raise ValueError(
@@ -425,33 +520,34 @@ def read_sketch(path: str) -> PrivateSketch:
         raise ValueError(f"{path}: clipped must be true or false, got {clipped!r}")
     if type(epsilon) not in (int, float):
         raise ValueError(f"{path}: epsilon must be a number, got {epsilon!r}")
-    if type(counts) is not list:
+    if type(counts) is list:
+        stray = set(map(type, counts)) - {int}
+        if stray:
+            names = ", ".join(sorted(t.__name__ for t in stray))
+            raise ValueError(f"{path}: counts must be integers, found {names}")
+    elif type(counts) is not np.ndarray:  # an ndarray comes from _parse_canonical
         raise ValueError(f"{path}: counts must be a list of integers")
-    stray = set(map(type, counts)) - {int}
-    if stray:
-        names = ", ".join(sorted(t.__name__ for t in stray))
-        raise ValueError(f"{path}: counts must be integers, found {names}")
     if len(counts) != d:
         raise ValueError(f"{path}: d={d} but {len(counts)} counts present")
     try:
         return PrivateSketch(
-            counts=np.fromiter(counts, dtype=np.int64, count=len(counts)),
-            epsilon=float(epsilon),
-            n=n,
-            clipped=clipped,
+            counts=counts, epsilon=float(epsilon), n=n, clipped=clipped
         )
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
         raise ValueError(f"{path}: {exc}") from None
 
 
 def write_sketch(path: str, s: PrivateSketch) -> None:
-    obj = {
+    """Write the bytes of json.dumps(sketch object) + "\\n", counts last."""
+    head = json.dumps({
         "version": 1,
         "epsilon": float(s.epsilon),
         "n": int(s.n),
         "d": int(s.d),
         "clipped": bool(s.clipped),
-        "counts": s.counts.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj) + "\n")
+        "counts": [],
+    })
+    with open(path, "wb") as fh:
+        fh.write(head[: -len("[]}")].encode())  # up to '"counts": '
+        fh.write(_format_counts(s.counts))
+        fh.write(_SKETCH_END)

@@ -144,6 +144,25 @@ def test_reconstruct_malformed_sketch_exits_2_no_output(tmp_path, capsys, name):
     assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "update"])
+@pytest.mark.parametrize("data", [b'{"version": 1,', b'{"version": \xff1}'],
+                         ids=["syntax error", "not utf-8"])
+def test_undecodable_sketch_exits_2_naming_the_file(tmp_path, capsys, command, data):
+    sketch = tmp_path / "sketch.json"
+    sketch.write_bytes(data)
+    delta = tmp_path / "delta.txt"
+    delta.write_text("1\n")
+    out = tmp_path / "out"
+    args = {
+        "reconstruct": ["--input", str(sketch), "--eta", "0.05"],
+        "update": ["--sketch", str(sketch), "--delta", str(delta)],
+    }[command]
+    code = main([command, *args, "--output", str(out)])
+    assert code == 2
+    assert f"error: {sketch}: " in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.tmp").exists()
+
+
 # --- update ---------------------------------------------------------------------
 
 def test_update_round_trip(tmp_path):

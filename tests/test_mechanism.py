@@ -13,6 +13,7 @@ from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
     ReconstructionConfig,
+    _parse_canonical,
     empirical_profile,
     privatize,
     read_histogram,
@@ -514,3 +515,198 @@ def test_read_sketch_accepts_integer_epsilon(tmp_path):
     path.write_text(json.dumps(dict(GOOD_SKETCH, epsilon=2)))
     s = read_sketch(str(path))
     assert s.epsilon == 2.0 and s.counts.tolist() == [1, 2, 3]
+
+
+# --- sketch codec: the vectorised writer and reader against plain json ------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def reference_read_sketch(path):
+    """The plain json reader every read_sketch outcome must equal."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply for a sketch") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    keys = {"version", "epsilon", "n", "d", "clipped", "counts"}
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        found = sorted(obj) if isinstance(obj, dict) else f"a JSON {type(obj).__name__}"
+        raise ValueError(
+            f"{path}: a sketch is a JSON object with the keys {sorted(keys)}, got {found}"
+        )
+    version, epsilon, n, d = obj["version"], obj["epsilon"], obj["n"], obj["d"]
+    clipped, counts = obj["clipped"], obj["counts"]
+    if type(version) is not int or version != 1:
+        raise ValueError(f"{path}: unsupported sketch version {version!r}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{path}: n must be an integer >= 1, got {n!r}")
+    if type(d) is not int:
+        raise ValueError(f"{path}: d must be an integer, got {d!r}")
+    if type(clipped) is not bool:
+        raise ValueError(f"{path}: clipped must be true or false, got {clipped!r}")
+    if type(epsilon) not in (int, float):
+        raise ValueError(f"{path}: epsilon must be a number, got {epsilon!r}")
+    if type(counts) is not list:
+        raise ValueError(f"{path}: counts must be a list of integers")
+    stray = set(map(type, counts)) - {int}
+    if stray:
+        names = ", ".join(sorted(t.__name__ for t in stray))
+        raise ValueError(f"{path}: counts must be integers, found {names}")
+    if len(counts) != d:
+        raise ValueError(f"{path}: d={d} but {len(counts)} counts present")
+    try:
+        return PrivateSketch(
+            counts=np.fromiter(counts, dtype=np.int64, count=len(counts)),
+            epsilon=float(epsilon), n=n, clipped=clipped,
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def sketch_outcome(reader, path):
+    """The sketch a reader returns, as plain values, or its full error message."""
+    try:
+        s = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return s.counts.tolist(), s.counts.dtype, s.epsilon, s.n, s.clipped
+
+
+def digit_count_cases():
+    for digits in range(1, 20):
+        low, high = 10 ** (digits - 1), min(10**digits - 1, INT64_MAX)
+        for sign in (1, -1):
+            yield f"{sign * low:+d}..{sign * high:+d}", [sign * low, sign * high, 0]
+
+
+CODEC_CASES = {
+    "one element": [7],
+    "all zeros": [0] * 17,
+    "int64 limits": [INT64_MIN, INT64_MAX, -1, 0, 1],
+    **dict(digit_count_cases()),
+    "random int64": np.random.default_rng(5).integers(
+        INT64_MIN, INT64_MAX, 100_000, endpoint=True
+    ).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", CODEC_CASES)
+def test_write_sketch_bytes_equal_json_dumps(tmp_path, name):
+    counts = CODEC_CASES[name]
+    s = PrivateSketch(counts=np.array(counts, dtype=np.int64), epsilon=0.25, n=3,
+                      clipped=False)
+    path = tmp_path / "sketch.json"
+    write_sketch(str(path), s)
+    obj = {"version": 1, "epsilon": 0.25, "n": 3, "d": len(counts), "clipped": False,
+           "counts": counts}
+    assert path.read_bytes() == (json.dumps(obj) + "\n").encode()
+    assert _parse_canonical(path.read_bytes()) is not None
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+@pytest.mark.parametrize("newline", ["", "\n"], ids=["bare", "newline"])
+@pytest.mark.parametrize("name", ["good", *BAD_SKETCHES])
+def test_read_sketch_matches_json_reader(tmp_path, name, newline):
+    # with the newline the layout is write_sketch's, which the fast parse takes
+    obj = GOOD_SKETCH if name == "good" else BAD_SKETCHES[name]
+    path = tmp_path / "sketch.json"
+    path.write_text(json.dumps(obj) + newline)
+    expected = sketch_outcome(reference_read_sketch, str(path))
+    assert sketch_outcome(read_sketch, str(path)) == expected
+    if name == "good":
+        assert expected[0] == [1, 2, 3]
+
+
+GOOD_HEAD = b'{"version": 1, "epsilon": 1.0, "n": 8, "d": 2, "clipped": false, '
+
+LAYOUT_CASES = {
+    "canonical": GOOD_HEAD + b'"counts": [1, 2]}\n',
+    "leading zero": GOOD_HEAD + b'"counts": [01, 2]}\n',
+    "minus zero": GOOD_HEAD.replace(b'"d": 2', b'"d": 1') + b'"counts": [-0]}\n',
+    "no space": GOOD_HEAD + b'"counts": [1,2]}\n',
+    "two spaces": GOOD_HEAD + b'"counts": [1,  2]}\n',
+    "trailing comma": GOOD_HEAD + b'"counts": [1, 2,]}\n',
+    "plus sign": GOOD_HEAD + b'"counts": [+1, 2]}\n',
+    "20 digits": GOOD_HEAD + b'"counts": [1, 12345678901234567890]}\n',
+    "just past int64": GOOD_HEAD + b'"counts": [1, 9223372036854775808]}\n',
+    "float": GOOD_HEAD + b'"counts": [1, 2.0]}\n',
+    "exponent": GOOD_HEAD + b'"counts": [1, 2e0]}\n',
+    "no trailing newline": GOOD_HEAD + b'"counts": [1, 2]}',
+    "no closing brace": GOOD_HEAD + b'"counts": [1, 2]]\n',
+    "extra bracket": GOOD_HEAD + b'"counts": [1, 2]]}\n',
+    "crlf": GOOD_HEAD + b'"counts": [1, 2]}\r\n',
+    "bom": b"\xef\xbb\xbf" + GOOD_HEAD + b'"counts": [1, 2]}\n',
+    "duplicate counts key": GOOD_HEAD.replace(b"{", b'{"counts": [7], ', 1)
+    + b'"counts": [1, 2]}\n',
+    "counts key inside a key": GOOD_HEAD + b'"a\\"counts": [1, 2]}\n',
+    "counts key inside a key after counts": GOOD_HEAD
+    + b'"counts": [], "a\\"counts": [1, 2]}\n',
+    "counts key inside a value": b'{"note": "\\"counts\\": [1, 2]}\\n", '
+    + GOOD_HEAD[1:] + b'"counts": [1, 2]}\n',
+    "counts not last": GOOD_HEAD.replace(b"{", b'{"counts": [1, 2], ', 1)[:-2]
+    + b'}\n',
+    "nested object": b'{"a": ' + GOOD_HEAD + b'"counts": [1, 2]}\n',
+    "not utf-8": GOOD_HEAD.replace(b"false", b"f\xffalse") + b'"counts": [1, 2]}\n',
+    "syntax error": b'{"version": 1,',
+    "nan epsilon": GOOD_HEAD.replace(b"1.0", b"NaN") + b'"counts": [1, 2]}\n',
+    "arabic digit": GOOD_HEAD + "\"counts\": [1, ٣]}\n".encode(),
+    "empty counts": GOOD_HEAD.replace(b'"d": 2', b'"d": 0') + b'"counts": []}\n',
+}
+
+
+# json.loads gives these the object the fast parse builds (a repeated key:
+# the last wins); every other case must be left to json
+FAST_LAYOUTS = {"canonical", "duplicate counts key", "nan epsilon", "empty counts"}
+
+
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_read_sketch_matches_json_reader_off_the_canonical_layout(tmp_path, name):
+    path = tmp_path / "sketch.json"
+    path.write_bytes(LAYOUT_CASES[name])
+    assert (_parse_canonical(LAYOUT_CASES[name]) is not None) == (name in FAST_LAYOUTS)
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+MUTATION_BYTES = st.sampled_from([*b"0123456789-+,. e]\n\r\t", *b'"\\[{}x', 0xFF])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    counts=st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=6),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                  st.integers(0, 10**6), MUTATION_BYTES),
+        min_size=1, max_size=4,
+    ),
+)
+def test_read_sketch_matches_json_reader_on_mutated_counts(tmp_path_factory, counts, edits):
+    canonical = json.dumps(dict(GOOD_SKETCH, d=len(counts), counts=counts)) + "\n"
+    data = bytearray(canonical.encode())
+    lo = data.rindex(b"[")
+    for op, where, byte in edits:  # edit the counts list, brackets and tail included
+        at = lo + where % (len(data) - lo)
+        if op == "insert":
+            data.insert(at, byte)
+        elif op == "replace":
+            data[at] = byte
+        elif len(data) - lo > 1:
+            del data[at]
+    path = tmp_path_factory.mktemp("sketch") / "sketch.json"
+    path.write_bytes(bytes(data))
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+@pytest.mark.parametrize("data", [b'{"version": 1,', b'{"version": \xff1}'],
+                         ids=["syntax error", "not utf-8"])
+def test_read_sketch_undecodable_file_names_the_path(tmp_path, data):
+    path = tmp_path / "sketch.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        read_sketch(str(path))
+    assert str(err.value).startswith(f"{path}: ")
