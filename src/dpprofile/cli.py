@@ -18,7 +18,12 @@ import time
 
 import numpy as np
 
-from . import evaluation, mechanism, reconstruct, twoparty
+# Only the mechanism layer is imported here: each command imports the other
+# layers it needs, so a short-lived `sketch` or `update` process loads neither
+# the reconstruction nor the evaluation sweep.  Functions are called through
+# their module (reconstruct.reconstruct_profile), not a name bound at import,
+# so a wrapper swapped into the module (bench/tracer.py) sees every call.
+from . import mechanism
 from .mechanism import ReconstructionConfig
 
 __all__ = ["main"]
@@ -51,6 +56,8 @@ def cmd_sketch(args) -> None:
 
 
 def cmd_reconstruct(args) -> None:
+    from . import reconstruct
+
     sketch = mechanism.read_sketch(args.input)
     cfg = ReconstructionConfig(
         epsilon=sketch.epsilon,
@@ -59,7 +66,8 @@ def cmd_reconstruct(args) -> None:
         d=sketch.d,
         p_norm=args.norm,
     )
-    rng = np.random.default_rng(args.seed)
+    # only unfolding a clipped sketch draws randomness
+    rng = np.random.default_rng(args.seed) if sketch.clipped else None
     start = time.perf_counter()
     profile = reconstruct.reconstruct_profile(sketch, cfg, rng=rng)
     elapsed = time.perf_counter() - start
@@ -79,7 +87,9 @@ def cmd_update(args) -> None:
     _write_atomic_via(args.output, lambda p: mechanism.write_sketch(p, updated))
 
 
-def _parse_dist(text: str, n: int, d: int, seed: int) -> evaluation.SynthSpec:
+def _parse_dist(text: str, n: int, d: int, seed: int):
+    from . import evaluation
+
     name, _, param = text.partition(":")
     if name == "point_mass":
         if not param:
@@ -94,6 +104,8 @@ def _parse_dist(text: str, n: int, d: int, seed: int) -> evaluation.SynthSpec:
 
 
 def cmd_eval(args) -> None:
+    from . import evaluation
+
     try:
         d_list = [int(tok) for tok in args.d_list.split(",") if tok.strip()]
     except ValueError:
@@ -115,6 +127,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_innerprod(args) -> None:
+    from . import twoparty
+
     results = twoparty.run_protocol(
         d=args.d, epsilon=args.epsilon, trials=args.trials, master_seed=args.seed
     )

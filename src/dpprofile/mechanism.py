@@ -202,11 +202,16 @@ def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
     sampler.
     """
     _check_epsilon(epsilon)
-    u = 1.0 - rng.random(size)  # in (0, 1]: keeps the logarithm finite
-    g = np.floor(-np.log(u) / epsilon).astype(np.int64)
+    u = rng.random(size)
     if size is None:
-        return int(g)
-    return g
+        return int(np.floor(-np.log(1.0 - u) / epsilon))
+    # In place, in the buffer of the uniforms.  log(x) / -eps equals
+    # -log(x) / eps bit for bit: IEEE division is symmetric in sign.
+    np.subtract(1.0, u, out=u)  # in (0, 1]: keeps the logarithm finite
+    np.log(u, out=u)
+    np.divide(u, -epsilon, out=u)
+    np.floor(u, out=u)
+    return u.astype(np.int64)
 
 
 def sample_dlap(epsilon: float, rng: np.random.Generator, size=None):
@@ -219,8 +224,9 @@ def sample_dlap(epsilon: float, rng: np.random.Generator, size=None):
     g1 = sample_geometric(epsilon, rng, size)
     g2 = sample_geometric(epsilon, rng, size)
     if size is None:
-        return int(g1 - g2)
-    return g1 - g2
+        return g1 - g2
+    g1 -= g2
+    return g1
 
 
 def privatize(
@@ -231,10 +237,10 @@ def privatize(
     With clip=True the perturbed counts are folded back into [0, n]; the
     returned sketch records which variant produced it.
     """
-    noise = sample_dlap(epsilon, rng, size=h.d)
-    counts = h.counts + noise
+    counts = sample_dlap(epsilon, rng, size=h.d)
+    counts += h.counts
     if clip:
-        counts = np.clip(counts, 0, h.n)
+        np.clip(counts, 0, h.n, out=counts)
     return PrivateSketch(counts=counts, epsilon=epsilon, n=h.n, clipped=clip)
 
 
@@ -303,7 +309,8 @@ def empirical_profile(
     if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
         raise ValueError("config epsilon does not match the sketch")
     m = cfg.m
-    shifted = np.clip(s.counts, -cfg.B, cfg.n + cfg.B) + cfg.B
+    shifted = np.clip(s.counts, -cfg.B, cfg.n + cfg.B)
+    shifted += cfg.B
     binned = np.bincount(shifted, minlength=m)
     values = binned / s.d
     return EmpiricalProfile(values=values, n=cfg.n, B=cfg.B, d=s.d)

@@ -293,16 +293,21 @@ def test_10_near_linear_time():
 
     # interleave the sizes and take per-size medians: the shared container
     # adds tens of milliseconds of scheduling noise per run, and a median
-    # over alternating rounds cancels drift that a per-size mean would not
+    # over alternating rounds cancels drift that a per-size mean would not.
+    # Process CPU time leaves out time spent descheduled, and each sample
+    # runs 2^(20-k) calls back to back, so every size is timed over the
+    # same interval and a single stall weighs as much on each.
     prepared = {k: prepared_sketch(2**k) for k in (18, 19, 20)}
     for k in prepared:
         reconstruct_profile(*prepared[k])
     samples = {k: [] for k in prepared}
     for _ in range(7):
         for k in prepared:
-            t0 = time.perf_counter()
-            reconstruct_profile(*prepared[k])
-            samples[k].append(time.perf_counter() - t0)
+            reps = 2 ** (20 - k)
+            t0 = time.process_time()
+            for _ in range(reps):
+                reconstruct_profile(*prepared[k])
+            samples[k].append((time.process_time() - t0) / reps)
     med = {k: float(np.median(samples[k])) for k in samples}
     ratio_a = med[19] / med[18]
     ratio_b = med[20] / med[19]

@@ -334,3 +334,74 @@ def test_cli_import_pulls_in_no_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# --- import graph -------------------------------------------------------------
+#
+# Each command imports only the layers it runs, so a short-lived `sketch` or
+# `update` process does not pay for the reconstruction or the sweep.
+
+LATER_LAYERS = {f"dpprofile.{layer}" for layer in ("circulant", "reconstruct", "evaluation", "twoparty")}
+
+
+def imported_modules(*args):
+    """Every module a `python -X importtime` process imports, by name."""
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    return {
+        line.rpartition("|")[2].strip()
+        for line in res.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.fixture
+def sketch_files(hist_file, tmp_path):
+    plain, clipped = str(tmp_path / "plain.json"), str(tmp_path / "clipped.json")
+    for path, flags in ((plain, ()), (clipped, ("--clip",))):
+        res = run_cli("sketch", "--input", hist_file, "--output", path,
+                      "--epsilon", "1", "--n", "5", *flags)
+        assert res.returncode == 0, res.stderr
+    return plain, clipped
+
+
+def test_sketch_update_and_help_load_only_the_mechanism(hist_file, sketch_files, tmp_path):
+    delta = tmp_path / "delta.txt"
+    delta.write_text("1\n0\n-1\n")
+    runs = {
+        "sketch": ("sketch", "--input", hist_file, "--output", str(tmp_path / "s.json"),
+                   "--epsilon", "1", "--n", "5"),
+        "update": ("update", "--sketch", sketch_files[0], "--delta", str(delta),
+                   "--output", str(tmp_path / "u.json")),
+        "--help": ("--help",),
+    }
+    for command, args in runs.items():
+        modules = imported_modules("-m", "dpprofile", *args)
+        assert "dpprofile.mechanism" in modules, command  # the report lists layers
+        unwanted = modules & (LATER_LAYERS | {"concurrent.futures"})
+        assert not unwanted, (command, unwanted)
+
+
+def test_reconstruct_loads_neither_evaluation_nor_twoparty(sketch_files, tmp_path):
+    plain, clipped = sketch_files
+    lazy_random = "numpy.random" not in imported_modules("-c", "import numpy")
+    for sketch, norm in ((plain, "l2"), (clipped, "l1")):
+        modules = imported_modules("-m", "dpprofile", "reconstruct", "--input", sketch,
+                                   "--output", str(tmp_path / "p.csv"), "--eta", "0.1",
+                                   "--norm", norm)
+        assert {"dpprofile.reconstruct", "dpprofile.circulant"} <= modules
+        assert not modules & {"dpprofile.evaluation", "dpprofile.twoparty"}, sketch
+        # only unfolding a clipped sketch draws randomness; numpy 2 loads
+        # numpy.random on first use, numpy 1 with numpy itself
+        if sketch == clipped:
+            assert "numpy.random" in modules
+        elif lazy_random:
+            assert "numpy.random" not in modules
+
+
+def test_import_dpprofile_loads_no_layer_module():
+    modules = imported_modules("-c", "import dpprofile")
+    assert "dpprofile" in modules
+    assert not {m for m in modules if m.startswith("dpprofile.")}

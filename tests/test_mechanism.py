@@ -97,6 +97,29 @@ def test_sampling_is_deterministic_given_seed():
     )
 
 
+def reference_geometric(epsilon, u):
+    """floor(-log(1 - u) / eps) of uniforms u, computed out of place."""
+    return np.floor(-np.log(1.0 - u) / epsilon).astype(np.int64)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.37, 2.5, 1e-3])
+def test_samplers_match_reference_formula(epsilon):
+    size = 10**5
+    u = np.random.default_rng(31).random(2 * size)
+    first, second = reference_geometric(epsilon, u[:size]), reference_geometric(epsilon, u[size:])
+    g = sample_geometric(epsilon, np.random.default_rng(31), size=size)
+    assert g.dtype == np.int64 and np.array_equal(g, first)
+    z = sample_dlap(epsilon, np.random.default_rng(31), size=size)
+    assert z.dtype == np.int64 and np.array_equal(z, first - second)
+    for seed in range(200):  # the scalar path, size=None
+        u1, u2 = np.random.default_rng(seed).random(2)
+        g = sample_geometric(epsilon, np.random.default_rng(seed))
+        assert type(g) is int and g == reference_geometric(epsilon, u1)
+        z = sample_dlap(epsilon, np.random.default_rng(seed))
+        expected = reference_geometric(epsilon, u1) - reference_geometric(epsilon, u2)
+        assert type(z) is int and z == expected
+
+
 # --- privatize ------------------------------------------------------------
 
 def test_privatize_noiseless_limit():
@@ -112,6 +135,17 @@ def test_privatize_clip_stays_in_range():
         s = privatize(h, 0.3, clip=True, rng=np.random.default_rng(seed))
         assert s.clipped
         assert s.counts.min() >= 0 and s.counts.max() <= 3
+
+
+def test_privatize_adds_dlap_draws_to_the_counts():
+    h = Histogram(counts=np.random.default_rng(2).integers(0, 9, size=1000), n=8)
+    before = h.counts.copy()
+    noise = sample_dlap(0.5, np.random.default_rng(3), size=h.d)
+    s = privatize(h, 0.5, clip=False, rng=np.random.default_rng(3))
+    assert np.array_equal(s.counts, before + noise)
+    c = privatize(h, 0.5, clip=True, rng=np.random.default_rng(3))
+    assert np.array_equal(c.counts, np.clip(before + noise, 0, 8))
+    assert np.array_equal(h.counts, before)
 
 
 def test_privatize_matches_dlap_pmf():
