@@ -49,6 +49,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_sketch(args) -> None:
+    try:  # a sketch with a larger n could never be reconstructed
+        mechanism.check_window(args.n)
+    except ValueError as exc:
+        raise ValueError(f"--n: {exc}") from None
     h = mechanism.read_histogram(args.input, n=args.n)
     rng = np.random.default_rng(args.seed)
     sketch = mechanism.privatize(h, args.epsilon, clip=args.clip, rng=rng)
@@ -59,13 +63,18 @@ def cmd_reconstruct(args) -> None:
     from . import reconstruct
 
     sketch = mechanism.read_sketch(args.input)
-    cfg = ReconstructionConfig(
-        epsilon=sketch.epsilon,
-        eta=args.eta,
-        n=sketch.n,
-        d=sketch.d,
-        p_norm=args.norm,
-    )
+    # the sketch is valid, so a configuration error comes from --eta and
+    # the noise bound it sets
+    try:
+        cfg = ReconstructionConfig(
+            epsilon=sketch.epsilon,
+            eta=args.eta,
+            n=sketch.n,
+            d=sketch.d,
+            p_norm=args.norm,
+        )
+    except ValueError as exc:
+        raise ValueError(f"--eta {args.eta!r}: {exc}") from None
     # only unfolding a clipped sketch draws randomness
     rng = np.random.default_rng(args.seed) if sketch.clipped else None
     start = time.perf_counter()

@@ -23,6 +23,8 @@ __all__ = [
     "PrivateSketch",
     "EmpiricalProfile",
     "ReconstructionConfig",
+    "MAX_WINDOW",
+    "check_window",
     "truncation_radius",
     "sample_geometric",
     "sample_dlap",
@@ -53,6 +55,31 @@ def _check_epsilon(epsilon: float) -> None:
     if not (math.isfinite(epsilon) and epsilon >= _MIN_EPSILON):
         raise ValueError(
             f"epsilon must be a finite number >= {_MIN_EPSILON:.3g}, got {epsilon!r}"
+        )
+
+
+# Largest reconstruction window m = n + 2B + 1.  A first reconstruction at a
+# given (n, B, epsilon) peaks at about 72 bytes per window entry (measured at
+# m = 1e6), some 7 GB at this cap; past it, sizes fail closed with a message
+# instead of failing to allocate.  B >= 0, so it also caps n at MAX_WINDOW - 1.
+MAX_WINDOW = 10**8
+
+
+def check_window(n: int, B: int = 0) -> None:
+    """Reject a maximum count n and noise bound B whose window exceeds MAX_WINDOW.
+
+    With the default B = 0 this checks n alone: a sketch with a larger n has
+    no reconstruction, whatever its noise bound.
+    """
+    if n + 1 > MAX_WINDOW:
+        raise ValueError(
+            f"n={n} is above the largest supported maximum count {MAX_WINDOW - 1}"
+        )
+    if n + 2 * B + 1 > MAX_WINDOW:
+        raise ValueError(
+            f"noise bound B={B} with n={n} gives a window of n + 2B + 1 = "
+            f"{n + 2 * B + 1} counts, above the supported {MAX_WINDOW} "
+            "(raise epsilon or eta)"
         )
 
 
@@ -146,6 +173,11 @@ def truncation_radius(epsilon: float, eta: float, d: int) -> int:
     # log of 8 e^eps / (e^{2 eps} - 1) = log(4 / sinh(eps)), same treatment
     log_cond = math.log(8.0) - epsilon - math.log1p(-math.exp(-2 * epsilon))
     b_real = max(log_tail, log_cond) / epsilon
+    if not b_real < 2**63:  # inf when 2d / eta overflows, e.g. a subnormal eta
+        raise ValueError(
+            f"eta={eta!r} with epsilon={epsilon!r} and d={d} gives a noise bound "
+            f"B of {b_real:.3g}, which does not fit in a 64-bit integer"
+        )
     return max(0, math.ceil(b_real))
 
 
@@ -180,6 +212,7 @@ class ReconstructionConfig:
             )
         if self.B < 0:
             raise ValueError("noise bound B must be non-negative")
+        check_window(self.n, self.B)
         if self.n < self.B and not self.allow_small_n:
             raise ValueError(
                 f"maximum count n={self.n} is below the noise bound B={self.B}; "
@@ -521,6 +554,10 @@ def read_sketch(path: str) -> PrivateSketch:
         raise ValueError(f"{path}: unsupported sketch version {version!r}")
     if not _is_json_int(n) or n < 1:
         raise ValueError(f"{path}: n must be an integer >= 1, got {n!r}")
+    try:
+        check_window(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not _is_json_int(d):
         raise ValueError(f"{path}: d must be an integer, got {d!r}")
     if type(clipped) is not bool:

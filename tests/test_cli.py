@@ -65,6 +65,15 @@ def test_sketch_unusable_epsilon_exits_2_no_output(hist_file, tmp_path, epsilon)
     assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
 
 
+def test_sketch_n_above_cap_exits_2_naming_n(hist_file, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = main(["sketch", "--input", hist_file, "--output", str(out),
+                 "--epsilon", "1", "--n", "100000000000000000000"])
+    assert code == 2
+    assert "error: --n: n=100000000000000000000 is above" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+
+
 def test_sketch_deterministic(hist_file, tmp_path):
     out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for out in (out_a, out_b):
@@ -118,6 +127,25 @@ def test_reconstruct_small_n_exits_2(tmp_path):
                   "--output", str(tmp_path / "p.csv"), "--eta", "0.05")
     assert res.returncode == 2
     assert "n >= B" in res.stderr
+
+
+def test_reconstruct_subnormal_eta_exits_2_naming_eta(tmp_path, capsys):
+    sketch = write_sketch_file(tmp_path, [1] * 200, 1.0, 50)
+    out = tmp_path / "p.csv"
+    code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "1e-320"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eta 1e-320: ") and "64-bit integer" in err
+    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+
+
+def test_reconstruct_n_above_cap_exits_2_naming_n(tmp_path, capsys):
+    sketch = write_sketch_file(tmp_path, [1] * 200, 1.0, 10**12)
+    out = tmp_path / "p.csv"
+    code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"])
+    assert code == 2
+    assert f"error: {sketch}: n=1000000000000 is above" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
 
 
 MALFORMED_SKETCHES = {

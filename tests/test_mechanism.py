@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpprofile.mechanism import (
+    MAX_WINDOW,
     EmpiricalProfile,
     Histogram,
     PrivateSketch,
     ReconstructionConfig,
     _parse_canonical,
+    check_window,
     empirical_profile,
     privatize,
     read_histogram,
@@ -312,6 +314,26 @@ def test_truncation_radius_conditioning_branch():
     assert b == math.ceil(math.log(val) / eps)
 
 
+@pytest.mark.parametrize("epsilon, eta", [(1.0, 1e-320), (5e-17, 1e-300)],
+                         ids=["infinite B", "B beyond int64"])
+def test_truncation_radius_rejects_B_beyond_int64(epsilon, eta):
+    with pytest.raises(ValueError, match="64-bit integer"):
+        truncation_radius(epsilon, eta, 10)
+    with pytest.raises(ValueError, match="64-bit integer"):
+        ReconstructionConfig(epsilon=epsilon, eta=eta, n=4, d=10, allow_small_n=True)
+
+
+def test_config_rejects_window_above_cap():
+    # n + 2B + 1 = MAX_WINDOW is the largest window taken (B = 0 at eps = 50)
+    assert ReconstructionConfig(epsilon=50.0, eta=0.05, n=MAX_WINDOW - 1, d=10).m == MAX_WINDOW
+    with pytest.raises(ValueError, match=f"n={MAX_WINDOW} is above"):
+        ReconstructionConfig(epsilon=50.0, eta=0.05, n=MAX_WINDOW, d=10)
+    with pytest.raises(ValueError, match="window of n \\+ 2B \\+ 1"):
+        ReconstructionConfig(epsilon=1.0, eta=0.05, n=MAX_WINDOW - 20, d=10, B=10)
+    with pytest.raises(ValueError, match="n=10000000000000000000 is above"):
+        check_window(10**19)
+
+
 def test_config_rejects_small_n():
     with pytest.raises(ValueError, match="n >= B"):
         ReconstructionConfig(epsilon=1.0, eta=0.05, n=4, d=10**5)
@@ -541,6 +563,13 @@ def test_read_sketch_rejects_malformed_files(tmp_path, name):
     path = tmp_path / "sketch.json"
     path.write_text(json.dumps(BAD_SKETCHES[name]))
     with pytest.raises(ValueError, match="sketch.json"):
+        read_sketch(str(path))
+
+
+def test_read_sketch_rejects_n_above_cap(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**GOOD_SKETCH, "n": 10**12}))
+    with pytest.raises(ValueError, match=f"^{path}: n=1000000000000 is above"):
         read_sketch(str(path))
 
 

@@ -145,6 +145,23 @@ def test_threshold_tau_edge_cases():
         threshold_tau(r, -0.1)
     with pytest.raises(ValueError):
         threshold_tau(r, 1.5)
+    assert threshold_tau(np.array([]), 0.0) == 0.0
+    assert threshold_tau(np.array([]), 5e-10) == 5e-10
+
+
+def structured_drain_cases(rng, count):
+    """(r, s) pairs of up to 1e4 entries in [0, 1] with ties, zeros and ones,
+    and targets s spread over [0, sum r] and pressed against both ends."""
+    for _ in range(count):
+        k = int(np.exp(rng.uniform(0, np.log(10**4))))
+        r = rng.uniform(0, 1, size=k)
+        kinds = rng.integers(0, 4, size=k)
+        r[kinds == 1] = 0.0
+        r[kinds == 2] = 1.0
+        r[kinds == 3] = rng.choice(r[:3], size=int(np.sum(kinds == 3)))  # ties
+        total = float(r.sum())
+        frac = rng.choice([rng.uniform(0, 1), 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-12, 1.0])
+        yield r, frac * total
 
 
 def test_threshold_tau_agrees_with_bisection():
@@ -156,6 +173,57 @@ def test_threshold_tau_agrees_with_bisection():
         slow = bisection_tau(r, s)
         assert abs(fast - slow) <= 1e-9
         assert float(np.minimum(fast, r).sum()) == pytest.approx(s, abs=1e-9)
+    for r, s in structured_drain_cases(rng, 200):
+        fast = threshold_tau(r, s)
+        assert abs(fast - bisection_tau(r, s)) <= 1e-9
+        assert float(np.minimum(fast, r).sum()) == pytest.approx(s, abs=1e-9)
+
+
+def one_drop_per_pass(length):
+    """Entries on which each threshold pass drops exactly one, and the target.
+
+    A chain of `length` entries below one entry of 1: the chain's j-th entry
+    sits just under the j-th pass's threshold and above the one before, so
+    the passes end only when the chain is used up, after length + 1 passes.
+    """
+    k = length + 1
+    tau, gap = 0.5, 0.25
+    chain = []
+    for j in range(1, length + 1):
+        chain.append(tau - gap)  # dropped by pass j, kept by pass j - 1
+        step = gap / (k - j)  # the rise of the threshold once it is dropped
+        tau, gap = tau + step, step / 2
+    r = np.array(chain + [1.0])
+    return np.random.default_rng(3).permutation(r), k * 0.5  # s: tau_1 = s / k
+
+
+def test_threshold_tau_passes_are_bounded(monkeypatch):
+    rng = np.random.default_rng(47)
+    for r, s in structured_drain_cases(rng, 200):
+        if s > 0:
+            assert reconstruct._drain_threshold(r, s, float(r.sum()))[1] <= reconstruct._MAX_PASSES
+    # one entry dropped per pass: without the cap the passes grow with the input
+    r, s = one_drop_per_pass(reconstruct._MAX_PASSES + 2)
+    assert reconstruct._drain_threshold(r, s, float(r.sum()))[1] == reconstruct._MAX_PASSES
+    monkeypatch.setattr(reconstruct, "_MAX_PASSES", 100)
+    assert reconstruct._drain_threshold(r, s, float(r.sum()))[1] == len(r)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 8])
+def test_threshold_tau_sorts_what_the_capped_passes_leave(monkeypatch, cap):
+    rng = np.random.default_rng(53)
+    cases = [one_drop_per_pass(10), (np.linspace(0, 1, 10001), 0.999999 * 5000.5)]
+    cases += [(r, s) for r, s in structured_drain_cases(rng, 50) if s > 0]
+    default_cap = reconstruct._MAX_PASSES
+    monkeypatch.setattr(reconstruct, "_MAX_PASSES", 100)
+    uncapped = [reconstruct._drain_threshold(r, s, float(r.sum())) for r, s in cases]
+    # the first two cases need more passes than even the default cap allows
+    assert min(passes for _, passes in uncapped[:2]) > default_cap
+    monkeypatch.setattr(reconstruct, "_MAX_PASSES", cap)
+    for (r, s), (tau, _) in zip(cases, uncapped):
+        capped = threshold_tau(r, s)
+        assert abs(capped - tau) <= 1e-12 * max(1.0, tau)
+        assert abs(capped - bisection_tau(r, s)) <= 1e-9
 
 
 @seed(1234)
