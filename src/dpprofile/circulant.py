@@ -8,16 +8,18 @@ window of length m = n + 2B + 1, A is circulant, and because the kernel is
 symmetric, so is A: its eigenvalues are real (a cosine closed form), and
 its inverse is again a symmetric circulant, so A^{-T} = A^{-1}.
 
-A and A^{-1} are stored the same way, as a vector of centred taps (the
-first column at offsets -w..w), and applied by one cyclic banded product:
-the operand is wrap-extended by the half-width w and convolved directly,
-at O(m w) cost whatever m is.  The forward taps are the generator's 2B + 1
-entries.  The inverse kernel decays geometrically, so its entries fall
-below the double-precision noise floor within a few dozen offsets; they are
-read off the inverse on a small ring, a power of two doubled until the
-trimmed taps sit well inside it, where the wrapped-around tails are far
-below roundoff.  When the taps would span the whole window (only at small
-m), the window's own inverse column is used whole, which is exact.
+An operator is its taps: A and A^{-1} are each stored as a vector of centred
+taps (the first column at offsets -w..w) and applied by one cyclic banded
+product: the operand is wrap-extended by the half-width w and convolved
+directly, at O(m w) cost whatever m is.  The forward taps are the kernel's
+2B + 1 entries; the generator row and the spectrum are computed on read.
+The inverse kernel decays geometrically, so its entries fall below the
+double-precision noise floor within a few dozen offsets.  When the analytic
+spectrum floor proves every eigenvalue, they are read off the inverse on a
+small ring, where the wrapped-around tails are far below roundoff, so the
+build does no work that grows with m.  Otherwise, or when the taps would
+span the whole window (only at small m), the window's spectrum is checked
+and its own inverse column is used whole, which is exact.
 """
 
 from __future__ import annotations
@@ -55,22 +57,31 @@ _FIRST_RING = 64
 
 @dataclass(eq=False)
 class CirculantOperator:
-    """The deconvolution operator: generator row, spectrum, product taps."""
+    """The operator as its taps; generator and spectrum are computed on read."""
 
     m: int
     n: int
     B: int
     epsilon: float
     p_norm_const: float
-    generator: np.ndarray      # first row; 2B+1 non-zeros, scaled by 1/p_norm_const
-    eigenvalues: np.ndarray    # real, index i holds the eigenvalue of mode i
-    _fwd_taps: np.ndarray = field(repr=False)  # centred taps of A
+    _fwd_taps: np.ndarray = field(repr=False)  # centred taps of A (2B+1)
     _inv_taps: np.ndarray = field(repr=False)  # centred taps of A^{-1}
 
     def __post_init__(self):
         # operators are shared through the cache, so nothing may edit them
-        for arr in (self.generator, self.eigenvalues, self._fwd_taps, self._inv_taps):
-            arr.flags.writeable = False
+        self._fwd_taps.flags.writeable = False
+        self._inv_taps.flags.writeable = False
+
+    @property
+    def generator(self) -> np.ndarray:
+        """First row; 2B+1 non-zeros, scaled by 1/p_norm_const."""
+        return generator_vector(self.epsilon, self.n, self.B)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Real spectrum; index i holds the eigenvalue of mode i."""
+        half = _half_spectrum(self.epsilon, self.B, self.m)
+        return np.concatenate((half, half[1 : self.m - len(half) + 1][::-1]))
 
 
 class NormBounds(NamedTuple):
@@ -84,15 +95,15 @@ def kernel_normalizer(epsilon: float, B: int) -> float:
     return (1.0 + q - 2.0 * q ** (B + 1)) / (1.0 - q)
 
 
+def _kernel_taps(epsilon: float, B: int) -> np.ndarray:
+    """Centred taps of A: e^{-eps |u|} / P at offsets u = -B..B."""
+    decay = np.exp(-epsilon * np.arange(B + 1))
+    return np.concatenate((decay[:0:-1], decay)) / kernel_normalizer(epsilon, B)
+
+
 def generator_vector(epsilon: float, n: int, B: int) -> np.ndarray:
     """First row of the operator: e^{-eps j} / P at cyclic distance j <= B."""
-    m = n + 2 * B + 1
-    p_norm = kernel_normalizer(epsilon, B)
-    gen = np.zeros(m)
-    decay = np.exp(-epsilon * np.arange(B + 1))
-    gen[: B + 1] = decay
-    gen[m - B :] = decay[1:][::-1]  # empty when B = 0
-    return gen / p_norm
+    return np.roll(np.pad(_kernel_taps(epsilon, B), (0, n)), -B)
 
 
 def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:
@@ -125,70 +136,57 @@ def spectrum_floor(epsilon: float, B: int) -> float:
     return (1.0 - q - 2.0 * q ** (B + 1)) / ((1.0 + q) * p_norm)
 
 
-def _centred(col: np.ndarray, w: int) -> np.ndarray:
-    """taps[w + u] = col[u mod len(col)] for centred offsets u in [-w, w]."""
-    return np.concatenate((col[len(col) - w :], col[: w + 1]))
-
-
-def _trimmed_half_width(col: np.ndarray) -> int:
-    """Largest offset whose entry is above the tap floor (col is symmetric)."""
-    mag = np.abs(col[: len(col) // 2 + 1])
-    return int(np.flatnonzero(mag > _TAP_FLOOR * mag.max())[-1])
-
-
-def _inverse_taps(epsilon: float, B: int, half_spectrum: np.ndarray, m: int) -> np.ndarray:
-    """Centred taps of A^{-1}, given the first m//2 + 1 eigenvalues of A.
+def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
+    """Centred taps of A^{-1}; the one place the spectrum is checked.
 
     On a ring of any size the inverse column is the line kernel summed over
     its wrap-arounds, so once the trimmed taps fill at most a quarter of a
     small ring, the wrapped tails are below the tap floor and the ring's
-    taps are the window's.  This needs the symbol bounded away from zero
-    (a positive analytic floor); otherwise only the window's own column
-    is used.
+    taps are the window's.  Rings double from a small one only when the
+    analytic floor proves every eigenvalue; otherwise, or when the rings
+    reach m, the window's spectrum is checked and its column used whole.
     """
-    ring = _FIRST_RING if spectrum_floor(epsilon, B) > 0 else m
-    while ring < m:
-        col = np.fft.irfft(1.0 / _half_spectrum(epsilon, B, ring), ring)
-        w = _trimmed_half_width(col)
-        if 4 * w < ring:
-            return _centred(col, w)
+    epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
+    floor = spectrum_floor(epsilon, B)
+    ring = _FIRST_RING if floor >= MIN_EIGENVALUE else m
+    while True:
+        ring = min(ring, m)
+        half = _half_spectrum(epsilon, B, ring)
+        if ring == m:  # checked wherever the window's spectrum is formed
+            min_abs = float(np.min(np.abs(half)))
+            if min_abs < MIN_EIGENVALUE:
+                raise ValueError(
+                    f"operator is ill-conditioned: min |eigenvalue| = {min_abs:.3e} "
+                    f"for (n={cfg.n}, B={B}, epsilon={epsilon})"
+                )
+            if min_abs < floor - 1e-12:
+                raise AssertionError(
+                    f"spectrum fell below its analytic floor: {min_abs} < {floor}"
+                )
+        col = np.fft.irfft(1.0 / half, ring)
+        mag = np.abs(col[: ring // 2 + 1])  # col is symmetric
+        w = int(np.flatnonzero(mag > _TAP_FLOOR * mag.max())[-1])
+        if 4 * w < ring or ring == m:
+            break
         ring *= 2
-    col = np.fft.irfft(1.0 / half_spectrum, m)
-    w = _trimmed_half_width(col)  # at most m // 2
-    taps = _centred(col, w)
-    if 2 * w == m:
-        # offsets -m/2 and +m/2 are the same antipodal entry; split it
+    # taps[w + u] = col[u mod ring] for centred offsets u in [-w, w]
+    taps = np.concatenate((col[ring - w :], col[: w + 1]))
+    if 2 * w == ring:
+        # offsets -ring/2 and +ring/2 are the same antipodal entry; split it
         taps[0] = taps[-1] = col[w] / 2.0
     return taps
 
 
 def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
     """Construct the operator for a configuration and verify its spectrum."""
-    m = cfg.m
-    half = _half_spectrum(cfg.epsilon, cfg.B, m)
-    eig = np.concatenate((half, half[1 : m - len(half) + 1][::-1]))
-    min_abs = float(np.min(np.abs(half)))
-    if min_abs < MIN_EIGENVALUE:
-        raise ValueError(
-            f"operator is ill-conditioned: min |eigenvalue| = {min_abs:.3e} "
-            f"for (n={cfg.n}, B={cfg.B}, epsilon={cfg.epsilon})"
-        )
-    floor = spectrum_floor(cfg.epsilon, cfg.B)
-    if min_abs < floor - 1e-12:
-        raise AssertionError(
-            f"spectrum fell below its analytic floor: {min_abs} < {floor}"
-        )
-    gen = generator_vector(cfg.epsilon, cfg.n, cfg.B)
     return CirculantOperator(
-        m=m,
+        m=cfg.m,
         n=cfg.n,
         B=cfg.B,
         epsilon=cfg.epsilon,
         p_norm_const=kernel_normalizer(cfg.epsilon, cfg.B),
-        generator=gen,
-        eigenvalues=eig,
-        _fwd_taps=_centred(gen, cfg.B),
-        _inv_taps=_inverse_taps(cfg.epsilon, cfg.B, half, m),
+        _fwd_taps=_kernel_taps(cfg.epsilon, cfg.B),
+        _inv_taps=_inverse_taps(cfg),
     )
 
 

@@ -59,8 +59,8 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 # Largest reconstruction window m = n + 2B + 1.  A first reconstruction at a
-# given (n, B, epsilon) peaks at about 72 bytes per window entry (measured at
-# m = 1e6), some 7 GB at this cap; past it, sizes fail closed with a message
+# given (n, B, epsilon) peaks at about 56 bytes per window entry (tracemalloc,
+# m = 1e6), some 5.6 GB at this cap; past it, sizes fail closed with a message
 # instead of failing to allocate.  B >= 0, so it also caps n at MAX_WINDOW - 1.
 MAX_WINDOW = 10**8
 
@@ -171,7 +171,9 @@ def truncation_radius(epsilon: float, eta: float, d: int) -> int:
     # log of 2d / (eta (e^eps + 1)), rewritten to avoid overflow at large eps
     log_tail = math.log(2 * d / eta) - (epsilon + math.log1p(math.exp(-epsilon)))
     # log of 8 e^eps / (e^{2 eps} - 1) = log(4 / sinh(eps)), same treatment
-    log_cond = math.log(8.0) - epsilon - math.log1p(-math.exp(-2 * epsilon))
+    e2 = math.exp(-2 * epsilon)  # 1.0 below eps ~ 2.8e-17, where log1p(-1) fails
+    log_gap = math.log1p(-e2) if e2 < 1.0 else math.log(-math.expm1(-2 * epsilon))
+    log_cond = math.log(8.0) - epsilon - log_gap
     b_real = max(log_tail, log_cond) / epsilon
     if not b_real < 2**63:  # inf when 2d / eta overflows, e.g. a subnormal eta
         raise ValueError(
@@ -231,8 +233,8 @@ def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
     Drawn as floor(-ln(U) / eps) with U uniform on (0, 1], a single uniform
     per sample.  This matches the pmf only up to floating point: U lies on a
     2^-53 grid, so no draw exceeds 53 ln(2) / eps (about 36.7 / eps) and the
-    far tail is distorted.  Item 3 of ROADMAP.md plans an exact integer
-    sampler.
+    far tail is distorted.  The exact discrete-Laplace item of ROADMAP.md
+    plans an exact integer sampler.
     """
     _check_epsilon(epsilon)
     u = rng.random(size)

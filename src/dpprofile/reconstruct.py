@@ -43,7 +43,7 @@ __all__ = [
 _SUM_TOL = 1e-9
 
 # Operators kept for reuse (unit-sum corrections: three norms per operator).
-# At m ~ 1e6 an operator holds about 16 MB and a correction 8 MB.
+# At m ~ 1e6 an operator holds under 2 KB of taps and a correction 8 MB.
 _CACHE_SIZE = 8
 
 # Michelot passes in threshold_tau before it sorts the entries still active.

@@ -99,12 +99,12 @@ def sensitivity_bound(op: CirculantOperator, d: int) -> float:
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     """Continuous Laplace draw with the given scale, via inverse CDF.
 
-    A floating-point draw, so Bob's published value is not exactly
-    epsilon-DP: the logarithm of a uniform on a 2^-53 grid reaches only
-    some doubles and caps the tail at about 36 * scale (52 ln 2), and the
-    low-order bits of the released value can betray the input (Mironov,
-    "On Significance of the Least Significant Bits for Differential
-    Privacy", CCS 2012).  Item 3 of ROADMAP.md tracks an exact sampler.
+    A floating-point draw, so Bob's published value is not exactly epsilon-DP:
+    the logarithm of a uniform on a 2^-53 grid reaches only some doubles and
+    caps the tail at about 36 * scale (52 ln 2), and the low-order bits of the
+    released value can betray the input (Mironov, "On Significance of the
+    Least Significant Bits for Differential Privacy", CCS 2012).  The exact
+    discrete-Laplace item of ROADMAP.md tracks an exact sampler.
     """
     u = rng.random() - 0.5  # uniform on [-1/2, 1/2)
     return -scale * np.sign(u) * np.log1p(-2.0 * abs(u))

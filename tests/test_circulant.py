@@ -14,6 +14,7 @@ from dpprofile.circulant import (
     spectrum_floor,
 )
 from dpprofile.mechanism import ReconstructionConfig
+from dpprofile.reconstruct import cached_operator
 from dpprofile.twoparty import protocol_config
 
 from oracle import dense_operator, dense_solve
@@ -29,6 +30,22 @@ def make_cfg(n, B, eps):
 def cfg(request):
     n, B, eps = request.param
     return make_cfg(n, B, eps)
+
+
+# The build trusts the analytic floor instead of forming the spectrum, so the
+# spectrum tests also run at the derived noise bound over a wider range.
+SPECTRUM_CFGS = [
+    *(pytest.param(make_cfg(n, B, eps), id=f"n{n}B{B}e{eps}") for n, B, eps in CONFIGS),
+    *(
+        pytest.param(
+            ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=d, allow_small_n=True),
+            id=f"derived-n{n}d{d}e{eps}",
+        )
+        for eps in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
+        for d in (10**3, 10**6)
+        for n in (32, 1000)
+    ),
+]
 
 
 # --- generator and spectrum -------------------------------------------------
@@ -49,6 +66,7 @@ def test_generator_structure(cfg):
     assert gen.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("cfg", SPECTRUM_CFGS)
 def test_eigenvalues_match_dft_of_generator(cfg):
     op = build_operator(cfg)
     dft = np.fft.fft(op.generator)
@@ -61,6 +79,7 @@ def test_zero_frequency_eigenvalue_is_one(cfg):
     assert abs(op.eigenvalues[0] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("cfg", SPECTRUM_CFGS)
 def test_spectrum_respects_analytic_floor(cfg):
     op = build_operator(cfg)
     floor = spectrum_floor(cfg.epsilon, cfg.B)
@@ -76,6 +95,31 @@ def test_degenerate_radius_gives_identity():
     np.testing.assert_array_equal(op.generator, np.eye(op.m)[0])
     x = np.arange(op.m, dtype=float)
     np.testing.assert_allclose(circulant.apply(op, x), x, atol=1e-12)
+
+
+def test_wide_operator_holds_nothing_of_window_length():
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=10**6, d=10**6)
+    op = cached_operator(cfg)
+    assert len(op.generator) == len(op.eigenvalues) == op.m  # computed, not kept
+    for name, value in vars(op).items():
+        while isinstance(value, np.ndarray):  # the array and any view's base
+            assert value.size < op.m, name
+            value = value.base
+
+
+def test_wide_build_forms_no_window_spectrum(monkeypatch):
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=10**6, d=10**6)
+    rings = []
+    half_spectrum = circulant._half_spectrum
+
+    def spy(epsilon, B, ring):
+        rings.append(ring)
+        return half_spectrum(epsilon, B, ring)
+
+    monkeypatch.setattr(circulant, "_half_spectrum", spy)
+    op = build_operator(cfg)
+    assert rings and op.m not in rings
+    assert max(rings) <= 1024  # a small ring, whatever m is
 
 
 def test_ill_conditioned_configuration_rejected(monkeypatch):

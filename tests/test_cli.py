@@ -139,6 +139,18 @@ def test_reconstruct_subnormal_eta_exits_2_naming_eta(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
 
 
+def test_reconstruct_tiny_epsilon_exits_2_naming_the_window(tmp_path, capsys):
+    # the sketch's epsilon is valid, but its noise bound B ~ 1.5e18 leaves
+    # no window to reconstruct on
+    sketch = write_sketch_file(tmp_path, [1] * 200, 2.7e-17, 50)
+    out = tmp_path / "p.csv"
+    code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eta 0.05: noise bound B=") and "raise epsilon or eta" in err
+    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+
+
 def test_reconstruct_n_above_cap_exits_2_naming_n(tmp_path, capsys):
     sketch = write_sketch_file(tmp_path, [1] * 200, 1.0, 10**12)
     out = tmp_path / "p.csv"

@@ -14,6 +14,7 @@ from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
     ReconstructionConfig,
+    _MIN_EPSILON,
     _parse_canonical,
     check_window,
     empirical_profile,
@@ -321,6 +322,20 @@ def test_truncation_radius_rejects_B_beyond_int64(epsilon, eta):
         truncation_radius(epsilon, eta, 10)
     with pytest.raises(ValueError, match="64-bit integer"):
         ReconstructionConfig(epsilon=epsilon, eta=eta, n=4, d=10, allow_small_n=True)
+
+
+@pytest.mark.parametrize("epsilon", [_MIN_EPSILON, 1e-17, 2.7e-17],
+                         ids=["min epsilon", "1e-17", "2.7e-17"])
+def test_truncation_radius_where_exp_rounds_to_one(epsilon):
+    # e^{-2 eps} rounds to 1 below eps ~ 2.8e-17, so log1p(-e^{-2 eps}) is
+    # log1p(-1); the conditioning branch log(4 / sinh(eps)) / eps still holds
+    assert math.exp(-2 * epsilon) == 1.0
+    b = truncation_radius(epsilon, 0.05, 1000)
+    assert 0 < b < 2**63
+    assert b == pytest.approx(math.log(4.0 / epsilon) / epsilon, rel=1e-12)
+    # such a B fits int64, so the window check is what turns it away
+    with pytest.raises(ValueError, match=f"noise bound B={b} .*raise epsilon or eta"):
+        ReconstructionConfig(epsilon=epsilon, eta=0.05, n=32, d=1000)
 
 
 def test_config_rejects_window_above_cap():
