@@ -8,18 +8,27 @@ window of length m = n + 2B + 1, A is circulant, and because the kernel is
 symmetric, so is A: its eigenvalues are real (a cosine closed form), and
 its inverse is again a symmetric circulant, so A^{-T} = A^{-1}.
 
-An operator is its taps: A and A^{-1} are each stored as a vector of centred
-taps (the first column at offsets -w..w) and applied by one cyclic banded
-product: the operand is wrap-extended by the half-width w and convolved
-directly, at O(m w) cost whatever m is.  The forward taps are the kernel's
-2B + 1 entries; the generator row and the spectrum are computed on read.
-The inverse kernel decays geometrically, so its entries fall below the
-double-precision noise floor within a few dozen offsets.  When the analytic
-spectrum floor proves every eigenvalue, they are read off the inverse on a
-small ring, where the wrapped-around tails are far below roundoff, so the
-build does no work that grows with m.  Otherwise, or when the taps would
-span the whole window (only at small m), the window's spectrum is checked
-and its own inverse column is used whole, which is exact.
+An operator is its taps: A and A^{-1} are each stored as an exactly
+symmetric vector of centred taps (the first column at offsets -w..w) and
+applied by one cyclic product that visits only the nonzero taps, folding
+each pair of offsets +-u into one multiply, at O(m nnz) cost.  The forward
+taps are the kernel's 2B + 1 entries; the generator row and the spectrum
+are computed on read.  The inverse factors as P/(1-q^2) T (I - E)^{-1},
+with q = e^{-eps}, T the 3-tap circulant (-q, 1+q^2, -q) and E a 4-tap
+circulant at offsets +-B and +-(B+1) of norm rho = 2q^{B+1}/(1-q).  The
+derived B is at least the conditioning radius log(4/sinh eps)/eps, which
+holds rho below (1 + q)/4 <= 1/2, so the powers of E, and with them the
+inverse taps, fall below the double-precision noise floor within a few
+dozen clusters at offsets near 0, +-B, +-2B, ..., each a few dozen taps
+wide.  So nnz does not grow with 1/eps, while the half-width w, which
+spans the clusters, grows like B.  Taps below the noise floor are zeroed.
+When the analytic spectrum floor proves every eigenvalue, the taps are read
+off the inverse on a small ring, where the wrapped-around tails are far
+below roundoff, so the build does no work that grows with m.  Otherwise, or
+when the taps would span the whole window (only at small m), the window's
+spectrum is checked and its own inverse column is used whole, which is
+exact; an eigenvalue below the floor of invertibility at the mode nearest
+theta = pi fails the build before any of that length-m work.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ _TAP_FLOOR = 1e-15
 
 # Smallest ring tried for the inverse taps; rings double from here.
 _FIRST_RING = 64
+
+# Outputs per block of the cyclic product: a block's accumulator, its pair
+# scratch and the operand slices it reads (256 KB each) stay in a 2 MB L2.
+_BLOCK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -109,13 +122,19 @@ def generator_vector(epsilon: float, n: int, B: int) -> np.ndarray:
 def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:
     """Eigenvalues of modes 0..ring//2 of the kernel wrapped on a ring.
 
+    The other modes mirror these, since the kernel is symmetric.
+    """
+    return _eigenvalues(epsilon, B, ring, np.arange(ring // 2 + 1))
+
+
+def _eigenvalues(epsilon: float, B: int, ring: int, k: np.ndarray) -> np.ndarray:
+    """Eigenvalues of modes k of the kernel wrapped on a ring.
+
     The eigenvalue at angle theta is (1 + 2 sum_{j=1..B} q^j cos(j theta)) / P;
     summing the geometric series collapses it to a ratio of three cosines,
-    so the spectrum costs O(ring) scalar operations.  The other modes mirror
-    these, since the kernel is symmetric.
+    so each mode costs O(1) scalar operations.
     """
     q = math.exp(-epsilon)
-    k = np.arange(ring // 2 + 1)
 
     def cos_of(j: int) -> np.ndarray:
         return np.cos((2.0 * np.pi / ring) * ((j * k) % ring))
@@ -137,28 +156,33 @@ def spectrum_floor(epsilon: float, B: int) -> float:
 
 
 def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
-    """Centred taps of A^{-1}; the one place the spectrum is checked.
+    """Centred taps of A^{-1}, exactly symmetric and zero below the tap floor.
 
-    On a ring of any size the inverse column is the line kernel summed over
-    its wrap-arounds, so once the trimmed taps fill at most a quarter of a
-    small ring, the wrapped tails are below the tap floor and the ring's
-    taps are the window's.  Rings double from a small one only when the
+    This is the one place the spectrum is checked.  On a ring of any size
+    the inverse column is the line kernel summed over its wrap-arounds, so
+    once the trimmed taps fill at most a quarter of a small ring, the
+    wrapped tails are below the tap floor and the ring's taps are the
+    window's.  Rings double from a small one only when the
     analytic floor proves every eigenvalue; otherwise, or when the rings
     reach m, the window's spectrum is checked and its column used whole.
     """
     epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
     floor = spectrum_floor(epsilon, B)
-    ring = _FIRST_RING if floor >= MIN_EIGENVALUE else m
+    if floor >= MIN_EIGENVALUE:
+        ring = _FIRST_RING
+    else:
+        # the mode nearest theta = pi, where the denominator of the closed
+        # form peaks, is near the spectrum's minimum: when even it is too
+        # small, refuse before forming a spectrum of the window's length
+        ring = m
+        near_pi = _eigenvalues(epsilon, B, m, np.array([m // 2]))
+        _check_invertible(float(abs(near_pi[0])), cfg)
     while True:
         ring = min(ring, m)
         half = _half_spectrum(epsilon, B, ring)
         if ring == m:  # checked wherever the window's spectrum is formed
             min_abs = float(np.min(np.abs(half)))
-            if min_abs < MIN_EIGENVALUE:
-                raise ValueError(
-                    f"operator is ill-conditioned: min |eigenvalue| = {min_abs:.3e} "
-                    f"for (n={cfg.n}, B={B}, epsilon={epsilon})"
-                )
+            _check_invertible(min_abs, cfg)
             if min_abs < floor - 1e-12:
                 raise AssertionError(
                     f"spectrum fell below its analytic floor: {min_abs} < {floor}"
@@ -171,10 +195,23 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
         ring *= 2
     # taps[w + u] = col[u mod ring] for centred offsets u in [-w, w]
     taps = np.concatenate((col[ring - w :], col[: w + 1]))
+    # the column is symmetric up to transform roundoff; the folded product
+    # reads one tap per offset pair, so store the pair's mean in both
+    taps = 0.5 * (taps + taps[::-1])
+    taps[np.abs(taps) <= _TAP_FLOOR * mag.max()] = 0.0
     if 2 * w == ring:
         # offsets -ring/2 and +ring/2 are the same antipodal entry; split it
-        taps[0] = taps[-1] = col[w] / 2.0
+        taps[0] = taps[-1] = taps[0] / 2.0
     return taps
+
+
+def _check_invertible(eig: float, cfg: ReconstructionConfig) -> None:
+    """Refuse an operator that has an eigenvalue of magnitude eig below the floor."""
+    if eig < MIN_EIGENVALUE:
+        raise ValueError(
+            f"operator is ill-conditioned: |eigenvalue| = {eig:.3e} < {MIN_EIGENVALUE:g} "
+            f"for (n={cfg.n}, B={cfg.B}, epsilon={cfg.epsilon})"
+        )
 
 
 def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
@@ -185,22 +222,46 @@ def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
         B=cfg.B,
         epsilon=cfg.epsilon,
         p_norm_const=kernel_normalizer(cfg.epsilon, cfg.B),
+        _inv_taps=_inverse_taps(cfg),  # first: it refuses before any O(B) work
         _fwd_taps=_kernel_taps(cfg.epsilon, cfg.B),
-        _inv_taps=_inverse_taps(cfg),
     )
 
 
 def _cyclic_product(op: CirculantOperator, taps: np.ndarray, x) -> np.ndarray:
-    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for centred taps.
+    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for symmetric centred taps.
 
-    Wrap-extending x by the half-width w turns the cyclic product into the
-    m "valid" outputs of a plain linear convolution.
+    Symmetric taps fold offsets +-u into t_u (x[i-u] + x[i+u]), and only
+    offsets with a nonzero tap are visited, so the cost is O(m nnz).
+    Outputs are formed a cache-sized block at a time, each by the same
+    sequence of operations, so a mirror-symmetric x gives an exactly
+    mirror-symmetric product (floating-point addition commutes).  A block
+    whose operands do not wrap reads x itself; only the others copy their
+    operand range, wrap-extended by w, so every shifted operand is a plain
+    slice and no copy of x of the window's length is made.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.m,):
-        raise ValueError(f"vector has shape {x.shape}, operator expects ({op.m},)")
+    m = op.m
+    if x.shape != (m,):
+        raise ValueError(f"vector has shape {x.shape}, operator expects ({m},)")
     w = len(taps) // 2
-    return np.convolve(np.concatenate((x[op.m - w :], x, x[:w])), taps, mode="valid")
+    offsets = np.flatnonzero(taps[w + 1 :]) + 1
+    pairs = list(zip(offsets.tolist(), taps[w + offsets].tolist()))
+    out = np.empty(m)
+    scratch = np.empty(min(_BLOCK, m))
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        if w <= lo and hi + w <= m:
+            src, base = x, lo
+        else:
+            src, base = np.take(x, np.arange(lo - w, hi + w), mode="wrap"), w
+        k = hi - lo
+        acc, pair = out[lo:hi], scratch[:k]
+        np.multiply(src[base : base + k], taps[w], out=acc)
+        for u, tap in pairs:
+            np.add(src[base - u : base - u + k], src[base + u : base + u + k], out=pair)
+            pair *= tap
+            acc += pair
+    return out
 
 
 def apply(op: CirculantOperator, x: np.ndarray) -> np.ndarray:

@@ -49,10 +49,18 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_sketch(args) -> None:
-    try:  # a sketch with a larger n could never be reconstructed
+    # a sketch whose window exceeds the cap at every eta could never be
+    # reconstructed: first from n alone, then with the least noise bound
+    # that epsilon gives at any eta and d
+    try:
         mechanism.check_window(args.n)
     except ValueError as exc:
         raise ValueError(f"--n: {exc}") from None
+    b_min = mechanism.min_truncation_radius(args.epsilon)  # validates epsilon
+    try:
+        mechanism.check_window(args.n, b_min)
+    except ValueError as exc:
+        raise ValueError(f"--epsilon {args.epsilon!r} (least B at any eta): {exc}") from None
     h = mechanism.read_histogram(args.input, n=args.n)
     rng = np.random.default_rng(args.seed)
     sketch = mechanism.privatize(h, args.epsilon, clip=args.clip, rng=rng)

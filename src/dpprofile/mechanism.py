@@ -26,6 +26,7 @@ __all__ = [
     "MAX_WINDOW",
     "check_window",
     "truncation_radius",
+    "min_truncation_radius",
     "sample_geometric",
     "sample_dlap",
     "privatize",
@@ -170,17 +171,31 @@ def truncation_radius(epsilon: float, eta: float, d: int) -> int:
         raise ValueError("domain size d must be >= 1")
     # log of 2d / (eta (e^eps + 1)), rewritten to avoid overflow at large eps
     log_tail = math.log(2 * d / eta) - (epsilon + math.log1p(math.exp(-epsilon)))
-    # log of 8 e^eps / (e^{2 eps} - 1) = log(4 / sinh(eps)), same treatment
-    e2 = math.exp(-2 * epsilon)  # 1.0 below eps ~ 2.8e-17, where log1p(-1) fails
-    log_gap = math.log1p(-e2) if e2 < 1.0 else math.log(-math.expm1(-2 * epsilon))
-    log_cond = math.log(8.0) - epsilon - log_gap
-    b_real = max(log_tail, log_cond) / epsilon
+    b_real = max(log_tail, _log_conditioning(epsilon)) / epsilon
     if not b_real < 2**63:  # inf when 2d / eta overflows, e.g. a subnormal eta
         raise ValueError(
             f"eta={eta!r} with epsilon={epsilon!r} and d={d} gives a noise bound "
             f"B of {b_real:.3g}, which does not fit in a 64-bit integer"
         )
     return max(0, math.ceil(b_real))
+
+
+def _log_conditioning(epsilon: float) -> float:
+    """log of 8 e^eps / (e^{2 eps} - 1) = log(4 / sinh(eps)), without overflow."""
+    e2 = math.exp(-2 * epsilon)  # 1.0 below eps ~ 2.8e-17, where log1p(-1) fails
+    log_gap = math.log1p(-e2) if e2 < 1.0 else math.log(-math.expm1(-2 * epsilon))
+    return math.log(8.0) - epsilon - log_gap
+
+
+def min_truncation_radius(epsilon: float) -> int:
+    """A lower bound on truncation_radius(epsilon, eta, d) over every eta and d.
+
+    The conditioning term of the noise bound depends on epsilon alone, so a
+    sketch whose window n + 2 * this + 1 exceeds MAX_WINDOW has no
+    reconstruction at any eta.  It fits int64 for every valid epsilon.
+    """
+    _check_epsilon(epsilon)
+    return max(0, math.ceil(_log_conditioning(epsilon) / epsilon))
 
 
 @dataclass(frozen=True)

@@ -135,11 +135,11 @@ def _correction_direction(op: CirculantOperator, p: str) -> tuple[np.ndarray, fl
     """
     ones = np.zeros(op.m)
     ones[op.B : op.B + op.n + 1] = 1.0
+    # the window sits centred in the ring and the product is mirror-exact,
+    # so c mirrors about the window centre bit for bit, and the l1
+    # direction's tie between the two window edges resolves by index (the
+    # lowest) instead of by roundoff
     c = circulant.apply_inverse(op, ones)
-    # c mirrors about the window centre, since the window sits centred in
-    # the ring; making that exact lets the l1 direction's tie between the
-    # two window edges resolve by index (the lowest) instead of by roundoff
-    c = 0.5 * (c + c[::-1])
     a = direction_vector(c, p)
     correction = circulant.apply_inverse(op, a)
     denom = float(correction[op.B : op.B + op.n + 1].sum())
@@ -285,8 +285,8 @@ def reconstruct_profile(
         if rng is None:
             raise ValueError("a clipped sketch needs an rng for unfolding")
         s = unfold(s, rng)
+    op = cached_operator(cfg)  # before binning: it refuses an ill-conditioned window
     f_tilde = empirical_profile(s, cfg)
-    op = cached_operator(cfg)
     relaxed = fast_inversion(op, f_tilde, cfg.p_norm)
     return rounding(relaxed, cfg.n)
 

@@ -130,6 +130,24 @@ def test_ill_conditioned_configuration_rejected(monkeypatch):
         build_operator(make_cfg(16, 3, 1.0))
 
 
+@pytest.mark.parametrize("n", [2 * 10**7, 2 * 10**7 + 1])  # odd and even m
+def test_ill_conditioned_wide_window_fails_before_length_m_work(monkeypatch, n):
+    cfg = ReconstructionConfig(epsilon=1e-6, eta=0.05, n=n, d=3)
+    assert cfg.m > 5 * 10**7
+    assert spectrum_floor(cfg.epsilon, cfg.B) < circulant.MIN_EIGENVALUE
+
+    def window_spectrum(epsilon, B, ring):
+        raise AssertionError(f"formed the spectrum of a ring of {ring}")
+
+    def forward_taps(epsilon, B):
+        raise AssertionError(f"formed the {2 * B + 1} forward taps")
+
+    monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "_kernel_taps", forward_taps)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        build_operator(cfg)
+
+
 # --- apply / inverse / left products ----------------------------------------
 
 def test_apply_preserves_ones(cfg):
@@ -278,3 +296,72 @@ def test_inverse_taps_match_dense(label, tap_cfg, full_ring):
         np.testing.assert_allclose(
             circulant.apply_inverse(op, circulant.apply(op, x)), x, atol=1e-9
         )
+
+
+# --- a product whose cost does not grow with 1/eps ---------------------------
+
+def test_inverse_taps_are_sparse_at_small_epsilon():
+    # at eps = 0.001 the taps span the clusters at 0, +-B, +-2B, ... (half
+    # width about 25 B), but only the clusters' few entries are above roundoff
+    op = cached_operator(ReconstructionConfig(epsilon=0.001, eta=0.05, n=10**6, d=4))
+    assert op.B == 8295 and len(op._inv_taps) > 40 * op.B
+    assert np.count_nonzero(op._inv_taps) <= len(op._inv_taps) // 100
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0])
+def test_inverse_tap_count_does_not_grow_with_inverse_epsilon(eps):
+    op = cached_operator(ReconstructionConfig(epsilon=eps, eta=0.05, n=10**6, d=10**6))
+    assert np.count_nonzero(op._inv_taps) <= 23
+
+
+def test_inverse_taps_are_exactly_symmetric():
+    for tap_cfg in (make_cfg(600, 10, 0.5), make_cfg(7, 6, 0.5), make_cfg(16, 10, 1.0)):
+        taps = build_operator(tap_cfg)._inv_taps
+        assert np.array_equal(taps, taps[::-1])
+
+
+class _CountingNumpy:
+    """numpy, with a count of np.add calls: the product's shifted pair sums."""
+
+    def __init__(self):
+        self.pair_sums = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        self.pair_sums += 1
+        return np.add(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "eps, n, d", [(0.001, 10**6, 4), (0.5, 10**6, 10**6), (1.0, 32, 10**3)]
+)
+def test_product_forms_one_shifted_pair_per_nonzero_offset(monkeypatch, eps, n, d):
+    op = cached_operator(ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=d))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(circulant, "np", counting)
+    x = np.random.default_rng(41).normal(size=op.m)
+    blocks = -(-op.m // circulant._BLOCK)
+    products = [(op._inv_taps, circulant.apply_inverse)]
+    if op.B < 100:  # the forward taps are dense: 2B+1 nonzeros
+        products.append((op._fwd_taps, circulant.apply))
+    for taps, product in products:
+        counting.pair_sums = 0
+        product(op, x)
+        nonzero_offsets = (np.count_nonzero(taps) - 1) // 2  # taps[w] is nonzero
+        assert counting.pair_sums == blocks * nonzero_offsets
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 64, circulant._BLOCK])
+def test_blocked_product_matches_dense_for_any_block_size(monkeypatch, block):
+    # blocks narrower than the half-width w mix operands that wrap with
+    # ones read in place; each product must still be the dense one
+    monkeypatch.setattr(circulant, "_BLOCK", block)
+    for tap_cfg in (make_cfg(600, 10, 0.5), make_cfg(7, 6, 0.5), make_cfg(64, 6, 0.5)):
+        op = build_operator(tap_cfg)
+        dense = dense_operator(tap_cfg)
+        inv = np.linalg.inv(dense.entries)
+        x = np.random.default_rng(43).normal(size=op.m)
+        np.testing.assert_allclose(circulant.apply_inverse(op, x), inv @ x, atol=1e-8)
+        np.testing.assert_allclose(circulant.apply(op, x), dense.entries @ x, atol=1e-9)

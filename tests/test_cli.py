@@ -74,6 +74,19 @@ def test_sketch_n_above_cap_exits_2_naming_n(hist_file, tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1e-17", "3e-07"])
+def test_sketch_epsilon_with_no_window_exits_2_naming_epsilon(hist_file, tmp_path, capsys, epsilon):
+    # whatever eta and d, B >= log(4 / sinh(eps)) / eps, so no reconstruction
+    # of such a sketch fits the window cap
+    out = tmp_path / "s.json"
+    code = main(["sketch", "--input", hist_file, "--output", str(out),
+                 "--epsilon", epsilon, "--n", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --epsilon {float(epsilon)!r} (least B at any eta): noise bound B=")
+    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+
+
 def test_sketch_deterministic(hist_file, tmp_path):
     out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for out in (out_a, out_b):
@@ -148,6 +161,23 @@ def test_reconstruct_tiny_epsilon_exits_2_naming_the_window(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --eta 0.05: noise bound B=") and "raise epsilon or eta" in err
+    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+
+
+def test_reconstruct_ill_conditioned_window_fails_before_binning(tmp_path, capsys, monkeypatch):
+    # eps = 1e-6 fits the window cap (m ~ 5e7), but no operator on it is
+    # invertible; the refusal must come before any work of the window's length
+    from dpprofile import reconstruct
+
+    def binning(*args):
+        raise AssertionError("binned the sketch before checking the operator")
+
+    monkeypatch.setattr(reconstruct, "empirical_profile", binning)
+    sketch = write_sketch_file(tmp_path, [1, 2, 3], 1e-6, 2 * 10**7)
+    out = tmp_path / "p.csv"
+    code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"])
+    assert code == 2
+    assert "operator is ill-conditioned" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
 
 

@@ -18,6 +18,7 @@ from dpprofile.mechanism import (
     _parse_canonical,
     check_window,
     empirical_profile,
+    min_truncation_radius,
     privatize,
     read_histogram,
     read_int_lines,
@@ -336,6 +337,21 @@ def test_truncation_radius_where_exp_rounds_to_one(epsilon):
     # such a B fits int64, so the window check is what turns it away
     with pytest.raises(ValueError, match=f"noise bound B={b} .*raise epsilon or eta"):
         ReconstructionConfig(epsilon=epsilon, eta=0.05, n=32, d=1000)
+
+
+@pytest.mark.parametrize("epsilon", [_MIN_EPSILON, 1e-17, 1e-6, 1e-3, 0.1, 1.0, 5.0, 50.0])
+def test_min_truncation_radius_bounds_every_eta_and_d(epsilon):
+    b_min = min_truncation_radius(epsilon)
+    assert 0 <= b_min < 2**63
+    for eta in (0.999, 0.5, 1e-9):
+        for d in (1, 4, 10**6):
+            try:
+                b = truncation_radius(epsilon, eta, d)
+            except ValueError:  # B beyond int64, above the bound as well
+                continue
+            assert b_min <= b
+    # the conditioning term is the whole radius at small d
+    assert min_truncation_radius(1e-3) == truncation_radius(1e-3, 0.05, 4) == 8295
 
 
 def test_config_rejects_window_above_cap():

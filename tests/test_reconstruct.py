@@ -424,6 +424,29 @@ def test_l1_correction_takes_lower_window_edge(cfg):
     assert t < op.m - 1 - t
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # m = n + 2B + 1 is odd for even n
+        protocol_config(1.0, 1000),
+        ReconstructionConfig(epsilon=0.5, eta=0.05, n=7, d=10, B=6),  # full ring
+        ReconstructionConfig(epsilon=2.0, eta=0.05, n=33, d=10**4),
+        ReconstructionConfig(epsilon=0.5, eta=0.05, n=10**5, d=10**6),  # 4 blocks
+        ReconstructionConfig(epsilon=0.5, eta=0.05, n=10**5 + 1, d=10**6),
+    ],
+    ids=["n4", "n7B6", "n33", "n1e5", "n1e5+1"],
+)
+def test_window_image_is_exactly_mirror_symmetric(cfg):
+    # the folded product treats offsets +-u alike, so no symmetrizing step
+    # is needed before the l1 direction picks between the window edges
+    op = cached_operator(cfg)
+    ones = np.zeros(op.m)
+    ones[op.B : op.B + op.n + 1] = 1.0
+    c = circulant.apply_inverse(op, ones)
+    assert op.m % 2 == (cfg.n + 1) % 2
+    assert np.array_equal(c, c[::-1])
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         Profile(values=np.array([0.5, 0.6]))
