@@ -27,8 +27,10 @@ off the inverse on a small ring, where the wrapped-around tails are far
 below roundoff, so the build does no work that grows with m.  Otherwise, or
 when the taps would span the whole window (only at small m), the window's
 spectrum is checked and its own inverse column is used whole, which is
-exact; an eigenvalue below the floor of invertibility at the mode nearest
-theta = pi fails the build before any of that length-m work.
+exact.  An eigenvalue below the floor of invertibility fails the build
+before any of that length-m work when it is the mode nearest theta = pi or,
+on a window whose n is small (64 n^2 <= m), the least mode, which a search
+whose cost does not grow with m finds.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ MIN_EIGENVALUE = 1e-12
 # the roundoff already present in an FFT-computed kernel; dropping them
 # changes products by strictly less than ordinary transform roundoff.
 _TAP_FLOOR = 1e-15
+
+# Modes per step of the coarse-to-fine search for the least eigenvalue.
+_SEARCH_POINTS = 64
 
 # Smallest ring tried for the inverse taps; rings double from here.
 _FIRST_RING = 64
@@ -171,12 +176,15 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
     if floor >= MIN_EIGENVALUE:
         ring = _FIRST_RING
     else:
-        # the mode nearest theta = pi, where the denominator of the closed
-        # form peaks, is near the spectrum's minimum: when even it is too
-        # small, refuse before forming a spectrum of the window's length
+        # the spectrum's minimum lies near theta = pi, where the denominator
+        # of the closed form peaks: when the mode nearest pi, or the least
+        # mode of a narrow window, is too small, refuse before forming a
+        # spectrum of the window's length
         ring = m
         near_pi = _eigenvalues(epsilon, B, m, np.array([m // 2]))
         _check_invertible(float(abs(near_pi[0])), cfg)
+        if floor > 0 and 64 * cfg.n**2 <= m:  # where the search finds the least mode
+            _check_invertible(_least_mode_near_pi(epsilon, B, m), cfg)
     while True:
         ring = min(ring, m)
         half = _half_spectrum(epsilon, B, ring)
@@ -203,6 +211,40 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
         # offsets -ring/2 and +ring/2 are the same antipodal entry; split it
         taps[0] = taps[-1] = taps[0] / 2.0
     return taps
+
+
+def _least_mode_near_pi(epsilon: float, B: int, m: int) -> float:
+    """Least |eigenvalue| over the modes in the last period before theta = pi.
+
+    With n = m - 2B - 1, the half angle (2B + 1) theta_k / 2 of mode k is
+    pi k - n theta_k / 2, so on each parity class of k the numerator of the
+    closed form is a smooth function of theta_k: 1 - q^2 minus an
+    oscillation of period 4 pi / n and amplitude 2 q^{B+1} sqrt(D), D the
+    denominator.  Each class is searched over the last period, coarse to
+    fine, _SEARCH_POINTS modes at a time, at a cost that does not grow with
+    m.  That gives the least mode of the whole window when the lower
+    envelope (1 - q^2 - 2 q^{B+1} sqrt(D)) / D falls towards pi, which it
+    does when 2 q^{B+1} < 1 - q (spectrum_floor > 0), and falls faster from
+    one period to the next than a period's least mode can sit above it,
+    which holds when n^2 is well below m.
+    """
+    n = m - 2 * B - 1
+    half = m // 2
+    least = math.inf
+    for parity in (0, 1):
+        lo, hi = max(half - 2 * m // n - 2, 0), half
+        while True:
+            stride = 2 * max(1, (hi - lo) // (2 * _SEARCH_POINTS))
+            k = np.arange(lo + (lo - parity) % 2, hi + 1, stride)
+            if not len(k):
+                break
+            mag = np.abs(_eigenvalues(epsilon, B, m, k))
+            best = int(np.argmin(mag))
+            if stride == 2:
+                least = min(least, float(mag[best]))
+                break
+            lo, hi = max(int(k[best]) - stride, 0), min(int(k[best]) + stride, half)
+    return least
 
 
 def _check_invertible(eig: float, cfg: ReconstructionConfig) -> None:

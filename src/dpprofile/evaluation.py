@@ -4,6 +4,15 @@ Runs the privatize-and-reconstruct pipeline over parameter grids, measures
 the l1/l2/linf reconstruction errors against ground truth, evaluates the
 analytic error bounds for comparison, and fits the error-versus-domain-size
 scaling law from swept results.
+
+Reconstruction reads only the binned noisy profile f~, so a trial draws f~
+by one of two routes with the same law.  The class route draws it from its
+sufficient statistic: the k_c items at true count c bin as
+Multinomial(k_c, window_pmf row of c), one multinomial per count value
+present, at O(classes * m) per trial.  The per-item route privatizes all d
+counts and bins them, at O(d).  A cell takes the class route when its pmf
+table, classes * m entries, is no larger than d, which also bounds the
+table's memory by the histogram's.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .mechanism import (
     ReconstructionConfig,
     empirical_profile,
     privatize,
+    window_pmf,
 )
 from .reconstruct import Profile, cached_operator, fast_inversion, rounding
 
@@ -152,27 +162,48 @@ def theoretical_bounds(
 @dataclass(frozen=True)
 class _Cell:
     """What every trial of one grid cell shares: the histogram, its exact
-    profile, the operator and the analytic bounds."""
+    profile, the operator and the analytic bounds.
+
+    On the class route, classes[r] items share one true count and pmf[r] is
+    the law of its binned noisy count; on the per-item route both are None.
+    """
 
     h: Histogram
     f: Profile
     op: CirculantOperator
     bounds: BoundTriple
+    classes: np.ndarray | None
+    pmf: np.ndarray | None
 
 
 def _prepare_cell(spec: SynthSpec, cfg: ReconstructionConfig) -> _Cell:
     h = synth_histogram(spec)
     f = true_profile(h)
     op = cached_operator(cfg)
-    return _Cell(h=h, f=f, op=op, bounds=theoretical_bounds(cfg, f, op))
+    by_count = np.rint(f.values * h.d).astype(np.int64)  # items at each count
+    values = np.flatnonzero(by_count)
+    classes = pmf = None
+    # the table holds len(values) * m entries; past d it would outgrow the
+    # histogram it summarises, and drawing per item is then the cheaper route
+    if len(values) * cfg.m <= cfg.d:
+        classes = by_count[values]
+        pmf = window_pmf(values, cfg.epsilon, cfg.n, cfg.B)
+    return _Cell(h=h, f=f, op=op, bounds=theoretical_bounds(cfg, f, op),
+                 classes=classes, pmf=pmf)
+
+
+def _noisy_profile(cell: _Cell, cfg: ReconstructionConfig, rng) -> np.ndarray:
+    """One draw of the binned noisy profile f~ of the cell's histogram."""
+    if cell.pmf is None:
+        sketch = privatize(cell.h, cfg.epsilon, clip=False, rng=rng)
+        return empirical_profile(sketch, cfg).values
+    return rng.multinomial(cell.classes, cell.pmf).sum(axis=0) / cfg.d
 
 
 def _run_cell_trial(
     cell: _Cell, cfg: ReconstructionConfig, seed: int, trial: int
 ) -> list[ErrorReport]:
-    rng = np.random.default_rng(seed)
-    sketch = privatize(cell.h, cfg.epsilon, clip=False, rng=rng)
-    f_tilde = empirical_profile(sketch, cfg)
+    f_tilde = _noisy_profile(cell, cfg, np.random.default_rng(seed))
     reports = []
     for p in NORMS:
         start = time.perf_counter()
@@ -199,11 +230,12 @@ def _run_cell_trial(
 def run_trial(
     spec: SynthSpec, cfg: ReconstructionConfig, seed: int, trial: int = 0
 ) -> list[ErrorReport]:
-    """One pipeline run per norm on a fresh sketch; returns three reports.
+    """One pipeline run per norm on a fresh noisy profile; returns three reports.
 
-    The same privatized sketch is reconstructed three times, once with each
-    norm objective, and the error of each reconstruction is measured in its
-    own norm against the true profile.
+    The noisy profile f~ is drawn once, by the route the module docstring
+    describes, and reconstructed three times, once with each norm
+    objective; the error of each reconstruction is measured in its own norm
+    against the true profile.
     """
     return _run_cell_trial(_prepare_cell(spec, cfg), cfg, seed, trial)
 

@@ -2,9 +2,9 @@
 
 Covers coordinate-wise privatization (with optional clipping into [0, n]),
 recovery of an unclipped-distributed sketch from a clipped one via the
-memorylessness of the geometric distribution, additive sketch updates, and
+memorylessness of the geometric distribution, additive sketch updates,
 extraction of the empirical frequency-of-frequencies vector used by the
-reconstruction pipeline.
+reconstruction pipeline, and the exact law of one binned noisy count.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "min_truncation_radius",
     "sample_geometric",
     "sample_dlap",
+    "window_pmf",
     "privatize",
     "unfold",
     "update",
@@ -277,6 +278,31 @@ def sample_dlap(epsilon: float, rng: np.random.Generator, size=None):
         return g1 - g2
     g1 -= g2
     return g1
+
+
+def window_pmf(values, epsilon: float, n: int, B: int) -> np.ndarray:
+    """Law of a noisy count binned into the window [-B, n+B], per true count.
+
+    Row r, column t + B holds P(clip(c + Z, -B, n+B) = t) for c = values[r]
+    in [0, n] and Z distributed as sample_dlap's target, with q = e^{-eps}:
+    (1 - q) / (1 + q) q^|t - c| inside the window, and at its endpoints the
+    whole tail beyond them, q^(B + c) / (1 + q) and q^(n + B - c) / (1 + q).
+    A histogram with k_c items at count c thus bins, under privatize then
+    empirical_profile, to the sum over c of Multinomial(k_c, row of c).
+    """
+    _check_epsilon(epsilon)
+    c = np.asarray(values, dtype=np.int64)
+    if c.ndim != 1 or (len(c) and (c.min() < 0 or c.max() > n)):
+        raise ValueError(f"true counts must be a 1-d vector in [0, {n}]")
+    m = n + 2 * B + 1
+    # row c is the slice of q^|k| over k = -(n+B)..n+B that starts at k = -B - c
+    decay = np.exp(-epsilon * np.abs(np.arange(-(n + B), n + B + 1)))
+    pmf = np.lib.stride_tricks.sliding_window_view(decay, m)[n - c]
+    q = math.exp(-epsilon)
+    pmf *= -math.expm1(-epsilon) / (1.0 + q)
+    pmf[:, 0] = np.exp(-epsilon * (B + c)) / (1.0 + q)
+    pmf[:, -1] = np.exp(-epsilon * (n + B - c)) / (1.0 + q)
+    return pmf
 
 
 def privatize(

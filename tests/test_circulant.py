@@ -148,6 +148,59 @@ def test_ill_conditioned_wide_window_fails_before_length_m_work(monkeypatch, n):
         build_operator(cfg)
 
 
+# Windows of a small n and a derived B whose least eigenvalue lies off the
+# mode nearest theta = pi, with the message each build gave when it formed
+# the window's whole spectrum first.
+OFF_PI_WINDOWS = [
+    (2.1e-6, 5, "5.513e-13"),
+    (2.5e-6, 5, "7.813e-13"),
+    (2e-6, 6, "5.495e-13"),
+    (2.3e-6, 6, "7.268e-13"),
+]
+
+
+@pytest.mark.parametrize("epsilon, n, eig", OFF_PI_WINDOWS)
+def test_ill_conditioned_window_off_pi_fails_before_length_m_work(
+    monkeypatch, epsilon, n, eig
+):
+    cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=1, allow_small_n=True)
+    assert cfg.m > 10**7
+    near_pi = circulant._eigenvalues(epsilon, cfg.B, cfg.m, np.array([cfg.m // 2]))
+    assert abs(near_pi[0]) >= circulant.MIN_EIGENVALUE  # the first check passes
+
+    def window_spectrum(epsilon, B, ring):
+        raise AssertionError(f"formed the spectrum of a ring of {ring}")
+
+    monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    message = (
+        f"operator is ill-conditioned: |eigenvalue| = {eig} < 1e-12 "
+        f"for (n={n}, B={cfg.B}, epsilon={epsilon})"
+    )
+    with pytest.raises(ValueError) as err:
+        build_operator(cfg)
+    assert str(err.value) == message
+
+
+def narrow_windows():
+    """(epsilon, B, m) with B at least the conditioning radius and 64 n^2 <= m."""
+    rng = np.random.default_rng(12)
+    for _ in range(80):
+        epsilon = float(np.exp(rng.uniform(math.log(2e-4), math.log(3.0))))
+        B = math.ceil(math.log(4 / math.sinh(epsilon)) / epsilon) + int(rng.integers(0, 50))
+        n = int(rng.integers(1, math.isqrt((2 * B + 1) // 64) + 2))
+        if 64 * n * n <= n + 2 * B + 1:
+            yield epsilon, B, n + 2 * B + 1
+
+
+def test_least_mode_search_finds_the_spectrum_minimum():
+    windows = list(narrow_windows())
+    assert len(windows) >= 30
+    for epsilon, B, m in windows:
+        assert spectrum_floor(epsilon, B) > 0
+        whole = np.min(np.abs(circulant._half_spectrum(epsilon, B, m)))
+        assert circulant._least_mode_near_pi(epsilon, B, m) == whole, (epsilon, B, m)
+
+
 # --- apply / inverse / left products ----------------------------------------
 
 def test_apply_preserves_ones(cfg):

@@ -1,13 +1,16 @@
-"""Property-based fuzz of numeric flag values, through `cli.main` in process.
+"""Property-based fuzz of flag values and input files, through `cli.main` in process.
 
 `sketch --epsilon/--n` and `reconstruct --eta` are drawn from the values
 that break parsing and sizing: NaN, the infinities, zero, negatives,
 subnormals, epsilons around the smallest one the sampler supports, and
-integers up to 1e20.  Whatever the value, a command must exit 0 with an
-output that parses, or 2 with no output and no `.tmp` file; never 1.  The
-examples are derandomized, so every run draws the same ones.
+integers up to 1e20.  Histogram and delta files, and sketch JSON mutated
+from a valid sketch, are drawn as described further down.  Whatever the
+input, a command must exit 0 with an output that parses, or 2 with no
+output and no `.tmp` file; never 1.  The examples are derandomized, so
+every run draws the same ones.
 """
 
+import io
 import json
 import math
 import os
@@ -19,6 +22,7 @@ from dpprofile.cli import main
 from dpprofile.mechanism import _MIN_EPSILON
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
+FILE_FUZZ = settings(derandomize=True, max_examples=100, deadline=None)
 
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-300",
@@ -95,3 +99,175 @@ def test_reconstruct_eta_values_fail_closed(eta, epsilon):
         assert [int(row.split(",")[0]) for row in rows] == list(range(51))
         assert all(math.isfinite(v) for v in values)
         assert abs(sum(values) - 1.0) < 1e-9
+
+
+# --- file contents ------------------------------------------------------------
+#
+# Integer files are drawn line by line from the shapes that break a parser:
+# signs, padding, blanks, comments, fractions, exponents, underscores,
+# non-ASCII digits and whitespace, values past int64, bytes that are not
+# UTF-8, with LF, CRLF or CR line ends.  Sketch files are a valid sketch with
+# one or two entries replaced, added or removed.
+
+# lines a histogram with n = 100 accepts
+GOOD_LINES = st.one_of(
+    st.integers(0, 100).map(str),
+    st.sampled_from(["", "   ", "# a comment", " # indented", "+3", "-0", " 7 ",
+                     "\t3", "0003", "1_0", "٣", "３", "١٢", "\x0c5"]),
+)
+# lines it rejects; a delta file takes the in-range integers among them
+BAD_LINES = st.one_of(
+    st.sampled_from(["#", "1.5", "1/2", "1e3", "0x10", "1__0", "_1", "3 4", "3,",
+                     "9223372036854775807", "9223372036854775808",
+                     "-9223372036854775809", "nan", "inf", "\x00", "\xe9", "-3"]),
+    st.integers(-10**20, 10**20).map(str),
+)
+INT_FILES = st.tuples(
+    st.lists(GOOD_LINES, max_size=8),
+    st.lists(st.tuples(st.integers(0, 8), BAD_LINES), max_size=1),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),  # final line end
+    st.sampled_from([b""] * 6 + [b"\xff", b"\xef\xbb\xbf"]),  # stray byte, BOM
+).map(lambda t: file_bytes(*t))
+
+
+def file_bytes(lines, bad, end, final, prefix) -> bytes:
+    for at, line in bad:
+        lines = lines[:at] + [line] + lines[at:]
+    return prefix + end.join(lines).encode("utf-8") + (end.encode() if final else b"")
+
+
+def write_bytes(folder, name, data):
+    path = os.path.join(folder, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+@FILE_FUZZ
+@given(data=INT_FILES)
+def test_sketch_histogram_contents_fail_closed(data):
+    with tempfile.TemporaryDirectory() as folder:
+        hist = write_bytes(folder, "hist.txt", data)
+        out = os.path.join(folder, "sketch.json")
+        code = run(["sketch", "--input", hist, "--output", out,
+                    "--epsilon", "50", "--n", "100", "--seed", "3"])
+        assert code in (0, 2)
+        if code == 2:
+            assert outputs(folder, ["hist.txt"]) == []
+            return
+        assert outputs(folder, ["hist.txt"]) == ["sketch.json"]
+        with open(out) as fh:
+            obj = json.load(fh)
+        # at epsilon 50 a count moves with probability about 1e-21
+        assert obj["counts"] == int_lines(data)
+        assert all(0 <= c <= 100 for c in obj["counts"])
+
+
+@FILE_FUZZ
+@given(data=INT_FILES)
+def test_update_delta_contents_fail_closed(data):
+    with tempfile.TemporaryDirectory() as folder:
+        sketch = write_sketch_obj(folder, valid_sketch())
+        delta = write_bytes(folder, "delta.txt", data)
+        out = os.path.join(folder, "updated.json")
+        code = run(["update", "--sketch", sketch, "--delta", delta, "--output", out])
+        assert code in (0, 2)
+        if code == 2:
+            assert outputs(folder, ["sketch.json", "delta.txt"]) == []
+            return
+        assert outputs(folder, ["sketch.json", "delta.txt"]) == ["updated.json"]
+        with open(out) as fh:
+            obj = json.load(fh)
+        assert obj["counts"] == [c + x for c, x in zip(SKETCH_COUNTS, int_lines(data))]
+
+
+def int_lines(data: bytes) -> list[int]:
+    """The integers of a file as the one-per-line format defines them."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    values = []
+    for line in text.split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            values.append(int(line))
+    return values
+
+
+def valid_sketch() -> dict:
+    return {"version": 1, "epsilon": 1.0, "n": 50, "d": len(SKETCH_COUNTS),
+            "clipped": False, "counts": list(SKETCH_COUNTS)}
+
+
+def write_sketch_obj(folder, obj) -> str:
+    path = os.path.join(folder, "sketch.json")
+    with open(path, "w") as fh:
+        fh.write(obj if isinstance(obj, str) else json.dumps(obj))
+    return path
+
+
+DEEP = "[" * 100000 + "]" * 100000  # past the JSON parser's recursion limit
+VALUES = st.one_of(
+    st.sampled_from([None, False, "", "1", 1.5, -1, 0, 1, 10**8 - 1, 10**8,
+                     2**63 - 1, 2**63, -2**63 - 1, 10**30, -10**30, float("nan"),
+                     float("inf"), 1e-320, 1e308, [], {}, [1.5], ["1"], [True],
+                     [None], [[1]], [2**63], [-2**63 - 1]]),
+    st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-10**20, 10**20), min_size=4, max_size=6),
+)
+KEYS = st.sampled_from(["version", "epsilon", "n", "d", "clipped", "counts", "extra"])
+PLAUSIBLE = st.sampled_from([
+    ("set", "epsilon", 0.5), ("set", "epsilon", 2), ("set", "n", 60), ("set", "n", 40),
+    ("set", "clipped", True), ("set", "counts", [0, 0, 0, 0, 0]),
+    ("set", "counts", [0, 9, 40, 1, 2]),
+])
+EDITS = st.lists(
+    st.one_of(PLAUSIBLE, st.tuples(st.sampled_from(["set", "drop"]), KEYS, VALUES)),
+    min_size=1, max_size=2,
+)
+
+
+def mutated_sketch(edits, deep: bool):
+    obj = valid_sketch()
+    for kind, key, value in edits:
+        if kind == "drop":
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    if not deep:
+        return json.dumps(obj)
+    obj["counts"] = "deep"
+    return json.dumps(obj).replace('"deep"', DEEP)
+
+
+@FILE_FUZZ
+@given(
+    edits=EDITS,
+    deep=st.sampled_from([False] * 7 + [True]),
+    command=st.sampled_from(["reconstruct", "update"]),
+)
+def test_mutated_sketch_json_fails_closed(edits, deep, command):
+    with tempfile.TemporaryDirectory() as folder:
+        sketch = write_sketch_obj(folder, mutated_sketch(edits, deep))
+        inputs = ["sketch.json"]
+        if command == "reconstruct":
+            out = os.path.join(folder, "profile.csv")
+            argv = ["reconstruct", "--input", sketch, "--output", out, "--eta", "0.05"]
+        else:
+            delta = write_bytes(folder, "delta.txt", b"1\n-1\n0\n2\n-2\n")
+            inputs.append("delta.txt")
+            out = os.path.join(folder, "updated.json")
+            argv = ["update", "--sketch", sketch, "--delta", delta, "--output", out]
+        code = run(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert outputs(folder, inputs) == []
+            return
+        assert outputs(folder, inputs) == [os.path.basename(out)]
+        with open(out) as fh:
+            text = fh.read()
+        if command == "reconstruct":
+            header, *rows = text.splitlines()
+            assert header == "t,value" and rows
+        else:
+            assert json.loads(text)["d"] == 5

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dpprofile import circulant
+from dpprofile import circulant, evaluation
 from dpprofile._util import derive_seed
 from dpprofile.evaluation import (
     ErrorReport,
@@ -20,7 +20,13 @@ from dpprofile.evaluation import (
     thread_budget,
     true_profile,
 )
-from dpprofile.mechanism import Histogram, PrivateSketch, ReconstructionConfig, empirical_profile
+from dpprofile.mechanism import (
+    Histogram,
+    PrivateSketch,
+    ReconstructionConfig,
+    empirical_profile,
+    privatize,
+)
 from dpprofile.reconstruct import cached_operator, fast_inversion, rounding
 from dpprofile._util import lp_norm
 
@@ -212,6 +218,81 @@ def test_sweep_threaded_matches_serial(monkeypatch):
     assert [(r.trial, r.p, r.err) for r in threaded] == [
         (r.trial, r.p, r.err) for r in serial
     ]
+
+
+# --- noise routes -----------------------------------------------------------------
+
+def spy_privatize(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return privatize(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "privatize", spy)
+    return calls
+
+
+def test_class_route_draws_no_per_item_noise(monkeypatch):
+    # 10 count values on a window of m = 57 make a table of 570 <= d entries
+    d = 10**4
+    spec = SynthSpec("zipf", d=d, n=32, seed=3, param=1.1)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=d)
+    calls = spy_privatize(monkeypatch)
+    reports = sweep([(spec, cfg)], trials=4, master_seed=5)
+    assert calls == [] and len(reports) == 12
+
+
+def test_per_item_route_privatizes_once_per_trial(monkeypatch):
+    # about 1000 count values on a window of m = 1025: the table would hold
+    # some 1e6 entries, far more than the d = 1e4 items
+    d = 10**4
+    spec = SynthSpec("uniform_counts", d=d, n=1000, seed=3)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=1000, d=d)
+    calls = spy_privatize(monkeypatch)
+    sweep([(spec, cfg)], trials=3, master_seed=5)
+    assert len(calls) == 3
+
+
+def test_per_item_route_replays_the_per_item_pipeline():
+    # the trial body of the per-item route, written out: seeded rows on this
+    # route are those of an eval that privatizes every trial
+    d, n, trials = 10**4, 1000, 3
+    spec = SynthSpec("uniform_counts", d=d, n=n, seed=3)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
+    got = rows_to_csv(sweep([(spec, cfg)], trials=trials, master_seed=5))
+    h = synth_histogram(spec)
+    f = true_profile(h)
+    op = cached_operator(cfg)
+    bounds = theoretical_bounds(cfg, f, op)
+    want = []
+    for trial in range(trials):
+        rng = np.random.default_rng(derive_seed(5, 0, trial))
+        f_tilde = empirical_profile(privatize(h, cfg.epsilon, clip=False, rng=rng), cfg)
+        for p in ("l1", "l2", "linf"):
+            err = lp_norm(rounding(fast_inversion(op, f_tilde, p), n).values - f.values, p)
+            want.append(ErrorReport(d=d, n=n, epsilon=1.0, eta=0.05, p=p, trial=trial,
+                                    err=err, bound=bounds.for_norm(p), seconds=0.0))
+    assert got == rows_to_csv(want)
+
+
+def test_class_route_matches_binned_noise_in_law():
+    # the class route's f~ has the mean and the variance of the per-item
+    # route's, which are sums over items of the window pmf's moments
+    d = 2000
+    spec = SynthSpec("zipf", d=d, n=8, seed=4, param=0.7)
+    cfg = ReconstructionConfig(epsilon=0.5, eta=0.05, n=8, d=d, B=6)
+    cell = evaluation._prepare_cell(spec, cfg)
+    assert cell.pmf is not None
+    rng = np.random.default_rng(8)
+    draws = np.array([evaluation._noisy_profile(cell, cfg, rng) for _ in range(3000)])
+    weight = cell.classes[:, None] * cell.pmf
+    mean = weight.sum(axis=0) / d
+    var = (weight * (1.0 - cell.pmf)).sum(axis=0) / d**2
+    z = (draws.mean(axis=0) - mean) / np.sqrt(var / len(draws))
+    assert np.all(np.abs(z[mean * d >= 5]) < 4.5)
+    np.testing.assert_allclose(draws.var(axis=0)[mean * d >= 5], var[mean * d >= 5], rtol=0.2)
+    np.testing.assert_allclose(draws.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 # --- scaling fit ------------------------------------------------------------------

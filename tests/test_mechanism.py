@@ -28,6 +28,7 @@ from dpprofile.mechanism import (
     truncation_radius,
     unfold,
     update,
+    window_pmf,
     write_histogram,
     write_sketch,
 )
@@ -295,6 +296,51 @@ def test_empirical_profile_multiples_of_inverse_d():
     scaled = prof.values * d
     np.testing.assert_allclose(scaled, np.rint(scaled), atol=1e-9)
     assert abs(prof.values.sum() - 1.0) < 1e-12
+
+
+# --- the binned noise law --------------------------------------------------
+
+# (epsilon, n, B): B is set small, so the endpoint tails carry real mass
+WINDOW_CASES = [(0.1, 12, 5), (1.0, 6, 2), (5.0, 4, 0)]
+
+
+@pytest.mark.parametrize("epsilon, n, B", WINDOW_CASES)
+def test_window_pmf_rows_and_endpoint_tails(epsilon, n, B):
+    values = np.arange(n + 1)
+    pmf = window_pmf(values, epsilon, n, B)
+    assert pmf.shape == (n + 1, n + 2 * B + 1)
+    np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    q = math.exp(-epsilon)
+    for c, row in zip(values, pmf):
+        assert row[0] == pytest.approx(q ** (B + c) / (1 + q), rel=1e-12)
+        assert row[-1] == pytest.approx(q ** (n + B - c) / (1 + q), rel=1e-12)
+        inside = np.arange(-B + 1, n + B)
+        np.testing.assert_allclose(
+            row[1:-1], [dlap_pmf(epsilon, t - c) for t in inside], rtol=1e-12
+        )
+    assert pmf[0, 0] > 0.01  # the lower tail of count 0 is not negligible
+
+
+@pytest.mark.parametrize("epsilon, n, B", WINDOW_CASES)
+def test_binned_privatize_follows_window_pmf(epsilon, n, B):
+    d = 20000
+    cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=d, B=B,
+                               allow_small_n=True)
+    support = np.arange(-B, n + B + 1)
+    rng = np.random.default_rng(31)
+    for c in (0, n // 2, n):
+        h = Histogram(counts=np.full(d, c, dtype=np.int64), n=n)
+        binned = np.rint(empirical_profile(privatize(h, epsilon, False, rng), cfg).values * d)
+        samples = np.repeat(support, binned.astype(np.int64))
+        pmf = window_pmf([c], epsilon, n, B)[0]
+        assert gof_chi2_pvalue(samples, support, pmf) > 0.001, c
+
+
+def test_window_pmf_rejects_counts_outside_0_n():
+    with pytest.raises(ValueError, match="true counts"):
+        window_pmf([0, 7], 1.0, 6, 2)
+    with pytest.raises(ValueError, match="epsilon"):
+        window_pmf([0], float("nan"), 6, 2)
 
 
 # --- configuration --------------------------------------------------------
