@@ -323,15 +323,16 @@ def norm_bounds(op: CirculantOperator) -> NormBounds:
     for circulant matrices); bound_2 covers the spectral norm via the
     eigenvalue floor.
     """
+    # (2 + q + e^eps) / (e^eps - q - 4 q^B), multiplied through by q so
+    # that no term overflows at large epsilon
     q = math.exp(-op.epsilon)
-    e_pos = math.exp(op.epsilon)
-    den_1_inf = e_pos - q - 4.0 * q**op.B
+    den_1_inf = 1.0 - q * q - 4.0 * q ** (op.B + 1)
     if den_1_inf <= 0:
         raise ValueError(
-            f"row-sum bound undefined: e^eps - e^-eps - 4 e^{{-eps B}} = "
+            f"row-sum bound undefined: 1 - e^{{-2 eps}} - 4 e^{{-eps (B+1)}} = "
             f"{den_1_inf:.3e} <= 0 for (B={op.B}, epsilon={op.epsilon})"
         )
-    bound_1_inf = (2.0 + q + e_pos) / den_1_inf * op.p_norm_const
+    bound_1_inf = (1.0 + 2.0 * q + q * q) / den_1_inf * op.p_norm_const
     den_2 = 1.0 - q - 2.0 * q ** (op.B + 1)
     if den_2 <= 0:
         raise ValueError(

@@ -129,6 +129,13 @@ def cmd_eval(args) -> None:
         raise ValueError(f"--d-list must be comma-separated integers, got {args.d_list!r}")
     if not d_list:
         raise ValueError("--d-list is empty")
+    # every cell holds a d-length histogram; refuse before any is built
+    too_large = [d for d in d_list if d > mechanism.MAX_WINDOW]
+    if too_large:
+        raise ValueError(
+            f"--d-list: domain size {too_large[0]} is above the largest supported "
+            f"{mechanism.MAX_WINDOW}"
+        )
     grid = []
     for cell, d in enumerate(d_list):
         spec = _parse_dist(args.dist, n=args.n, d=d, seed=evaluation.derive_seed(args.seed, cell, 1 << 32))
@@ -146,6 +153,8 @@ def cmd_eval(args) -> None:
 def cmd_innerprod(args) -> None:
     from . import twoparty
 
+    if not 16 <= args.d < 2**63:  # run_protocol's range, named by its flag here
+        raise ValueError(f"--d must lie in [16, 2**63 - 1], got {args.d}")
     results = twoparty.run_protocol(
         d=args.d, epsilon=args.epsilon, trials=args.trials, master_seed=args.seed
     )

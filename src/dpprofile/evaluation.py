@@ -92,22 +92,31 @@ class SynthSpec:
 
 
 def synth_histogram(spec: SynthSpec) -> Histogram:
-    rng = np.random.default_rng(spec.seed)
+    counts = _synth_counts(spec)
+    _shuffle(spec, counts)
+    return Histogram(counts=counts, n=spec.n)
+
+
+def _synth_counts(spec: SynthSpec) -> np.ndarray:
+    """The counts of synth_histogram(spec) before _shuffle orders them."""
     if spec.distribution == "point_mass":
         c = int(spec.param)
         if not 0 <= c <= spec.n:
             raise ValueError(f"point mass {c} outside [0, {spec.n}]")
-        counts = np.full(spec.d, c, dtype=np.int64)
-    elif spec.distribution == "uniform_counts":
-        counts = rng.integers(0, spec.n + 1, size=spec.d)
-    else:  # zipf
-        alpha = float(spec.param)
-        if alpha <= 0:
-            raise ValueError("zipf exponent must be positive")
-        ranks = np.arange(1, spec.d + 1, dtype=np.float64)
-        counts = np.rint(spec.n * ranks**-alpha).astype(np.int64)
-        rng.shuffle(counts)
-    return Histogram(counts=counts, n=spec.n)
+        return np.full(spec.d, c, dtype=np.int64)
+    if spec.distribution == "uniform_counts":
+        return np.random.default_rng(spec.seed).integers(0, spec.n + 1, size=spec.d)
+    alpha = float(spec.param)
+    if alpha <= 0:
+        raise ValueError("zipf exponent must be positive")
+    ranks = np.arange(1, spec.d + 1, dtype=np.float64)
+    return np.rint(spec.n * ranks**-alpha).astype(np.int64)
+
+
+def _shuffle(spec: SynthSpec, counts: np.ndarray) -> None:
+    """Shuffle zipf counts in place, which are drawn sorted by rank."""
+    if spec.distribution == "zipf":
+        np.random.default_rng(spec.seed).shuffle(counts)
 
 
 def true_profile(h: Histogram) -> Profile:
@@ -161,14 +170,15 @@ def theoretical_bounds(
 
 @dataclass(frozen=True)
 class _Cell:
-    """What every trial of one grid cell shares: the histogram, its exact
-    profile, the operator and the analytic bounds.
+    """What every trial of one grid cell shares: the exact profile of its
+    histogram, the operator and the analytic bounds.
 
     On the class route, classes[r] items share one true count and pmf[r] is
-    the law of its binned noisy count; on the per-item route both are None.
+    the law of its binned noisy count, and h is None; on the per-item route
+    h is the histogram and classes and pmf are None.
     """
 
-    h: Histogram
+    h: Histogram | None
     f: Profile
     op: CirculantOperator
     bounds: BoundTriple
@@ -177,17 +187,23 @@ class _Cell:
 
 
 def _prepare_cell(spec: SynthSpec, cfg: ReconstructionConfig) -> _Cell:
-    h = synth_histogram(spec)
-    f = true_profile(h)
+    # the profile and the class sizes do not depend on the order of the
+    # counts, so they are binned before the shuffle, which only the per-item
+    # route needs
+    counts = _synth_counts(spec)
+    by_count = np.bincount(counts, minlength=spec.n + 1)  # items at each count
+    f = Profile(values=by_count / spec.d)
     op = cached_operator(cfg)
-    by_count = np.rint(f.values * h.d).astype(np.int64)  # items at each count
     values = np.flatnonzero(by_count)
-    classes = pmf = None
+    h = classes = pmf = None
     # the table holds len(values) * m entries; past d it would outgrow the
     # histogram it summarises, and drawing per item is then the cheaper route
     if len(values) * cfg.m <= cfg.d:
         classes = by_count[values]
         pmf = window_pmf(values, cfg.epsilon, cfg.n, cfg.B)
+    else:
+        _shuffle(spec, counts)
+        h = Histogram(counts=counts, n=spec.n)
     return _Cell(h=h, f=f, op=op, bounds=theoretical_bounds(cfg, f, op),
                  classes=classes, pmf=pmf)
 

@@ -64,6 +64,8 @@ def _check_epsilon(epsilon: float) -> None:
 # given (n, B, epsilon) peaks at about 56 bytes per window entry (tracemalloc,
 # m = 1e6), some 5.6 GB at this cap; past it, sizes fail closed with a message
 # instead of failing to allocate.  B >= 0, so it also caps n at MAX_WINDOW - 1.
+# The eval command holds its synthetic domain sizes d to the same cap (a
+# d-length histogram is 8 bytes per item, 0.8 GB here).
 MAX_WINDOW = 10**8
 
 
@@ -85,6 +87,28 @@ def check_window(n: int, B: int = 0) -> None:
         )
 
 
+def int64_array(values, what: str) -> np.ndarray:
+    """values as an int64 array, refusing any entry the cast would change.
+
+    Boolean and integer input that int64 holds is taken as it is (no copy for
+    int64), after a dtype check alone.  Floats, uint64 and Python objects are
+    cast and compared with the cast, so 1.5, nan, 1e30 and 2**63 raise a
+    ValueError instead of being truncated or wrapped.
+    """
+    arr = np.asarray(values)
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind not in "ufO":
+        raise ValueError(f"{what} must be integers, got an array of {arr.dtype}")
+    with np.errstate(invalid="ignore"):  # nan and values past int64 cast to garbage
+        cast = arr.astype(np.int64)
+    changed = np.flatnonzero(cast != arr)
+    if len(changed):
+        value = arr.ravel()[changed[:1]].tolist()[0]
+        raise ValueError(f"{what} must be integers within the 64-bit range, got {value!r}")
+    return cast
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Per-item occurrence counts over a domain of size d, each in [0, n]."""
@@ -93,7 +117,7 @@ class Histogram:
     n: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = int64_array(self.counts, "histogram counts")
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("histogram must be a non-empty 1-d integer vector")
@@ -118,7 +142,7 @@ class PrivateSketch:
     clipped: bool
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = int64_array(self.counts, "sketch counts")
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("sketch counts must be a non-empty 1-d integer vector")
@@ -295,13 +319,15 @@ def window_pmf(values, epsilon: float, n: int, B: int) -> np.ndarray:
     if c.ndim != 1 or (len(c) and (c.min() < 0 or c.max() > n)):
         raise ValueError(f"true counts must be a 1-d vector in [0, {n}]")
     m = n + 2 * B + 1
-    # row c is the slice of q^|k| over k = -(n+B)..n+B that starts at k = -B - c
-    decay = np.exp(-epsilon * np.abs(np.arange(-(n + B), n + B + 1)))
-    pmf = np.lib.stride_tricks.sliding_window_view(decay, m)[n - c]
     q = math.exp(-epsilon)
-    pmf *= -math.expm1(-epsilon) / (1.0 + q)
-    pmf[:, 0] = np.exp(-epsilon * (B + c)) / (1.0 + q)
-    pmf[:, -1] = np.exp(-epsilon * (n + B - c)) / (1.0 + q)
+    # a huge epsilon makes the exponents -inf, whose exp is the 0 wanted
+    with np.errstate(over="ignore"):
+        # row c is the slice of q^|k| over k = -(n+B)..n+B that starts at k = -B - c
+        decay = np.exp(-epsilon * np.abs(np.arange(-(n + B), n + B + 1)))
+        pmf = np.lib.stride_tricks.sliding_window_view(decay, m)[n - c]
+        pmf *= -math.expm1(-epsilon) / (1.0 + q)
+        pmf[:, 0] = np.exp(-epsilon * (B + c)) / (1.0 + q)
+        pmf[:, -1] = np.exp(-epsilon * (n + B - c)) / (1.0 + q)
     return pmf
 
 
@@ -349,7 +375,7 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     """
     if s.clipped:
         raise ValueError("clipped sketches are not updatable; unfold first")
-    delta = np.asarray(delta, dtype=np.int64)
+    delta = int64_array(delta, "delta")
     if delta.shape != s.counts.shape:
         raise ValueError(
             f"delta has length {len(delta)}, sketch has length {s.d}"
@@ -617,8 +643,10 @@ def read_sketch(path: str) -> PrivateSketch:
     if len(counts) != d:
         raise ValueError(f"{path}: d={d} but {len(counts)} counts present")
     try:
+        # every count is a JSON integer, so the cast keeps it or overflows
         return PrivateSketch(
-            counts=counts, epsilon=float(epsilon), n=n, clipped=clipped
+            counts=np.asarray(counts, dtype=np.int64),
+            epsilon=float(epsilon), n=n, clipped=clipped,
         )
     except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
         raise ValueError(f"{path}: {exc}") from None

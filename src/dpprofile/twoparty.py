@@ -6,6 +6,13 @@ the profile of the combined histogram (whose counts all lie in {0, 2, 4}),
 and publishes d * (r[4] + r[0] - r[2]) plus calibrated Laplace noise.  On the
 noiseless histogram that combination equals <x, y> exactly, because matching
 coordinates land on counts 0 or 4 and mismatches land on 2.
+
+alice_message and bob_estimate are the per-party API and work item by item.
+run_protocol simulates the protocol on random sign vectors from its
+sufficient statistic instead.  Bob's output depends on (x, y) only through
+the class sizes of x + y + 2, and given them the binned noisy profile he
+reconstructs from is one multinomial per class over mechanism.window_pmf,
+so a trial costs O(m) whatever d is.
 """
 
 from __future__ import annotations
@@ -16,8 +23,16 @@ import numpy as np
 
 from ._util import derive_seed
 from .circulant import CirculantOperator, norm_bounds
-from .mechanism import Histogram, PrivateSketch, ReconstructionConfig, privatize, update
-from .reconstruct import cached_operator, reconstruct_profile
+from .mechanism import (
+    Histogram,
+    PrivateSketch,
+    ReconstructionConfig,
+    int64_array,
+    privatize,
+    update,
+    window_pmf,
+)
+from .reconstruct import cached_operator, fast_inversion, reconstruct_profile, rounding
 
 __all__ = [
     "PartyVector",
@@ -34,6 +49,11 @@ __all__ = [
 # Counts of (x + 1) + (y + 1) lie in {0, 2, 4}, so the histogram cap is 4.
 PROTOCOL_N = 4
 
+# The combined counts and their law when x and y are uniform sign vectors:
+# a coordinate lands on 0 or 4 when the signs agree, on 2 when they differ.
+_COMBINED_COUNTS = np.array([0, 2, 4])
+_COMBINED_LAW = np.array([0.25, 0.5, 0.25])
+
 PROTOCOL_CSV_HEADER = "d,trial,true_ip,m_b,abs_error,delta"
 
 
@@ -44,7 +64,7 @@ class PartyVector:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int64)
+        bits = int64_array(self.bits, "party vector entries")
         object.__setattr__(self, "bits", bits)
         if bits.ndim != 1 or len(bits) < 1:
             raise ValueError("party vector must be a non-empty 1-d vector")
@@ -110,6 +130,16 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     return -scale * np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
+def _publish(r: np.ndarray, d: int, delta: float, epsilon: float, rng) -> float:
+    """Bob's released value d * (r[4] + r[0] - r[2] + 3 delta Lap(1/epsilon)).
+
+    The tripled noise scale covers the three profile coordinates the
+    statistic reads.
+    """
+    noise = sample_laplace(1.0 / epsilon, rng)
+    return float(d * (r[4] + r[0] - r[2] + 3.0 * delta * noise))
+
+
 def alice_message(
     x: PartyVector, epsilon: float, rng: np.random.Generator
 ) -> PrivateSketch:
@@ -130,27 +160,19 @@ def bob_estimate(
 ) -> ProtocolResult:
     """Bob's turn: update the sketch with y + 1, reconstruct, publish.
 
-    The published value is d * (r[4] + r[0] - r[2] + 3 delta Lap(1/epsilon));
-    the tripled noise scale covers the three profile coordinates the
-    statistic reads.  Providing x_for_truth fills in the exact inner product
-    for error accounting (it is not used by the estimate itself).
+    The published value is the one _publish states.  Providing x_for_truth
+    fills in the exact inner product for error accounting (it is not used by
+    the estimate itself).
     """
     if y.d != m_a.d:
         raise ValueError(f"y has length {y.d}, sketch has length {m_a.d}")
     updated = update(m_a, y.bits + 1)
     cfg = protocol_config(epsilon, m_a.d, eta=eta, p=p)
     r = reconstruct_profile(updated, cfg)
-    noise = sample_laplace(1.0 / epsilon, rng)
-    m_b = m_a.d * (r.values[4] + r.values[0] - r.values[2] + 3.0 * delta * noise)
-    if x_for_truth is not None:
-        true_ip = int(x_for_truth.bits @ y.bits)
-    else:
-        true_ip = 0
+    m_b = _publish(r.values, m_a.d, delta, epsilon, rng)
+    true_ip = int(x_for_truth.bits @ y.bits) if x_for_truth is not None else 0
     return ProtocolResult(
-        m_b=float(m_b),
-        true_ip=true_ip,
-        delta_used=delta,
-        abs_error=abs(float(m_b) - true_ip),
+        m_b=m_b, true_ip=true_ip, delta_used=delta, abs_error=abs(m_b - true_ip)
     )
 
 
@@ -162,22 +184,35 @@ def run_protocol(
     eta: float = 0.05,
     p: str = "l2",
 ) -> list[ProtocolResult]:
-    """End-to-end protocol on fresh random (x, y) pairs, one per trial."""
-    if d < 16:
-        raise ValueError("d must be >= 16")
+    """End-to-end protocol on fresh uniform random (x, y) pairs, one per trial.
+
+    Each trial draws the protocol's outputs from their exact law without
+    forming x or y: the class sizes (k0, k2, k4) of x + y + 2 as
+    Multinomial(d; 1/4, 1/2, 1/4), then the binned noisy profile of Bob's
+    updated sketch as the sum over classes of Multinomial(k_c, window_pmf
+    row of c) / d.  Bob reconstructs and publishes as in bob_estimate, and
+    the exact inner product is k0 + k4 - k2.  A trial costs O(m), with
+    m = 4 + 2B + 1, so d may be any integer that int64 holds.
+    """
+    if not 16 <= d < 2**63:
+        raise ValueError(f"d must lie in [16, 2**63 - 1], got {d}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = protocol_config(epsilon, d, eta=eta, p=p)
-    delta = sensitivity_bound(cached_operator(cfg), d)
+    op = cached_operator(cfg)
+    delta = sensitivity_bound(op, d)
+    pmf = window_pmf(_COMBINED_COUNTS, epsilon, PROTOCOL_N, cfg.B)
     results = []
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(master_seed, trial))
-        x = PartyVector(bits=2 * rng.integers(0, 2, size=d) - 1)
-        y = PartyVector(bits=2 * rng.integers(0, 2, size=d) - 1)
-        m_a = alice_message(x, epsilon, rng)
-        results.append(
-            bob_estimate(m_a, y, epsilon, delta, rng, x_for_truth=x, eta=eta, p=p)
-        )
+        k0, k2, k4 = rng.multinomial(d, _COMBINED_LAW).tolist()
+        f_tilde = rng.multinomial([k0, k2, k4], pmf).sum(axis=0) / d
+        r = rounding(fast_inversion(op, f_tilde, p), PROTOCOL_N)
+        m_b = _publish(r.values, d, delta, epsilon, rng)
+        true_ip = k0 + k4 - k2
+        results.append(ProtocolResult(
+            m_b=m_b, true_ip=true_ip, delta_used=delta, abs_error=abs(m_b - true_ip)
+        ))
     return results
 
 

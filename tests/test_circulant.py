@@ -305,8 +305,28 @@ def test_norm_bounds_identity_limit():
     assert np.linalg.norm(inv, 2) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.5, 1.0, 2.0, 30.0])
+def test_row_sum_bound_equals_the_e_eps_form(eps):
+    # the bound is evaluated in q = e^-eps; it equals the textbook form
+    # (2 + q + e^eps) / (e^eps - q - 4 q^B) P wherever that does not overflow
+    op = cached_operator(ReconstructionConfig(epsilon=eps, eta=0.05, n=8, d=1000,
+                                              allow_small_n=True))
+    q, e = math.exp(-eps), math.exp(eps)
+    textbook = (2 + q + e) / (e - q - 4 * q**op.B) * op.p_norm_const
+    assert norm_bounds(op).bound_1_inf == pytest.approx(textbook, rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [800.0, 1e308])
+def test_norm_bounds_finite_at_huge_epsilon(eps):
+    # e^eps overflows past eps ~ 709.8; A is then the identity, and so is
+    # its inverse
+    op = cached_operator(ReconstructionConfig(epsilon=eps, eta=0.05, n=8, d=1000))
+    assert op.B == 0
+    assert norm_bounds(op) == (1.0, 1.0)
+
+
 def test_norm_bounds_signal_bad_denominator():
-    # B = 0 at small epsilon makes e^eps - e^-eps - 4 negative
+    # B = 0 at small epsilon makes 1 - e^-2eps - 4 e^-eps negative
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=8, d=100, B=0)
     op = build_operator(cfg)
     with pytest.raises(ValueError, match="bound undefined"):

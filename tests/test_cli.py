@@ -332,6 +332,44 @@ def test_eval_empty_d_list_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_eval_d_list_above_cap_exits_2_before_any_histogram(tmp_path, capsys, monkeypatch):
+    # a d of 1e12 would allocate 7.28 TiB; every d is checked before the
+    # first cell is built
+    from dpprofile import evaluation
+
+    def refuse(spec):
+        raise AssertionError(f"built a histogram of d={spec.d}")
+
+    monkeypatch.setattr(evaluation, "_synth_counts", refuse)
+    out = tmp_path / "e.csv"
+    code = main(["eval", "--dist", "zipf:1.1", "--d-list", "2000,1000000000000,4000",
+                 "--n", "64", "--epsilon", "1", "--eta", "0.05", "--trials", "2",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --d-list: domain size 1000000000000 is above the largest supported 100000000")
+    assert not out.exists() and not (tmp_path / "e.csv.tmp").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilon", ["800", "1e308"])
+def test_eval_and_innerprod_accept_huge_epsilon(tmp_path, epsilon):
+    # e^eps overflows past eps ~ 709.8; the counts' noise is then nil, and
+    # Bob's output noise has scale 18 bound_1_inf / eps, so both commands
+    # must come out exact or nearly, without an error or a warning
+    out = tmp_path / "e.csv"
+    assert main(["eval", "--dist", "zipf:1.1", "--d-list", "1000,2000", "--n", "8",
+                 "--epsilon", epsilon, "--eta", "0.1", "--trials", "2",
+                 "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 12 and all(float(r[6]) < 1e-12 for r in rows)
+    out = tmp_path / "i.csv"
+    assert main(["innerprod", "--d", "1000", "--epsilon", epsilon, "--trials", "3",
+                 "--output", str(out)]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        assert float(line.split(",")[4]) < 1.0
+
+
 def test_eval_fit_appends_slopes(tmp_path):
     out = str(tmp_path / "eval.csv")
     res = run_cli("eval", "--dist", "point_mass:1",
@@ -391,6 +429,15 @@ def test_innerprod_small_d_exits_2(tmp_path):
     res = run_cli("innerprod", "--d", "8", "--epsilon", "1",
                   "--trials", "1", "--output", str(tmp_path / "x.csv"))
     assert res.returncode == 2
+
+
+def test_innerprod_d_past_int64_exits_2_naming_d(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["innerprod", "--d", str(2**63), "--epsilon", "1", "--trials", "1",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --d must lie in [16, 2**63 - 1]")
+    assert not out.exists() and not (tmp_path / "x.csv.tmp").exists()
 
 
 # --- runtime dependencies ---------------------------------------------------------

@@ -1,13 +1,14 @@
 """Property-based fuzz of flag values and input files, through `cli.main` in process.
 
-`sketch --epsilon/--n` and `reconstruct --eta` are drawn from the values
-that break parsing and sizing: NaN, the infinities, zero, negatives,
-subnormals, epsilons around the smallest one the sampler supports, and
-integers up to 1e20.  Histogram and delta files, and sketch JSON mutated
-from a valid sketch, are drawn as described further down.  Whatever the
-input, a command must exit 0 with an output that parses, or 2 with no
-output and no `.tmp` file; never 1.  The examples are derandomized, so
-every run draws the same ones.
+`sketch --epsilon/--n`, `reconstruct --eta` and the flags of `eval` and
+`innerprod` are drawn from the values that break parsing and sizing: NaN,
+the infinities, zero, negatives, subnormals, epsilons around the smallest
+one the sampler supports and past the largest whose exponential is finite,
+integers up to 1e20, and domain sizes past the supported cap or past int64.
+Histogram and delta files, and sketch JSON mutated from a valid sketch, are
+drawn as described further down.  Whatever the input, a command must exit 0
+with an output that parses, or 2 with no output and no `.tmp` file; never 1.
+The examples are derandomized, so every run draws the same ones.
 """
 
 import io
@@ -23,6 +24,7 @@ from dpprofile.mechanism import _MIN_EPSILON
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 FILE_FUZZ = settings(derandomize=True, max_examples=100, deadline=None)
+FUZZ_EVAL = settings(derandomize=True, max_examples=100, deadline=None)
 
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-300",
@@ -99,6 +101,90 @@ def test_reconstruct_eta_values_fail_closed(eta, epsilon):
         assert [int(row.split(",")[0]) for row in rows] == list(range(51))
         assert all(math.isfinite(v) for v in values)
         assert abs(sum(values) - 1.0) < 1e-9
+
+
+# eval and innerprod: a valid set of flags with one or two of them replaced.
+# Domain sizes are small, or past what may be allocated (eval's cap of 1e8)
+# or drawn (int64), so no example builds a large array.
+EPSILONS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300",
+                     "709.7", "710", "800", "1e308", "1.7976931348623157e308"]),
+    st.floats(7e-18, 3e-17).map(repr),  # a noise bound past the window cap
+    st.floats(0.05, 60.0).map(repr),
+    st.floats(60.0, 1e308).map(repr),  # huge finite: e^eps overflows past ~709.8
+)
+PAST_CAP = st.sampled_from([10**8 + 1, 10**12, 2**63 - 1, 2**63, 10**30])
+SMALL_TRIALS = st.integers(-1, 3).map(str)
+EVAL_FLAGS = {
+    "--dist": (st.sampled_from(["uniform", "point_mass:1", "zipf:-1", "other"]), "zipf:1.1"),
+    "--d-list": (st.lists(st.one_of(st.integers(-2, 3000), PAST_CAP), max_size=3)
+                 .map(lambda ds: ",".join(map(str, ds))), "200,400"),
+    "--n": (st.integers(-1, 40).map(str), "16"),
+    "--epsilon": (EPSILONS, "2"),
+    "--eta": (st.sampled_from(["0.3", "0", "1", "nan", "1e-320"]), "0.1"),
+    "--trials": (SMALL_TRIALS, "2"),
+}
+INNERPROD_FLAGS = {
+    "--d": (st.one_of(st.integers(-2, 3000), PAST_CAP).map(str), "1000"),
+    "--epsilon": (EPSILONS, "1"),
+    "--trials": (SMALL_TRIALS, "2"),
+}
+
+
+def drawn_flags(data, table, replaced) -> dict:
+    flags = {flag: valid for flag, (_, valid) in table.items()}
+    for flag in replaced:
+        flags[flag] = data.draw(table[flag][0], label=flag)
+    return flags
+
+
+@FUZZ_EVAL
+@given(data=st.data(), replaced=st.lists(st.sampled_from(sorted(EVAL_FLAGS)),
+                                         max_size=2, unique=True))
+def test_eval_flag_values_fail_closed(data, replaced):
+    flags = drawn_flags(data, EVAL_FLAGS, replaced)
+    with tempfile.TemporaryDirectory() as folder:
+        out = os.path.join(folder, "eval.csv")
+        argv = [f"{flag}={value}" for flag, value in flags.items()]
+        code = run(["eval", *argv, "--output", out, "--seed", "3"])
+        assert code in (0, 2)
+        if code == 2:
+            assert outputs(folder, []) == []
+            return
+        assert outputs(folder, []) == ["eval.csv"]
+        with open(out) as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == "d,n,epsilon,eta,trial,p,err,bound,seconds"
+        cells = [tok for tok in flags["--d-list"].split(",") if tok]
+        assert len(rows) == 3 * len(cells) * int(flags["--trials"])
+        for row in rows:
+            err, bound = map(float, row.split(",")[6:8])
+            assert math.isfinite(err) and math.isfinite(bound)
+
+
+@FUZZ_EVAL
+@given(data=st.data(), replaced=st.lists(st.sampled_from(sorted(INNERPROD_FLAGS)),
+                                         max_size=2, unique=True))
+def test_innerprod_flag_values_fail_closed(data, replaced):
+    flags = drawn_flags(data, INNERPROD_FLAGS, replaced)
+    with tempfile.TemporaryDirectory() as folder:
+        out = os.path.join(folder, "ip.csv")
+        argv = [f"{flag}={value}" for flag, value in flags.items()]
+        code = run(["innerprod", *argv, "--output", out, "--seed", "3"])
+        assert code in (0, 2)
+        if code == 2:
+            assert outputs(folder, []) == []
+            return
+        assert outputs(folder, []) == ["ip.csv"]
+        with open(out) as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == "d,trial,true_ip,m_b,abs_error,delta"
+        assert len(rows) == int(flags["--trials"])
+        d = int(flags["--d"])
+        for row in rows:
+            true_ip, m_b = int(row.split(",")[2]), float(row.split(",")[3])
+            assert (true_ip - d) % 2 == 0 and abs(true_ip) <= d
+            assert math.isfinite(m_b)
 
 
 # --- file contents ------------------------------------------------------------

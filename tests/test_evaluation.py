@@ -254,6 +254,31 @@ def test_per_item_route_privatizes_once_per_trial(monkeypatch):
     assert len(calls) == 3
 
 
+def test_only_the_per_item_route_shuffles_the_histogram(monkeypatch):
+    # the shuffle leaves the binned counts as they are, so a class-route cell
+    # bins the counts as drawn and never orders them
+    shuffled = []
+    shuffle = evaluation._shuffle
+
+    def spy(spec, counts):
+        shuffled.append(spec.d)
+        shuffle(spec, counts)
+
+    monkeypatch.setattr(evaluation, "_shuffle", spy)
+    grid = [
+        (SynthSpec("zipf", d=d, n=n, seed=3, param=1.1),
+         ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d))
+        for d, n in ((10**4, 32), (2000, 1000))  # class route, then per item
+    ]
+    cells = [evaluation._prepare_cell(spec, cfg) for spec, cfg in grid]
+    assert [cell.pmf is not None for cell in cells] == [True, False]
+    assert shuffled == [2000]
+    # the per-item cell holds the very histogram synth_histogram gives
+    assert cells[1].h.counts.tolist() == synth_histogram(grid[1][0]).counts.tolist()
+    for (spec, _), cell in zip(grid, cells):
+        assert cell.f.values.tolist() == true_profile(synth_histogram(spec)).values.tolist()
+
+
 def test_per_item_route_replays_the_per_item_pipeline():
     # the trial body of the per-item route, written out: seeded rows on this
     # route are those of an eval that privatizes every trial

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ def test_update_rejects_int64_overflow(count, delta):
         update(s, np.array([0, delta]))
 
 
+def test_update_rejects_fractional_deltas():
+    s = PrivateSketch(counts=np.array([1, 2]), epsilon=1.0, n=4, clipped=False)
+    with pytest.raises(ValueError, match="delta must be integers .* got 0.6"):
+        update(s, [0.6, 0.4])
+    for bad in ([float("nan"), 0.0], [1e30, 0.0]):
+        with pytest.raises(ValueError, match="delta must be integers"):
+            update(s, bad)
+    assert update(s, [1.0, -2.0]).counts.tolist() == [2, 0]  # whole floats are kept
+
+
 def test_update_accepts_sums_at_the_int64_limits():
     top, bottom = 2**63 - 1, -(2**63)
     s = PrivateSketch(counts=np.array([5, -5, top, bottom]), epsilon=1.0, n=4, clipped=False)
@@ -343,6 +354,16 @@ def test_window_pmf_rejects_counts_outside_0_n():
         window_pmf([0], float("nan"), 6, 2)
 
 
+def test_window_pmf_at_huge_epsilon_is_the_identity_without_warnings():
+    # q = e^-eps is 0: each count bins to itself, and the exponents' overflow
+    # to -inf is the intended limit, so nothing is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epsilon in (800.0, 1e308):
+            pmf = window_pmf([0, 2, 4], epsilon, 4, 0)
+            assert pmf.tolist() == np.eye(5)[[0, 2, 4]].tolist()
+
+
 # --- configuration --------------------------------------------------------
 
 def test_truncation_radius_reference_values():
@@ -425,6 +446,27 @@ def test_config_validation():
         ReconstructionConfig(epsilon=1.0, eta=1.5, n=4, d=10)
     with pytest.raises(ValueError):
         ReconstructionConfig(epsilon=1.0, eta=0.05, n=8, d=10, B=2, p_norm="l3")
+
+
+def test_histogram_rejects_fractional_counts():
+    with pytest.raises(ValueError, match="histogram counts must be integers .* got 1.5"):
+        Histogram(counts=[1.5, 2.9], n=4)
+    for bad in ([float("nan")], [1e30], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="histogram counts must be integers"):
+            Histogram(counts=bad, n=4)
+    assert Histogram(counts=[1.0, 2.0], n=4).counts.tolist() == [1, 2]
+    counts = np.array([1, 2])
+    assert Histogram(counts=counts, n=4).counts is counts  # int64 is taken as it is
+
+
+def test_sketch_rejects_fractional_counts():
+    with pytest.raises(ValueError, match="sketch counts must be integers .* got 1.5"):
+        PrivateSketch(counts=[1.5, 2.9], epsilon=1.0, n=4, clipped=False)
+    with pytest.raises(ValueError, match="sketch counts must be integers"):
+        PrivateSketch(counts=[float("nan"), 1.0], epsilon=1.0, n=4, clipped=True)
+    s = PrivateSketch(counts=np.array([-3, 7], dtype=np.int32), epsilon=1.0, n=4,
+                      clipped=False)
+    assert s.counts.dtype == np.int64 and s.counts.tolist() == [-3, 7]
 
 
 def test_histogram_validation():

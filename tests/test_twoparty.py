@@ -1,5 +1,7 @@
 """Tests for the two-party inner-product protocol."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ def test_party_vector_validation():
         PartyVector(bits=np.array([1, 0, -1]))
     with pytest.raises(ValueError):
         PartyVector(bits=np.array([], dtype=np.int64))
+
+
+def test_party_vector_rejects_fractional_entries():
+    with pytest.raises(ValueError, match="party vector entries must be integers .* got 1.7"):
+        PartyVector(bits=[1.7, -1.2])
+    with pytest.raises(ValueError, match="party vector entries must be integers"):
+        PartyVector(bits=[float("nan"), 1.0])
+    assert PartyVector(bits=[1.0, -1.0]).bits.tolist() == [1, -1]
 
 
 def test_inner_product_identity_on_exact_histogram():
@@ -144,6 +154,91 @@ def test_run_protocol_deterministic_and_parity():
 def test_run_protocol_rejects_small_d():
     with pytest.raises(ValueError):
         run_protocol(d=8, epsilon=1.0, trials=1, master_seed=0)
+    with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+        run_protocol(d=2**63, epsilon=1.0, trials=1, master_seed=0)
+
+
+def per_party_trials(d, epsilon, trials, seed):
+    """The protocol run party by party: fresh sign vectors, Alice's message,
+    Bob's estimate."""
+    delta = sensitivity_bound(cached_operator(protocol_config(epsilon, d)), d)
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(trials):
+        x, y = random_party(d, rng), random_party(d, rng)
+        m_a = alice_message(x, epsilon, rng)
+        results.append(bob_estimate(m_a, y, epsilon, delta, rng, x_for_truth=x))
+    return results
+
+
+def sd_with_error(v):
+    """Sample standard deviation and its delta-method standard error."""
+    v = np.asarray(v, dtype=np.float64)
+    var = v.var(ddof=1)
+    fourth = np.mean((v - v.mean()) ** 4)
+    return math.sqrt(var), math.sqrt(max(fourth - var**2, 0.0) / len(v)) / (2 * math.sqrt(var))
+
+
+def test_run_protocol_follows_the_per_party_law():
+    # run_protocol draws each trial from its sufficient statistic; the
+    # error m_b - true_ip and the inner product itself must have the law of
+    # the protocol run item by item
+    d, epsilon, trials = 256, 1.0, 2000
+    routes = {
+        "class": run_protocol(d=d, epsilon=epsilon, trials=trials, master_seed=17),
+        "per_party": per_party_trials(d, epsilon, trials, seed=18),
+    }
+    stats = {}
+    for name, results in routes.items():
+        err = np.array([r.m_b - r.true_ip for r in results])
+        ip = np.array([r.true_ip for r in results], dtype=np.float64)
+        err_sd, err_sd_se = sd_with_error(err)
+        ip_var = ip.var(ddof=1)
+        ip_var_se = math.sqrt(np.mean((ip - ip.mean()) ** 4) - ip_var**2) / math.sqrt(trials)
+        stats[name] = {
+            "err_mean": (err.mean(), err.std(ddof=1) / math.sqrt(trials)),
+            "err_sd": (err_sd, err_sd_se),
+            "ip_mean": (ip.mean(), ip.std(ddof=1) / math.sqrt(trials)),
+            "ip_var": (ip_var, ip_var_se),
+        }
+    for key in stats["class"]:
+        (a, se_a), (b, se_b) = stats["class"][key], stats["per_party"][key]
+        assert abs(a - b) <= 4 * math.hypot(se_a, se_b), (key, a, b)
+    # the inner product of two uniform sign vectors has mean 0 and variance d
+    assert stats["class"]["ip_var"][0] == pytest.approx(d, rel=0.15)
+
+
+def test_published_noise_has_the_stated_scale():
+    # at epsilon 50 the counts' noise is nil and the reconstruction exact,
+    # so m_b - true_ip is d * 3 delta Lap(1/epsilon) alone: Laplace(1) once
+    # divided by its scale, with mean 0 and variance 2 (sd of the sample
+    # variance sqrt(20 / trials))
+    d, epsilon, trials = 1000, 50.0, 2000
+    results = run_protocol(d=d, epsilon=epsilon, trials=trials, master_seed=23)
+    scale = 3.0 * results[0].delta_used * d / epsilon
+    z = np.array([(r.m_b - r.true_ip) / scale for r in results])
+    assert abs(z.mean()) <= 4 * math.sqrt(2 / trials)
+    assert abs(z.var() - 2.0) <= 4 * math.sqrt(20 / trials)
+
+
+def test_run_protocol_does_no_work_of_length_d():
+    # a trial costs O(m): d = 1e12 sign vectors would need terabytes
+    d = 10**12
+    for r in run_protocol(d=d, epsilon=1.0, trials=2, master_seed=4):
+        assert (r.true_ip - d) % 2 == 0 and abs(r.true_ip) <= d
+        assert r.abs_error == abs(r.m_b - r.true_ip)
+
+
+def test_run_protocol_forms_no_party_message(monkeypatch):
+    import dpprofile.twoparty as twoparty
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_protocol went item by item")
+
+    monkeypatch.setattr(twoparty, "alice_message", refuse)
+    monkeypatch.setattr(twoparty, "privatize", refuse)
+    monkeypatch.setattr(twoparty, "update", refuse)
+    assert len(run_protocol(d=1000, epsilon=1.0, trials=3, master_seed=2)) == 3
 
 
 def test_protocol_error_sublinear_in_d():
