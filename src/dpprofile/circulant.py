@@ -23,11 +23,11 @@ dozen clusters at offsets near 0, +-B, +-2B, ..., each a few dozen taps
 wide.  So nnz does not grow with 1/eps, while the half-width w, which
 spans the clusters, grows like B.  Taps below the noise floor are zeroed.
 When the analytic spectrum floor proves every eigenvalue, the taps are read
-off the inverse on a small ring, where the wrapped-around tails are far
-below roundoff, so the build does no work that grows with m.  Otherwise, or
-when the taps would span the whole window (only at small m), the window's
-spectrum is checked and its own inverse column is used whole, which is
-exact.  An eigenvalue below the floor of invertibility fails the build
+off the inverse on a small ring that is still longer than the kernel, where
+the wrapped-around tails are far below roundoff, so the build does no work
+that grows with m.  Otherwise, or when the taps would span the whole window
+(only at small m), the window's spectrum is checked and its own inverse
+column is used whole, which is exact.  An eigenvalue below the floor of invertibility fails the build
 before any of that length-m work when it is the mode nearest theta = pi or,
 on a window whose n is small (64 n^2 <= m), the least mode, which a search
 whose cost does not grow with m finds.
@@ -65,7 +65,8 @@ _TAP_FLOOR = 1e-15
 # Modes per step of the coarse-to-fine search for the least eigenvalue.
 _SEARCH_POINTS = 64
 
-# Smallest ring tried for the inverse taps; rings double from here.
+# Smallest ring tried for the inverse taps; rings double from here, or from
+# the least power of two longer than the kernel's 2B + 1 taps.
 _FIRST_RING = 64
 
 # Outputs per block of the cyclic product: a block's accumulator, its pair
@@ -163,18 +164,21 @@ def spectrum_floor(epsilon: float, B: int) -> float:
 def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
     """Centred taps of A^{-1}, exactly symmetric and zero below the tap floor.
 
-    This is the one place the spectrum is checked.  On a ring of any size
-    the inverse column is the line kernel summed over its wrap-arounds, so
-    once the trimmed taps fill at most a quarter of a small ring, the
-    wrapped tails are below the tap floor and the ring's taps are the
-    window's.  Rings double from a small one only when the
-    analytic floor proves every eigenvalue; otherwise, or when the rings
-    reach m, the window's spectrum is checked and its column used whole.
+    This is the one place the spectrum is checked.  On a ring longer than
+    the kernel's 2B + 1 taps, the inverse column is the line kernel summed
+    over its wrap-arounds, so once the trimmed taps fill at most a quarter
+    of such a ring, the wrapped tails are below the tap floor and the ring's
+    taps are the window's.  Rings double from the least power of two longer
+    than the kernel only when the analytic floor proves every eigenvalue;
+    otherwise, or when the rings reach m, the window's spectrum is checked
+    and its column used whole.
     """
     epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
     floor = spectrum_floor(epsilon, B)
     if floor >= MIN_EIGENVALUE:
-        ring = _FIRST_RING
+        # a ring no longer than the kernel wraps the kernel onto itself, and
+        # the inverse on it is then not the window's
+        ring = max(_FIRST_RING, 1 << (2 * B + 1).bit_length())
     else:
         # the spectrum's minimum lies near theta = pi, where the denominator
         # of the closed form peaks: when the mode nearest pi, or the least
@@ -269,8 +273,9 @@ def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
     )
 
 
-def _cyclic_product(op: CirculantOperator, taps: np.ndarray, x) -> np.ndarray:
-    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for symmetric centred taps.
+def _cyclic_product(taps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for symmetric centred taps
+    and a float64 vector x of any length m.
 
     Symmetric taps fold offsets +-u into t_u (x[i-u] + x[i+u]), and only
     offsets with a nonzero tap are visited, so the cost is O(m nnz).
@@ -281,10 +286,7 @@ def _cyclic_product(op: CirculantOperator, taps: np.ndarray, x) -> np.ndarray:
     operand range, wrap-extended by w, so every shifted operand is a plain
     slice and no copy of x of the window's length is made.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m = op.m
-    if x.shape != (m,):
-        raise ValueError(f"vector has shape {x.shape}, operator expects ({m},)")
+    m = len(x)
     w = len(taps) // 2
     offsets = np.flatnonzero(taps[w + 1 :]) + 1
     pairs = list(zip(offsets.tolist(), taps[w + offsets].tolist()))
@@ -306,14 +308,21 @@ def _cyclic_product(op: CirculantOperator, taps: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def _operand(op: CirculantOperator, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (op.m,):
+        raise ValueError(f"vector has shape {x.shape}, operator expects ({op.m},)")
+    return x
+
+
 def apply(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
     """A @ x."""
-    return _cyclic_product(op, op._fwd_taps, x)
+    return _cyclic_product(op._fwd_taps, _operand(op, x))
 
 
 def apply_inverse(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
     """A^{-1} @ x; since A is symmetric, also x^T A^{-1}."""
-    return _cyclic_product(op, op._inv_taps, x)
+    return _cyclic_product(op._inv_taps, _operand(op, x))
 
 
 def norm_bounds(op: CirculantOperator) -> NormBounds:

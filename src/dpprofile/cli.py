@@ -129,6 +129,13 @@ def cmd_eval(args) -> None:
         raise ValueError(f"--d-list must be comma-separated integers, got {args.d_list!r}")
     if not d_list:
         raise ValueError("--d-list is empty")
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if not 0 < args.eta < 1:
+        raise ValueError(f"--eta must lie in (0, 1), got {args.eta!r}")
+    too_small = [d for d in d_list if d < 1]
+    if too_small:
+        raise ValueError(f"--d-list: domain size {too_small[0]} must be >= 1")
     # every cell holds a d-length histogram; refuse before any is built
     too_large = [d for d in d_list if d > mechanism.MAX_WINDOW]
     if too_large:

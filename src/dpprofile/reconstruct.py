@@ -3,18 +3,24 @@
 Two stages. Fast inversion solves the sum-constrained relaxation of the
 deconvolution problem exactly: it inverts the circulant operator on the
 empirical profile and then restores the unit-sum constraint by moving along
-the single direction that is cheapest in the chosen norm.  Rounding then
-projects the relaxed solution into the feasible polytope (entries in [0, 1]
-on the count window, zero outside, total mass one) without amplifying the
-l1/l2 error and at most doubling the linf error.  Its last phase is a
-Euclidean projection onto the simplex, solved without sorting in expected
-linear time.
+the single direction that is cheapest in the chosen norm.  That is the one
+product of the window's length a reconstruction makes: every row of A sums
+to one, so A^{-1} 1 = 1, and the correction direction is a constant plus a
+part local to the 2B pad entries, built once per operator and norm in work
+that does not grow with n.  Rounding then projects the relaxed solution into
+the feasible polytope (entries in [0, 1] on the count window, zero outside,
+total mass one) without amplifying the l1/l2 error and at most doubling the
+linf error.  Its last phase is a Euclidean projection onto the simplex,
+solved without a full sort: a strided sample brackets the threshold, and
+one pass over the window leaves only the entries inside the bracket to
+solve exactly.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +49,21 @@ __all__ = [
 _SUM_TOL = 1e-9
 
 # Operators kept for reuse (unit-sum corrections: three norms per operator).
-# At m ~ 1e6 an operator holds under 2 KB of taps and a correction 8 MB.
+# An operator holds its taps and a correction about 2B + 4w entries around
+# the pad (w the inverse taps' half-width): a few KB each at m ~ 1e6 and
+# eps >= 0.5, whatever n is.
 _CACHE_SIZE = 8
 
 # Michelot passes in threshold_tau before it sorts the entries still active.
 # Relaxed solutions at n = d = 1e6 and eps 0.5-2 take 2-5 passes.
 _MAX_PASSES = 8
+
+# The drain threshold is first solved on every _SAMPLE_STRIDE-th entry; the
+# bracket then spans _BRACKET_SPREAD sqrt(k) ranks of that k-entry sample on
+# either side of the sample's threshold, several standard deviations of a
+# sample quantile's rank.
+_SAMPLE_STRIDE = 64
+_BRACKET_SPREAD = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,7 @@ class RelaxedSolution:
     n: int
     B: int
     objective_norm: str
+    core_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -97,6 +113,7 @@ class RelaxedSolution:
                 f"relaxed solution core sums to {core_sum}, must be 1"
             )
         values.flags.writeable = False
+        object.__setattr__(self, "core_sum", core_sum)
 
     def core(self) -> np.ndarray:
         """The slice covering counts 0..n."""
@@ -125,29 +142,118 @@ def direction_vector(c: np.ndarray, p: str) -> np.ndarray:
     raise ValueError(f"unknown norm selector {p!r}")
 
 
-@functools.lru_cache(maxsize=3 * _CACHE_SIZE)
-def _correction_direction(op: CirculantOperator, p: str) -> tuple[np.ndarray, float]:
-    """The unit-sum correction for (operator, norm): (A^{-1} a, <1, A^{-1} a>).
+class _Correction:
+    """A vector on the ring of length m: alpha everywhere, plus local[j] at
+    ring index (start + j) mod m.  Shared through the cache, so read-only.
 
-    The window image c = 1^T A^{-1} (= A^{-1} 1, as A is symmetric) and the
-    optimal direction a depend only on the operator and the norm, never on
-    the data, so they are computed once per pair and memoized.
+    A plain class, not a dataclass: a dataclass costs about 2 ms to create,
+    and every process that reconstructs imports this module once.
     """
-    ones = np.zeros(op.m)
-    ones[op.B : op.B + op.n + 1] = 1.0
-    # the window sits centred in the ring and the product is mirror-exact,
-    # so c mirrors about the window centre bit for bit, and the l1
-    # direction's tie between the two window edges resolves by index (the
-    # lowest) instead of by roundoff
-    c = circulant.apply_inverse(op, ones)
-    a = direction_vector(c, p)
-    correction = circulant.apply_inverse(op, a)
-    denom = float(correction[op.B : op.B + op.n + 1].sum())
+
+    def __init__(self, m: int, alpha: float, start: int, local: np.ndarray):
+        self.m, self.alpha, self.local = m, alpha, local
+        self.indices = _ring_indices(m, start, len(local))
+        local.flags.writeable = self.indices.flags.writeable = False
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.full(self.m, self.alpha)
+        dense[self.indices] += self.local
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def _ring_indices(m: int, start: int, length: int) -> np.ndarray:
+    return (start + np.arange(length)) % m
+
+
+def _local_image(op: CirculantOperator, start: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """A^{-1} applied to x at ring indices start, start + 1, ...: its image
+    (start', values), w entries wider on each side in O(len(x) nnz).
+
+    Padded with w zeros on each side, x fills a ring on which no tap wraps
+    an entry of x onto another, so the cyclic product there is the linear
+    one.  An image longer than the window's ring is folded onto its indices
+    0..m-1; that adds at most two entries, which commute, so the image of
+    an x mirrored about the pad centre is an exact mirror too.
+    """
+    m, taps = op.m, op._inv_taps
+    w = len(taps) // 2
+    padded = np.zeros(len(x) + 2 * w)
+    padded[w : w + len(x)] = x
+    image = circulant._cyclic_product(taps, padded)
+    if len(image) <= m:
+        return (start - w) % m, image
+    return 0, np.bincount(_ring_indices(m, start - w, len(image)), weights=image, minlength=m)
+
+
+def _window_image(op: CirculantOperator, unit: float) -> tuple[int, np.ndarray]:
+    """c = A^{-1} 1_window near the pad: (start, c on the arc from start).
+
+    c = A^{-1} 1 - A^{-1} 1_pad, so c is `unit` (A^{-1} 1) wherever no tap
+    reaches the 2B pad entries, and the arc is the pad widened by the taps'
+    half-width w on both sides, or the whole ring when that covers it.
+    Either way the arc is centred on the pad, so reversing it mirrors it
+    about the window centre; the operands of both products below are
+    mirror-symmetric and the product is mirror-exact, so c is an exact
+    mirror too.  Window-side entries are `unit` minus their sum over the
+    pad-side taps, and pad-side entries their sum over the window-side taps,
+    so an entry that no tap reaches is exactly `unit` or exactly 0.
+    """
+    m, B, taps = op.m, op.B, op._inv_taps
+    w = len(taps) // 2
+    start, from_pad = _local_image(op, -B, np.ones(2 * B))
+    c = unit - from_pad
+    # pad entries: the window's entries within w of the pad, on the pad
+    # widened by w each side; no tap from the middle 2B entries of that
+    # range reaches past its ends, so its cyclic product there is linear
+    ring = _ring_indices(m, -(B + w), 2 * (B + w))
+    window = ((ring >= B) & (ring <= B + op.n)).astype(np.float64)
+    c[(ring[w : w + 2 * B] - start) % m] = circulant._cyclic_product(taps, window)[w : w + 2 * B]
+    return start, c
+
+
+@functools.lru_cache(maxsize=3 * _CACHE_SIZE)
+def _correction_direction(op: CirculantOperator, p: str) -> tuple[_Correction, float]:
+    """The unit-sum correction for (operator, norm): (A^{-1} a, <1_window, A^{-1} a>).
+
+    The window image c = 1_window^T A^{-1} (= A^{-1} 1_window, as A is
+    symmetric) and the optimal direction a = direction_vector(c, p) depend
+    only on the operator and the norm, never on the data, so they are
+    computed once per pair and memoized.  Every row of A sums to one, so
+    A^{-1} 1 = 1: c is constant away from the pad, and a and A^{-1} a are
+    each a constant plus a part local to the pad (l2: c / ||c||; linf:
+    sign(c) = 1 - 2 [c < 0]) or local alone (l1: e_t at the largest |c_t|).
+    So each is built as its constant and its local part, in work that does
+    not grow with n.  The stored taps sum to 1 up to the tap floor, and
+    their sum stands for A^{-1} 1, so the correction is the stored
+    operator's own image.  The local parts of c and of the l2 and linf
+    images are exactly mirror-symmetric, so the l1 direction's tie between
+    the two window edges resolves by ring index (the lowest) instead of by
+    roundoff.
+    """
+    m, taps = op.m, op._inv_taps
+    unit = float(taps.sum())
+    start, c = _window_image(op, unit)
+    if p == "l1":
+        ring, values = _ring_indices(m, start, len(c)), c
+        if len(c) < m:  # the lowest ring index where c is constant
+            ring, values = np.append(ring, (start + len(c)) % m), np.append(c, unit)
+        j = np.lexsort((ring, -np.abs(values)))[0]  # largest |c|, lowest index
+        sign = 1.0 if values[j] >= 0 else -1.0
+        correction = _Correction(m, 0.0, *_local_image(op, int(ring[j]), np.array([sign])))
+    elif p == "l2":
+        norm = math.sqrt(float(np.sum(np.square(c))) + (m - len(c)) * unit**2)
+        correction = _Correction(m, unit * unit / norm, *_local_image(op, start, (c - unit) / norm))
+    elif p == "linf":
+        correction = _Correction(m, unit, *_local_image(op, start, np.where(c < 0, -2.0, 0.0)))
+    else:
+        raise ValueError(f"unknown norm selector {p!r}")
+    ring = correction.indices
+    in_window = (ring >= op.B) & (ring <= op.B + op.n)
+    denom = correction.alpha * (op.n + 1) + float(correction.local[in_window].sum())
     if abs(denom) < 1e-300:
         raise ArithmeticError(
             "degenerate correction direction; operator spectrum is broken"
         )
-    correction.flags.writeable = False
     return correction, denom
 
 
@@ -159,13 +265,18 @@ def fast_inversion(
     Computes u = A^{-1} f, then corrects the unit-sum violation along
     A^{-1} a, where a is the unit-norm direction whose image has the largest
     window sum.  The returned vector satisfies the sum constraint exactly and
-    attains the minimum residual among all vectors that do.
+    attains the minimum residual among all vectors that do.  The correction
+    is a constant plus a part local to the pad, so it is subtracted in place
+    as the two.
     """
     f = f_tilde.values if isinstance(f_tilde, EmpiricalProfile) else f_tilde
     u = circulant.apply_inverse(op, f)  # rejects a vector of the wrong shape
     correction, denom = _correction_direction(op, p)
     window_sum = float(u[op.B : op.B + op.n + 1].sum())
-    u -= ((window_sum - 1.0) / denom) * correction
+    step = (window_sum - 1.0) / denom
+    if correction.alpha:
+        u -= step * correction.alpha
+    u[correction.indices] -= step * correction.local
     return RelaxedSolution(values=u, n=op.n, B=op.B, objective_norm=p)
 
 
@@ -173,9 +284,12 @@ def threshold_tau(r: np.ndarray, s: float) -> float:
     """Solve sum_t min(tau, r[t]) = s for tau >= 0, in expected linear time.
 
     Equivalently sum_t max(r[t] - tau, 0) = sum r - s: tau is the threshold
-    of the Euclidean projection of r onto a scaled simplex, found by
-    Michelot's fixed point (J. Optim. Theory Appl. 1986) with a bounded
-    number of passes and a sort of the remaining entries as the fallback.
+    of the Euclidean projection of r onto a scaled simplex.  It is bracketed
+    from a strided sample and solved exactly on the entries inside the
+    bracket; when the bracket misses or r is too short to bracket,
+    Michelot's fixed point (J. Optim. Theory Appl. 1986), with a bounded
+    number of passes and a sort of the remaining entries as its fallback,
+    solves the whole problem.
     """
     r = np.asarray(r, dtype=np.float64)
     total = float(r.sum())
@@ -185,7 +299,41 @@ def threshold_tau(r: np.ndarray, s: float) -> float:
         return 0.0
     if not len(r):  # an s within the tolerance of the empty sum
         return s
-    return _drain_threshold(r, s, total)[0]
+    return _bracket_threshold(r, s, total)
+
+
+def _bracket_threshold(r: np.ndarray, s: float, total: float) -> float:
+    """threshold_tau's tau for s > 0, from a sampled bracket.
+
+    The threshold of every _SAMPLE_STRIDE-th entry, for the target scaled
+    to the sample, sits at some rank j of the k sorted sample entries; the
+    sample entries _BRACKET_SPREAD sqrt(k) ranks below and above j bracket
+    tau as [lo, hi] (the sampling idea of Floyd & Rivest, CACM 1975, applied
+    to the breakpoints as in Kiwiel, Math. Program. 2008).  One pass over r
+    then counts the entries above lo and above hi and the drained mass at
+    lo, and compacts only the entries inside the bracket, which are solved
+    exactly.  When s is not between the drained masses at lo and hi, tau is
+    not in the bracket, and _drain_threshold solves the whole problem, as it
+    does at once for an r so short (under about 320 entries) that the
+    spread spans the whole sample.
+    """
+    k = -(-len(r) // _SAMPLE_STRIDE)
+    spread = _BRACKET_SPREAD * math.isqrt(k) + 1
+    if spread >= k:  # no sample entry can bound tau: the bracket holds all of r
+        return _drain_threshold(r, s, total)[0]
+    sample = np.sort(r[::_SAMPLE_STRIDE])
+    j = int(np.searchsorted(sample, _sorted_threshold(sample, s * k / len(r))))
+    lo = float(sample[j - spread]) if j >= spread else 0.0
+    hi = float(sample[j + spread]) if j + spread < k else math.inf
+    above_lo, above_hi = r > lo, r > hi
+    n_hi = int(np.count_nonzero(above_hi))
+    inside = r[above_lo ^ above_hi]  # lo < r <= hi
+    drained_lo = float(np.minimum(r, lo).sum())
+    below = drained_lo - (len(inside) + n_hi) * lo  # the mass of the entries <= lo
+    drained_hi = below + float(inside.sum()) + (n_hi * hi if n_hi else 0.0)
+    if not (drained_lo <= s <= drained_hi and (len(inside) or n_hi)):
+        return _drain_threshold(r, s, total)[0]
+    return _sorted_threshold(inside, s - below, above=n_hi)
 
 
 def _drain_threshold(r: np.ndarray, s: float, total: float) -> tuple[float, int]:
@@ -210,20 +358,23 @@ def _drain_threshold(r: np.ndarray, s: float, total: float) -> tuple[float, int]
     return _sorted_threshold(active, s - (total - active_sum)), _MAX_PASSES
 
 
-def _sorted_threshold(r: np.ndarray, s: float) -> float:
+def _sorted_threshold(r: np.ndarray, s: float, above: int = 0) -> float:
     """threshold_tau by sorting: O(k log k) for k entries.
 
+    `above` more entries are known to lie above tau, so each drains tau.
     On the sorted values the drained mass is piecewise linear in tau; the
     smallest sorted position whose plateau reaches s pins the linear piece,
-    and tau follows in closed form.
+    and tau follows in closed form.  When no position reaches s, tau lies
+    above every entry: it is shared by the `above` entries or, without
+    them, taken by the largest entry.
     """
     rs = np.sort(r)
     k = len(rs)
-    prefix = np.concatenate(([0.0], np.cumsum(rs)[:-1]))
-    reach = prefix + (k - np.arange(k)) * rs
+    prefix = np.concatenate(([0.0], np.cumsum(rs)))
+    reach = prefix[:k] + (k + above - np.arange(k)) * rs
     hits = np.flatnonzero(reach >= s)
-    t_star = int(hits[0]) if len(hits) else k - 1
-    tau = (s - float(prefix[t_star])) / (k - t_star)
+    t_star = int(hits[0]) if len(hits) else (k if above else k - 1)
+    tau = (s - float(prefix[t_star])) / (k + above - t_star)
     return max(tau, 0.0)
 
 
@@ -235,22 +386,25 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
     sum(window) of mass, which is provably non-negative.  Phase 3 drains
     exactly s back out of that array, in place, by lowering every entry by
     min(tau, entry) with tau as threshold_tau finds it: this is the Euclidean
-    projection of the clipped window onto the simplex, and it takes linear
-    time in expectation.
+    projection of the clipped window onto the simplex.  tau is solved on a
+    strided sample, then exactly on the entries of the window inside the
+    bracket the sample gives, so the window is read in about two passes
+    beyond the clip; the window's sum is the one the relaxed solution
+    already checked.
     """
     if n != r.n:
         raise ValueError(f"n={n} does not match the relaxed solution (n={r.n})")
     core = r.core()
     clipped = np.clip(core, 0.0, 1.0)
     clipped_sum = float(clipped.sum())
-    s = clipped_sum - float(core.sum())
+    s = clipped_sum - r.core_sum
     if s < -_SUM_TOL:
         raise AssertionError(
             f"clipping surplus {s} is negative; the relaxed input violated "
             "the unit-sum constraint"
         )
     if s > 0:
-        tau = _drain_threshold(clipped, s, clipped_sum)[0]
+        tau = _bracket_threshold(clipped, s, clipped_sum)
         # max(c - tau, 0) is c - min(tau, c) bit for bit
         clipped -= tau
         np.maximum(clipped, 0.0, out=clipped)

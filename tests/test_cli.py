@@ -351,6 +351,26 @@ def test_eval_d_list_above_cap_exits_2_before_any_histogram(tmp_path, capsys, mo
     assert not out.exists() and not (tmp_path / "e.csv.tmp").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "0", "--n must be >= 1, got 0"),
+        ("--n", "-1", "--n must be >= 1, got -1"),
+        ("--eta", "0", "--eta must lie in (0, 1), got 0.0"),
+        ("--eta", "nan", "--eta must lie in (0, 1), got nan"),
+        ("--d-list", "2000,0,4000", "--d-list: domain size 0 must be >= 1"),
+    ],
+)
+def test_eval_refusal_names_the_flag_and_value(tmp_path, capsys, flag, value, message):
+    flags = {"--dist": "zipf:1.1", "--d-list": "2000,4000", "--n": "64", "--epsilon": "1",
+             "--eta": "0.05", "--trials": "2", "--output": str(tmp_path / "e.csv")}
+    flags[flag] = value
+    code = main(["eval", *(tok for item in flags.items() for tok in item)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("epsilon", ["800", "1e308"])
 def test_eval_and_innerprod_accept_huge_epsilon(tmp_path, epsilon):

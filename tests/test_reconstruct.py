@@ -1,5 +1,6 @@
 """Tests for fast inversion, rounding, and the end-to-end reconstruction."""
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +32,13 @@ from dpprofile._util import lp_norm
 from dpprofile.twoparty import protocol_config
 
 from helpers import random_feasible, random_profile
-from oracle import bisection_tau, equality_constrained_ls, dense_operator, iterated_adjustment
+from oracle import (
+    bisection_tau,
+    dense_operator,
+    dense_solve,
+    equality_constrained_ls,
+    iterated_adjustment,
+)
 
 
 def make_cfg(n, B, eps, d=1000, p="l2"):
@@ -224,6 +231,60 @@ def test_threshold_tau_sorts_what_the_capped_passes_leave(monkeypatch, cap):
         capped = threshold_tau(r, s)
         assert abs(capped - tau) <= 1e-12 * max(1.0, tau)
         assert abs(capped - bisection_tau(r, s)) <= 1e-9
+
+
+def wide_relaxed_solutions(seed=4244):
+    """Relaxed l2 solutions at n = d = 1e6 for eps 0.5, 1, 1.5 and 2: one
+    uniform-counts histogram with discrete-Laplace noise drawn as the
+    difference of two geometric variables, as the benchmark's wide_n inputs
+    are drawn from its seed."""
+    n = d = 10**6
+    state = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
+    hist_seed, *noise_seeds = [int(v) >> 1 for v in state]
+    hist = np.random.default_rng(hist_seed).integers(0, n + 1, d)
+    for eps, noise_seed in zip((0.5, 1.0, 1.5, 2.0), noise_seeds):
+        rng = np.random.default_rng(noise_seed)
+        q = 1.0 - math.exp(-eps)
+        counts = hist + rng.geometric(q, d) - rng.geometric(q, d)
+        sketch = PrivateSketch(counts=counts, epsilon=eps, n=n, clipped=False)
+        cfg = ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=d)
+        yield fast_inversion(cached_operator(cfg), empirical_profile(sketch, cfg))
+
+
+def test_bracketed_threshold_agrees_with_sorting_at_scale(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampled bracket missed")
+
+    monkeypatch.setattr(reconstruct, "_drain_threshold", refuse)
+    for relaxed in wide_relaxed_solutions():
+        clipped = np.clip(relaxed.core(), 0.0, 1.0)
+        total = float(clipped.sum())
+        s = total - relaxed.core_sum
+        tau = reconstruct._bracket_threshold(clipped, s, total)
+        assert abs(tau - reconstruct._sorted_threshold(clipped, s)) <= 1e-18
+
+
+@pytest.mark.parametrize("cap", [reconstruct._MAX_PASSES, 1])
+def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch, cap):
+    # the sample reads only every 64th entry; those are spread over [0, 1]
+    # while every other entry is 0.5, so the sample puts tau near 0.55
+    # while the whole array's tau is near 0.4, far outside the bracket
+    r = np.full(64 * 2500, 0.5)
+    r[::64] = np.linspace(0.0, 1.0, 2500)
+    s = 0.4 * len(r)
+    drain = reconstruct._drain_threshold
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return drain(*args)
+
+    monkeypatch.setattr(reconstruct, "_MAX_PASSES", cap)  # 1: the passes sort
+    monkeypatch.setattr(reconstruct, "_drain_threshold", spy)
+    tau = threshold_tau(r, s)
+    assert len(calls) == 1
+    assert tau == drain(r, s, float(r.sum()))[0]
+    assert abs(tau - bisection_tau(r, s)) <= 1e-9
 
 
 @seed(1234)
@@ -445,6 +506,94 @@ def test_window_image_is_exactly_mirror_symmetric(cfg):
     c = circulant.apply_inverse(op, ones)
     assert op.m % 2 == (cfg.n + 1) % 2
     assert np.array_equal(c, c[::-1])
+
+
+def dense_correction(op, p):
+    """The direction a and its image A^{-1} a, through two products of the
+    window's length."""
+    ones = np.zeros(op.m)
+    ones[op.B : op.B + op.n + 1] = 1.0
+    a = direction_vector(circulant.apply_inverse(op, ones), p)
+    return a, circulant.apply_inverse(op, a)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        protocol_config(1.0, 1000),
+        ReconstructionConfig(epsilon=0.5, eta=0.05, n=7, d=10, B=6),  # full ring
+        ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=10**6),
+        ReconstructionConfig(epsilon=0.1, eta=0.05, n=200, d=10**4),
+        ReconstructionConfig(epsilon=0.1, eta=0.05, n=3000, d=10**4),
+        *(ReconstructionConfig(epsilon=eps, eta=0.05, n=10**6, d=10**6) for eps in (0.5, 1.0, 1.5, 2.0)),
+    ],
+    ids=["n4", "n7B6", "n32", "n200e0.1", "n3000e0.1", "n1e6e0.5", "n1e6e1", "n1e6e1.5", "n1e6e2"],
+)
+def test_correction_equals_its_dense_construction(cfg):
+    # each correction is a constant plus a part local to the pad, built
+    # without a product of the window's length; A^{-1} 1 = 1 makes it the
+    # same vector
+    op = cached_operator(cfg)
+    for p in ("l1", "l2", "linf"):
+        a, dense = dense_correction(op, p)
+        correction, denom = reconstruct._correction_direction(op, p)
+        built = np.asarray(correction)
+        assert np.max(np.abs(built - dense)) <= 1e-15 * np.max(np.abs(dense))
+        assert denom == pytest.approx(float(dense[op.B : op.B + op.n + 1].sum()), rel=1e-12)
+        if p == "l1":  # the same index and sign: the same taps
+            np.testing.assert_array_equal(built, dense)
+        else:  # mirrored about the pad centre bit for bit, as a^T A^{-1} is
+            assert np.array_equal(correction.local, correction.local[::-1])
+        if p == "linf":  # the same sign vector
+            np.testing.assert_array_equal(np.where(circulant.apply(op, built) >= 0, 1.0, -1.0), a)
+
+
+@seed(4096)
+@settings(max_examples=25, deadline=None)
+@given(
+    eps=st.floats(math.log(0.03), math.log(2.0)).map(math.exp),
+    n=st.integers(1, 500),
+    log_d=st.integers(2, 8),
+)
+def test_products_and_corrections_match_dense_construction(eps, n, log_d):
+    # inverse taps read off a ring no longer than the kernel's 2B + 1 taps
+    # were once wrong for about half of the windows with B >= 32, and about
+    # half of these epsilons give such a B.  The taps depend on eps and B
+    # only, so a small n keeps the window (m <= 1929) cheap to solve densely
+    cfg = ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=10**log_d, allow_small_n=True)
+    op = circulant.build_operator(cfg)
+    x = np.random.default_rng(n).normal(size=op.m)
+    np.testing.assert_allclose(
+        circulant.apply_inverse(op, x), dense_solve(dense_operator(cfg), x), atol=1e-8
+    )
+    for p in ("l1", "l2", "linf"):
+        _, dense = dense_correction(op, p)
+        built = np.asarray(reconstruct._correction_direction(op, p)[0])
+        assert np.max(np.abs(built - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_reconstruction_makes_one_product_of_the_window_length(monkeypatch):
+    # the corrections are built on the pad's neighbourhood, so a cold
+    # reconstruction, operator build included, reads the window's length
+    # once: A^{-1} f
+    reconstruct._operator.cache_clear()
+    lengths = []
+    product = circulant._cyclic_product
+
+    def spy(taps, x):
+        lengths.append(len(x))
+        return product(taps, x)
+
+    monkeypatch.setattr(circulant, "_cyclic_product", spy)
+    d = n = 10**5
+    h = Histogram(counts=np.random.default_rng(5).integers(0, n + 1, size=d), n=n)
+    s = privatize(h, 1.0, clip=False, rng=np.random.default_rng(6))
+    for p in ("l1", "l2", "linf"):
+        cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d, p_norm=p)
+        lengths.clear()
+        reconstruct_profile(s, cfg)
+        assert sorted(lengths)[-1] == cfg.m
+        assert sorted(lengths)[-2] < cfg.m // 100
 
 
 def test_profile_validation():
