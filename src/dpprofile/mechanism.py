@@ -61,8 +61,8 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 # Largest reconstruction window m = n + 2B + 1.  A first reconstruction at a
-# given (n, B, epsilon) peaks at about 56 bytes per window entry (tracemalloc,
-# m = 1e6), some 5.6 GB at this cap; past it, sizes fail closed with a message
+# given (n, B, epsilon) peaks at about 18 bytes per window entry (tracemalloc,
+# n = d = 1e6), some 1.8 GB at this cap; past it, sizes fail closed with a message
 # instead of failing to allocate.  B >= 0, so it also caps n at MAX_WINDOW - 1.
 # The eval command holds its synthetic domain sizes d to the same cap (a
 # d-length histogram is 8 bytes per item, 0.8 GB here).
@@ -402,7 +402,9 @@ def empirical_profile(
 
     Counts outside the window (noise larger than B, which happens with
     probability at most eta by the choice of B) are clamped to the nearest
-    endpoint so that the result always sums to exactly one.
+    endpoint so that the result always sums to exactly one.  The shifted
+    copy of the counts is freed before the division, so binning holds at
+    most two arrays of its inputs' lengths at a time.
     """
     if s.clipped:
         raise ValueError("unfold the sketch before taking its profile")
@@ -410,10 +412,10 @@ def empirical_profile(
         raise ValueError("config (n, d) does not match the sketch")
     if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
         raise ValueError("config epsilon does not match the sketch")
-    m = cfg.m
     shifted = np.clip(s.counts, -cfg.B, cfg.n + cfg.B)
     shifted += cfg.B
-    binned = np.bincount(shifted, minlength=m)
+    binned = np.bincount(shifted, minlength=cfg.m)
+    del shifted
     values = binned / s.d
     return EmpiricalProfile(values=values, n=cfg.n, B=cfg.B, d=s.d)
 

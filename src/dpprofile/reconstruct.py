@@ -14,6 +14,16 @@ linf error.  Its last phase is a Euclidean projection onto the simplex,
 solved without a full sort: a strided sample brackets the threshold, and
 one pass over the window leaves only the entries inside the bracket to
 solve exactly.
+
+Memory: besides its result, a reconstruction keeps at most two arrays of the
+window's length alive at once: the shifted counts (d of them) and their
+bins, then the bins and f~, then f~ and A^{-1} f~, then the relaxed solution
+and the clipped window that becomes the result (f~ is freed before
+rounding).  The bracket's pass runs over the window in cache-sized blocks
+(circulant._BLOCK entries) with block-sized scratch, and the drain runs in
+place, so rounding makes no temporary of the window's length beyond the
+clipped window.  At n = d = 1e6 a warm reconstruction's peak allocation
+(tracemalloc) fell from 4.3 to 2.25 times 8m bytes.
 """
 
 from __future__ import annotations
@@ -77,9 +87,10 @@ class Profile:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("profile must be a non-empty 1-d vector")
-        if values.min() < -_SUM_TOL or values.max() > 1.0 + _SUM_TOL:
+        # written so that NaN fails every check
+        if not (values.min() >= -_SUM_TOL and values.max() <= 1.0 + _SUM_TOL):
             raise ValueError("profile entries must lie in [0, 1]")
-        if abs(float(values.sum()) - 1.0) > _SUM_TOL:
+        if not abs(float(values.sum()) - 1.0) <= _SUM_TOL:
             raise ValueError("profile entries must sum to 1")
         values.flags.writeable = False
 
@@ -108,7 +119,7 @@ class RelaxedSolution:
         if len(values) != self.n + 2 * self.B + 1:
             raise ValueError("relaxed solution has wrong length for (n, B)")
         core_sum = float(values[self.B : self.B + self.n + 1].sum())
-        if abs(core_sum - 1.0) > _SUM_TOL:
+        if not abs(core_sum - 1.0) <= _SUM_TOL:  # NaN or inf in the core fails it
             raise ValueError(
                 f"relaxed solution core sums to {core_sum}, must be 1"
             )
@@ -309,13 +320,14 @@ def _bracket_threshold(r: np.ndarray, s: float, total: float) -> float:
     to the sample, sits at some rank j of the k sorted sample entries; the
     sample entries _BRACKET_SPREAD sqrt(k) ranks below and above j bracket
     tau as [lo, hi] (the sampling idea of Floyd & Rivest, CACM 1975, applied
-    to the breakpoints as in Kiwiel, Math. Program. 2008).  One pass over r
-    then counts the entries above lo and above hi and the drained mass at
-    lo, and compacts only the entries inside the bracket, which are solved
-    exactly.  When s is not between the drained masses at lo and hi, tau is
-    not in the bracket, and _drain_threshold solves the whole problem, as it
-    does at once for an r so short (under about 320 entries) that the
-    spread spans the whole sample.
+    to the breakpoints as in Kiwiel, Math. Program. 2008).  One pass over r,
+    a cache-sized block at a time with reused block-sized masks, then counts
+    the entries above lo and above hi and the drained mass at lo, and
+    compacts only the entries inside the bracket, which are solved exactly.
+    When s is not between the drained masses at lo and hi, tau is not in the
+    bracket, and _drain_threshold solves the whole problem, as it does at
+    once for an r so short (under about 320 entries) that the spread spans
+    the whole sample.
     """
     k = -(-len(r) // _SAMPLE_STRIDE)
     spread = _BRACKET_SPREAD * math.isqrt(k) + 1
@@ -325,10 +337,19 @@ def _bracket_threshold(r: np.ndarray, s: float, total: float) -> float:
     j = int(np.searchsorted(sample, _sorted_threshold(sample, s * k / len(r))))
     lo = float(sample[j - spread]) if j >= spread else 0.0
     hi = float(sample[j + spread]) if j + spread < k else math.inf
-    above_lo, above_hi = r > lo, r > hi
-    n_hi = int(np.count_nonzero(above_hi))
-    inside = r[above_lo ^ above_hi]  # lo < r <= hi
-    drained_lo = float(np.minimum(r, lo).sum())
+    n_hi, drained_lo, parts = 0, 0.0, []
+    size = min(circulant._BLOCK, len(r))
+    above_lo, above_hi, low = np.empty(size, bool), np.empty(size, bool), np.empty(size)
+    for start in range(0, len(r), circulant._BLOCK):
+        block = r[start : start + circulant._BLOCK]
+        b = len(block)
+        np.greater(block, lo, out=above_lo[:b])
+        np.greater(block, hi, out=above_hi[:b])
+        n_hi += int(np.count_nonzero(above_hi[:b]))
+        mask = np.logical_xor(above_lo[:b], above_hi[:b], out=above_lo[:b])  # lo < r <= hi
+        parts.append(np.compress(mask, block))
+        drained_lo += float(np.minimum(block, lo, out=low[:b]).sum())
+    inside = np.concatenate(parts)
     below = drained_lo - (len(inside) + n_hi) * lo  # the mass of the entries <= lo
     drained_hi = below + float(inside.sum()) + (n_hi * hi if n_hi else 0.0)
     if not (drained_lo <= s <= drained_hi and (len(inside) or n_hi)):
@@ -389,8 +410,9 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
     projection of the clipped window onto the simplex.  tau is solved on a
     strided sample, then exactly on the entries of the window inside the
     bracket the sample gives, so the window is read in about two passes
-    beyond the clip; the window's sum is the one the relaxed solution
-    already checked.
+    beyond the clip, the bracket's (a cache-sized block at a time) and the
+    drain's; the window's sum is the one the relaxed solution already
+    checked.
     """
     if n != r.n:
         raise ValueError(f"n={n} does not match the relaxed solution (n={r.n})")
@@ -440,8 +462,8 @@ def reconstruct_profile(
             raise ValueError("a clipped sketch needs an rng for unfolding")
         s = unfold(s, rng)
     op = cached_operator(cfg)  # before binning: it refuses an ill-conditioned window
-    f_tilde = empirical_profile(s, cfg)
-    relaxed = fast_inversion(op, f_tilde, cfg.p_norm)
+    # f~ is a temporary: it is freed before rounding makes its window copy
+    relaxed = fast_inversion(op, empirical_profile(s, cfg), cfg.p_norm)
     return rounding(relaxed, cfg.n)
 
 

@@ -297,6 +297,23 @@ def test_empirical_profile_clamps_out_of_window():
     assert prof.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("low, high", [(0, 0), (-1, 0), (0, 1), (-9, 7)])
+def test_empirical_profile_bins_window_edges_as_the_clamp_does(low, high):
+    # counts exactly at -B and n + B bin at the window's ends; counts moved
+    # beyond either end are clamped, and must bin as the edge counts
+    n, B, d = 6, 3, 5
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d, B=B)
+    edges = np.array([-B, n + B, 2, -B, n + B])
+    moved = edges + np.array([low, high, 0, 0, 0])
+    edge_prof = empirical_profile(PrivateSketch(counts=edges, epsilon=1.0, n=n, clipped=False), cfg)
+    prof = empirical_profile(PrivateSketch(counts=moved, epsilon=1.0, n=n, clipped=False), cfg)
+    expected = np.bincount(np.clip(moved, -B, n + B) + B, minlength=cfg.m) / d
+    np.testing.assert_array_equal(edge_prof.values, expected)
+    np.testing.assert_array_equal(prof.values, expected)
+    assert (prof.n, prof.B, prof.d) == (edge_prof.n, edge_prof.B, edge_prof.d) == (n, B, d)
+    assert prof.values[0] == prof.values[-1] == 2 / d
+
+
 def test_empirical_profile_multiples_of_inverse_d():
     d = 997
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.1, n=8, d=d, B=3)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -280,6 +281,53 @@ def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch, cap):
         return drain(*args)
 
     monkeypatch.setattr(reconstruct, "_MAX_PASSES", cap)  # 1: the passes sort
+    monkeypatch.setattr(reconstruct, "_drain_threshold", spy)
+    tau = threshold_tau(r, s)
+    assert len(calls) == 1
+    assert tau == drain(r, s, float(r.sum()))[0]
+    assert abs(tau - bisection_tau(r, s)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "length",
+    [circulant._BLOCK - 1, circulant._BLOCK, circulant._BLOCK + 1, 3 * circulant._BLOCK + 7],
+)
+def test_blocked_bracket_matches_sorting_across_block_edges(monkeypatch, length):
+    def refuse(*args):
+        raise AssertionError("the sampled bracket missed")
+
+    monkeypatch.setattr(reconstruct, "_drain_threshold", refuse)
+    rng = np.random.default_rng(length)
+    base = rng.exponential(size=length)
+    base[rng.random(length) < 0.4] = 0.0  # a clipped window: many zeros
+    # entries next to tau on both sides of every block edge and at the end,
+    # so a block that loses or repeats an entry moves tau
+    edges = [i for b in range(circulant._BLOCK, length, circulant._BLOCK) for i in (b - 1, b)]
+    # rounding drains a surplus that is a small share of the window's mass;
+    # larger shares leave tau to cancellation in either method
+    for frac in (0.01, 0.05, 0.2):
+        r = base.copy()
+        tau = reconstruct._sorted_threshold(r, frac * float(r.sum()))
+        r[edges + [length - 1]] = tau * (1.0 + 1e-3 * rng.uniform(-1, 1, len(edges) + 1))
+        total = float(r.sum())
+        expected = reconstruct._sorted_threshold(r, frac * total)
+        got = reconstruct._bracket_threshold(r, frac * total, total)
+        assert abs(got - expected) <= 1e-15 * expected
+
+
+def test_blocked_bracket_miss_reaches_the_drain(monkeypatch):
+    # test_threshold_tau_falls_back_when_the_bracket_misses's scripted miss,
+    # over several blocks and a partial one
+    r = np.full(3 * circulant._BLOCK + 7, 0.5)
+    r[::64] = np.linspace(0.0, 1.0, len(r[::64]))
+    s = 0.4 * len(r)
+    drain = reconstruct._drain_threshold
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return drain(*args)
+
     monkeypatch.setattr(reconstruct, "_drain_threshold", spy)
     tau = threshold_tau(r, s)
     assert len(calls) == 1
@@ -601,6 +649,53 @@ def test_profile_validation():
         Profile(values=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         Profile(values=np.array([1.5, -0.5]))
+
+
+@pytest.mark.parametrize(
+    "values", [[np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5], [np.inf, 0.0], [1.0, np.inf, -np.inf]]
+)
+def test_profile_validation_refuses_nan_and_inf(values):
+    with pytest.raises(ValueError):
+        Profile(values=np.array(values))
+
+
+@pytest.mark.parametrize("core", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0], [np.inf, 0.0, 0.0]])
+def test_relaxed_solution_refuses_nan_and_inf_in_its_core(core):
+    with pytest.raises(ValueError, match="core sums to"), np.errstate(invalid="ignore"):
+        RelaxedSolution(values=np.array([0.0, *core, 0.0]), n=2, B=1, objective_norm="l2")
+
+
+def test_rounding_never_returns_nan():
+    # NaN on the pad is discarded with the pad
+    rel = RelaxedSolution(
+        values=np.array([np.nan, 0.2, 0.3, 0.5, np.nan]), n=2, B=1, objective_norm="l2"
+    )
+    np.testing.assert_array_equal(rounding(rel, 2).values, [0.2, 0.3, 0.5])
+    # NaN in the core that got past validation is refused, not returned
+    bad = object.__new__(RelaxedSolution)
+    fields = dict(values=np.array([0.0, np.nan, 0.5, 0.5, 0.0]), n=2, B=1, objective_norm="l2", core_sum=1.0)
+    for name, value in fields.items():
+        object.__setattr__(bad, name, value)
+    with pytest.raises(ValueError, match="must lie in"):
+        rounding(bad, 2)
+
+
+def test_warm_reconstruction_allocates_under_two_and_a_half_windows():
+    # numpy reports its buffers to tracemalloc, so the peak is exact: binning,
+    # inversion and rounding each hold two length-m arrays at most
+    n = d = 2**20
+    rng = np.random.default_rng(20)
+    h = Histogram(counts=rng.integers(0, n + 1, d), n=n)
+    sketch = privatize(h, 1.0, clip=False, rng=rng)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
+    reconstruct_profile(sketch, cfg)  # cold: caches the operator and its correction
+    tracemalloc.start()
+    try:
+        reconstruct_profile(sketch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * cfg.m
 
 
 def test_write_profile_csv(tmp_path):
