@@ -25,12 +25,10 @@ spans the clusters, grows like B.  Taps below the noise floor are zeroed.
 When the analytic spectrum floor proves every eigenvalue, the taps are read
 off the inverse on a small ring that is still longer than the kernel, where
 the wrapped-around tails are far below roundoff, so the build does no work
-that grows with m.  Otherwise, or when the taps would span the whole window
-(only at small m), the window's spectrum is checked and its own inverse
-column is used whole, which is exact.  An eigenvalue below the floor of invertibility fails the build
-before any of that length-m work when it is the mode nearest theta = pi or,
-on a window whose n is small (64 n^2 <= m), the least mode, which a search
-whose cost does not grow with m finds.
+that grows with m.  Otherwise a window longer than _SPECTRUM_CAP is refused
+on the floor alone, before any work of its length, and a shorter one (or
+one whose taps would span the whole window) has its spectrum checked
+exactly and its own inverse column used whole, which is exact.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mechanism import ReconstructionConfig
+from .mechanism import MIN_EIGENVALUE, ReconstructionConfig
 
 __all__ = [
     "CirculantOperator",
@@ -53,17 +51,14 @@ __all__ = [
     "norm_bounds",
 ]
 
-# Eigenvalues below this magnitude mean the configuration cannot be inverted
-# reliably; construction refuses instead of regularizing.
-MIN_EIGENVALUE = 1e-12
-
 # Kernel entries below this fraction of the peak are indistinguishable from
 # the roundoff already present in an FFT-computed kernel; dropping them
 # changes products by strictly less than ordinary transform roundoff.
 _TAP_FLOOR = 1e-15
 
-# Modes per step of the coarse-to-fine search for the least eigenvalue.
-_SEARCH_POINTS = 64
+# Longest window whose spectrum is formed to decide invertibility when the
+# analytic floor cannot; a longer one is refused on the floor alone.
+_SPECTRUM_CAP = 1 << 20
 
 # Smallest ring tried for the inverse taps; rings double from here, or from
 # the least power of two longer than the kernel's 2B + 1 taps.
@@ -128,19 +123,13 @@ def generator_vector(epsilon: float, n: int, B: int) -> np.ndarray:
 def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:
     """Eigenvalues of modes 0..ring//2 of the kernel wrapped on a ring.
 
-    The other modes mirror these, since the kernel is symmetric.
-    """
-    return _eigenvalues(epsilon, B, ring, np.arange(ring // 2 + 1))
-
-
-def _eigenvalues(epsilon: float, B: int, ring: int, k: np.ndarray) -> np.ndarray:
-    """Eigenvalues of modes k of the kernel wrapped on a ring.
-
-    The eigenvalue at angle theta is (1 + 2 sum_{j=1..B} q^j cos(j theta)) / P;
+    The other modes mirror these, since the kernel is symmetric.  The
+    eigenvalue at angle theta is (1 + 2 sum_{j=1..B} q^j cos(j theta)) / P;
     summing the geometric series collapses it to a ratio of three cosines,
     so each mode costs O(1) scalar operations.
     """
     q = math.exp(-epsilon)
+    k = np.arange(ring // 2 + 1)
 
     def cos_of(j: int) -> np.ndarray:
         return np.cos((2.0 * np.pi / ring) * ((j * k) % ring))
@@ -151,10 +140,12 @@ def _eigenvalues(epsilon: float, B: int, ring: int, k: np.ndarray) -> np.ndarray
 
 
 def spectrum_floor(epsilon: float, B: int) -> float:
-    """Analytic lower bound on the eigenvalue magnitudes.
+    """Analytic lower bound on the eigenvalue magnitudes, 1 / bound_2.
 
-    Negative values are possible when B is overridden below the derived
-    radius; the bound is then vacuous and only the absolute floor applies.
+    It is strict: the least |eigenvalue| can sit well above it when n is
+    near B.  Negative values are possible when B is overridden below the
+    derived radius; the bound is then vacuous and only the absolute floor
+    applies.
     """
     q = math.exp(-epsilon)
     p_norm = kernel_normalizer(epsilon, B)
@@ -164,13 +155,14 @@ def spectrum_floor(epsilon: float, B: int) -> float:
 def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
     """Centred taps of A^{-1}, exactly symmetric and zero below the tap floor.
 
-    This is the one place the spectrum is checked.  On a ring longer than
+    This is the one place invertibility is decided.  On a ring longer than
     the kernel's 2B + 1 taps, the inverse column is the line kernel summed
     over its wrap-arounds, so once the trimmed taps fill at most a quarter
     of such a ring, the wrapped tails are below the tap floor and the ring's
     taps are the window's.  Rings double from the least power of two longer
-    than the kernel only when the analytic floor proves every eigenvalue;
-    otherwise, or when the rings reach m, the window's spectrum is checked
+    than the kernel only when the analytic floor proves every eigenvalue.
+    Otherwise a window longer than _SPECTRUM_CAP is refused on the floor
+    alone; a shorter one, or rings that reach m, has its spectrum checked
     and its column used whole.
     """
     epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
@@ -179,22 +171,17 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
         # a ring no longer than the kernel wraps the kernel onto itself, and
         # the inverse on it is then not the window's
         ring = max(_FIRST_RING, 1 << (2 * B + 1).bit_length())
+    elif m > _SPECTRUM_CAP:
+        raise _ill_conditioned("spectrum floor", floor, cfg)
     else:
-        # the spectrum's minimum lies near theta = pi, where the denominator
-        # of the closed form peaks: when the mode nearest pi, or the least
-        # mode of a narrow window, is too small, refuse before forming a
-        # spectrum of the window's length
         ring = m
-        near_pi = _eigenvalues(epsilon, B, m, np.array([m // 2]))
-        _check_invertible(float(abs(near_pi[0])), cfg)
-        if floor > 0 and 64 * cfg.n**2 <= m:  # where the search finds the least mode
-            _check_invertible(_least_mode_near_pi(epsilon, B, m), cfg)
     while True:
         ring = min(ring, m)
         half = _half_spectrum(epsilon, B, ring)
         if ring == m:  # checked wherever the window's spectrum is formed
             min_abs = float(np.min(np.abs(half)))
-            _check_invertible(min_abs, cfg)
+            if min_abs < MIN_EIGENVALUE:
+                raise _ill_conditioned("|eigenvalue|", min_abs, cfg)
             if min_abs < floor - 1e-12:
                 raise AssertionError(
                     f"spectrum fell below its analytic floor: {min_abs} < {floor}"
@@ -217,47 +204,13 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
     return taps
 
 
-def _least_mode_near_pi(epsilon: float, B: int, m: int) -> float:
-    """Least |eigenvalue| over the modes in the last period before theta = pi.
-
-    With n = m - 2B - 1, the half angle (2B + 1) theta_k / 2 of mode k is
-    pi k - n theta_k / 2, so on each parity class of k the numerator of the
-    closed form is a smooth function of theta_k: 1 - q^2 minus an
-    oscillation of period 4 pi / n and amplitude 2 q^{B+1} sqrt(D), D the
-    denominator.  Each class is searched over the last period, coarse to
-    fine, _SEARCH_POINTS modes at a time, at a cost that does not grow with
-    m.  That gives the least mode of the whole window when the lower
-    envelope (1 - q^2 - 2 q^{B+1} sqrt(D)) / D falls towards pi, which it
-    does when 2 q^{B+1} < 1 - q (spectrum_floor > 0), and falls faster from
-    one period to the next than a period's least mode can sit above it,
-    which holds when n^2 is well below m.
-    """
-    n = m - 2 * B - 1
-    half = m // 2
-    least = math.inf
-    for parity in (0, 1):
-        lo, hi = max(half - 2 * m // n - 2, 0), half
-        while True:
-            stride = 2 * max(1, (hi - lo) // (2 * _SEARCH_POINTS))
-            k = np.arange(lo + (lo - parity) % 2, hi + 1, stride)
-            if not len(k):
-                break
-            mag = np.abs(_eigenvalues(epsilon, B, m, k))
-            best = int(np.argmin(mag))
-            if stride == 2:
-                least = min(least, float(mag[best]))
-                break
-            lo, hi = max(int(k[best]) - stride, 0), min(int(k[best]) + stride, half)
-    return least
-
-
-def _check_invertible(eig: float, cfg: ReconstructionConfig) -> None:
-    """Refuse an operator that has an eigenvalue of magnitude eig below the floor."""
-    if eig < MIN_EIGENVALUE:
-        raise ValueError(
-            f"operator is ill-conditioned: |eigenvalue| = {eig:.3e} < {MIN_EIGENVALUE:g} "
-            f"for (n={cfg.n}, B={cfg.B}, epsilon={cfg.epsilon})"
-        )
+def _ill_conditioned(what: str, value: float, cfg: ReconstructionConfig) -> ValueError:
+    """The refusal of an operator whose least |eigenvalue|, or the floor
+    under it, is below MIN_EIGENVALUE."""
+    return ValueError(
+        f"operator is ill-conditioned: {what} = {value:.3e} < {MIN_EIGENVALUE:g} "
+        f"for (n={cfg.n}, B={cfg.B}, epsilon={cfg.epsilon})"
+    )
 
 
 def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:

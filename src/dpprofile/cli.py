@@ -49,9 +49,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_sketch(args) -> None:
-    # a sketch whose window exceeds the cap at every eta could never be
-    # reconstructed: first from n alone, then with the least noise bound
-    # that epsilon gives at any eta and d
+    # a sketch could never be reconstructed if its window exceeds the cap at
+    # every eta (first from n alone, then with the least noise bound that
+    # epsilon gives at any eta and d), or if no noise bound lifts the
+    # operator's spectrum floor to the invertibility threshold
     try:
         mechanism.check_window(args.n)
     except ValueError as exc:
@@ -61,6 +62,13 @@ def cmd_sketch(args) -> None:
         mechanism.check_window(args.n, b_min)
     except ValueError as exc:
         raise ValueError(f"--epsilon {args.epsilon!r} (least B at any eta): {exc}") from None
+    sup_floor = mechanism.max_spectrum_floor(args.epsilon)
+    if sup_floor < mechanism.MIN_EIGENVALUE:
+        raise ValueError(
+            f"--epsilon {args.epsilon!r}: every operator is ill-conditioned: its "
+            f"spectrum floor is below tanh^2(eps/2) = {sup_floor:.3e} < "
+            f"{mechanism.MIN_EIGENVALUE:g} at any eta"
+        )
     h = mechanism.read_histogram(args.input, n=args.n)
     rng = np.random.default_rng(args.seed)
     sketch = mechanism.privatize(h, args.epsilon, clip=args.clip, rng=rng)

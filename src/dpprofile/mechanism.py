@@ -69,6 +69,22 @@ def _check_epsilon(epsilon: float) -> None:
 MAX_WINDOW = 10**8
 
 
+# Eigenvalues below this magnitude mean the configuration cannot be inverted
+# reliably; construction refuses instead of regularizing.
+MIN_EIGENVALUE = 1e-12
+
+
+def max_spectrum_floor(epsilon: float) -> float:
+    """tanh^2(eps/2), the supremum over B of the operator's spectrum floor.
+
+    The floor rises with the noise bound B towards this limit.  When the
+    limit is below MIN_EIGENVALUE (epsilon below about 2e-6), the derived B
+    makes every window far too long for its spectrum to be checked, so the
+    floor refuses the operator whatever eta and d are.
+    """
+    return math.tanh(epsilon / 2) ** 2
+
+
 def check_window(n: int, B: int = 0) -> None:
     """Reject a maximum count n and noise bound B whose window exceeds MAX_WINDOW.
 

@@ -13,7 +13,11 @@ from dpprofile.circulant import (
     norm_bounds,
     spectrum_floor,
 )
-from dpprofile.mechanism import ReconstructionConfig
+from dpprofile.mechanism import (
+    ReconstructionConfig,
+    max_spectrum_floor,
+    truncation_radius,
+)
 from dpprofile.reconstruct import cached_operator
 from dpprofile.twoparty import protocol_config
 
@@ -130,14 +134,15 @@ def test_ill_conditioned_configuration_rejected(monkeypatch):
         build_operator(make_cfg(16, 3, 1.0))
 
 
+def window_spectrum(epsilon, B, ring):
+    raise AssertionError(f"formed the spectrum of a ring of {ring}")
+
+
 @pytest.mark.parametrize("n", [2 * 10**7, 2 * 10**7 + 1])  # odd and even m
 def test_ill_conditioned_wide_window_fails_before_length_m_work(monkeypatch, n):
     cfg = ReconstructionConfig(epsilon=1e-6, eta=0.05, n=n, d=3)
     assert cfg.m > 5 * 10**7
     assert spectrum_floor(cfg.epsilon, cfg.B) < circulant.MIN_EIGENVALUE
-
-    def window_spectrum(epsilon, B, ring):
-        raise AssertionError(f"formed the spectrum of a ring of {ring}")
 
     def forward_taps(epsilon, B):
         raise AssertionError(f"formed the {2 * B + 1} forward taps")
@@ -149,31 +154,24 @@ def test_ill_conditioned_wide_window_fails_before_length_m_work(monkeypatch, n):
 
 
 # Windows of a small n and a derived B whose least eigenvalue lies off the
-# mode nearest theta = pi, with the message each build gave when it formed
-# the window's whole spectrum first.
+# mode nearest theta = pi, with the spectrum floor each refusal quotes.
 OFF_PI_WINDOWS = [
     (2.1e-6, 5, "5.513e-13"),
     (2.5e-6, 5, "7.813e-13"),
-    (2e-6, 6, "5.495e-13"),
-    (2.3e-6, 6, "7.268e-13"),
+    (2e-6, 6, "5.000e-13"),
+    (2.3e-6, 6, "6.613e-13"),
 ]
 
 
-@pytest.mark.parametrize("epsilon, n, eig", OFF_PI_WINDOWS)
+@pytest.mark.parametrize("epsilon, n, floor", OFF_PI_WINDOWS)
 def test_ill_conditioned_window_off_pi_fails_before_length_m_work(
-    monkeypatch, epsilon, n, eig
+    monkeypatch, epsilon, n, floor
 ):
     cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=1, allow_small_n=True)
     assert cfg.m > 10**7
-    near_pi = circulant._eigenvalues(epsilon, cfg.B, cfg.m, np.array([cfg.m // 2]))
-    assert abs(near_pi[0]) >= circulant.MIN_EIGENVALUE  # the first check passes
-
-    def window_spectrum(epsilon, B, ring):
-        raise AssertionError(f"formed the spectrum of a ring of {ring}")
-
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
     message = (
-        f"operator is ill-conditioned: |eigenvalue| = {eig} < 1e-12 "
+        f"operator is ill-conditioned: spectrum floor = {floor} < 1e-12 "
         f"for (n={n}, B={cfg.B}, epsilon={epsilon})"
     )
     with pytest.raises(ValueError) as err:
@@ -181,24 +179,52 @@ def test_ill_conditioned_window_off_pi_fails_before_length_m_work(
     assert str(err.value) == message
 
 
-def narrow_windows():
-    """(epsilon, B, m) with B at least the conditioning radius and 64 n^2 <= m."""
-    rng = np.random.default_rng(12)
-    for _ in range(80):
-        epsilon = float(np.exp(rng.uniform(math.log(2e-4), math.log(3.0))))
-        B = math.ceil(math.log(4 / math.sinh(epsilon)) / epsilon) + int(rng.integers(0, 50))
-        n = int(rng.integers(1, math.isqrt((2 * B + 1) // 64) + 2))
-        if 64 * n * n <= n + 2 * B + 1:
-            yield epsilon, B, n + 2 * B + 1
+def test_floor_refuses_wide_windows_whose_exact_minimum_passes(monkeypatch):
+    # The floor is a strict lower bound: on these windows the least
+    # |eigenvalue| of the whole spectrum is 1.163e-12 and 1.136e-12, above
+    # MIN_EIGENVALUE, but the floor is not, and past the spectrum cap the
+    # floor alone decides.
+    B = truncation_radius(2.5e-6, 0.05, 1)
+    windows = [
+        ReconstructionConfig(epsilon=2.5e-6, eta=0.05, n=B + 1, d=1),
+        ReconstructionConfig(epsilon=2.4e-6, eta=0.05, n=2, d=1, allow_small_n=True),
+    ]
+    monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    for cfg, floor in zip(windows, ("7.813e-13", "7.200e-13")):
+        assert cfg.m > circulant._SPECTRUM_CAP
+        with pytest.raises(ValueError, match=f"spectrum floor = {floor} < 1e-12"):
+            build_operator(cfg)
 
 
-def test_least_mode_search_finds_the_spectrum_minimum():
-    windows = list(narrow_windows())
-    assert len(windows) >= 30
-    for epsilon, B, m in windows:
-        assert spectrum_floor(epsilon, B) > 0
-        whole = np.min(np.abs(circulant._half_spectrum(epsilon, B, m)))
-        assert circulant._least_mode_near_pi(epsilon, B, m) == whole, (epsilon, B, m)
+def test_floor_below_threshold_only_past_the_spectrum_cap():
+    # A derived B keeps the floor at least tanh^2(eps/2) / 2, so it falls
+    # below MIN_EIGENVALUE only at eps < 2.83e-6, where the window is far
+    # longer than the cap: the floor decides every such window in closed
+    # form, and no spectrum of the window's length is formed.
+    refused = 0
+    for epsilon in np.linspace(2e-6, 3.3e-6, 27):
+        for d in (1, 10**6):
+            B = truncation_radius(float(epsilon), 0.05, d)
+            for n in (B, 2 * B):
+                if spectrum_floor(epsilon, B) < circulant.MIN_EIGENVALUE:
+                    refused += 1
+                    assert n + 2 * B + 1 > circulant._SPECTRUM_CAP, (epsilon, d, n)
+    assert 0 < refused < 27 * 4
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 2e-6, 1e-3, 0.5, 5.0])
+def test_spectrum_floor_rises_with_B_to_its_supremum(epsilon):
+    # `sketch` refuses an epsilon whose supremum is below MIN_EIGENVALUE
+    sup = max_spectrum_floor(epsilon)
+    floors = [spectrum_floor(epsilon, B) for B in (0, 10, 10**3, 10**6, 10**9)]
+    assert floors == sorted(floors) and floors[-1] <= sup
+    assert spectrum_floor(epsilon, 10**12) == pytest.approx(sup, rel=1e-9)
+
+
+@pytest.mark.parametrize("cfg", SPECTRUM_CFGS)
+def test_spectral_bound_is_the_inverse_floor(cfg):
+    floor = spectrum_floor(cfg.epsilon, cfg.B)
+    assert norm_bounds(build_operator(cfg)).bound_2 * floor == pytest.approx(1.0)
 
 
 # --- apply / inverse / left products ----------------------------------------

@@ -87,6 +87,28 @@ def test_sketch_epsilon_with_no_window_exits_2_naming_epsilon(hist_file, tmp_pat
     assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1e-06", "1.9e-06"])
+def test_sketch_epsilon_with_no_invertible_operator_exits_2_naming_epsilon(
+    hist_file, tmp_path, capsys, epsilon
+):
+    # the window fits the cap, but the operator's spectrum floor is below
+    # tanh^2(eps/2) < 1e-12 for every noise bound, so no reconstruction exists
+    out = tmp_path / "s.json"
+    code = main(["sketch", "--input", hist_file, "--output", str(out),
+                 "--epsilon", epsilon, "--n", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --epsilon {float(epsilon)!r}: every operator is ill-conditioned")
+    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+
+
+def test_sketch_epsilon_just_above_the_spectrum_bound_is_written(hist_file, tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["sketch", "--input", hist_file, "--output", str(out),
+                 "--epsilon", "2.1e-06", "--n", "5"]) == 0
+    assert json.loads(out.read_text())["epsilon"] == 2.1e-6
+
+
 def test_sketch_deterministic(hist_file, tmp_path):
     out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for out in (out_a, out_b):
