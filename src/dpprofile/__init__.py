@@ -10,7 +10,9 @@ bounds.
 
 Each layer module is imported on first use (PEP 562): `import dpprofile`
 loads none of them, and `dpprofile.X` or `from dpprofile import X` loads
-only the module that defines X.
+only the module that defines X.  `ReconstructionConfig` and
+`truncation_radius` are defined in `params`, the scalar parameter maths,
+which needs no numpy; `mechanism` re-exports them.
 """
 
 import sys as _sys
@@ -25,18 +27,20 @@ _EXPORTS = {
         "build_operator",
         "norm_bounds",
     ),
+    "params": (
+        "ReconstructionConfig",
+        "truncation_radius",
+    ),
     "mechanism": (
         "EmpiricalProfile",
         "Histogram",
         "PrivateSketch",
-        "ReconstructionConfig",
         "empirical_profile",
         "privatize",
         "read_histogram",
         "read_sketch",
         "sample_dlap",
         "sample_geometric",
-        "truncation_radius",
         "unfold",
         "update",
         "write_histogram",

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mechanism import MIN_EIGENVALUE, ReconstructionConfig
+from .params import MIN_EIGENVALUE, ReconstructionConfig
 
 __all__ = [
     "CirculantOperator",

@@ -16,15 +16,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
-# Only the mechanism layer is imported here: each command imports the other
-# layers it needs, so a short-lived `sketch` or `update` process loads neither
-# the reconstruction nor the evaluation sweep.  Functions are called through
-# their module (reconstruct.reconstruct_profile), not a name bound at import,
+# No layer is imported here.  Each command imports the layers it runs, and
+# checks its flag values with `params`, which needs no numpy, before it reads
+# any input or loads numpy: `--help`, a usage error or a refused flag costs
+# the interpreter's start alone, and a `sketch` or `update` process loads
+# neither the reconstruction nor the evaluation sweep.  Functions are called
+# through their module (mechanism.read_sketch), not a name bound at import,
 # so a wrapper swapped into the module (bench/tracer.py) sees every call.
-from . import mechanism
-from .mechanism import ReconstructionConfig
 
 __all__ = ["main"]
 
@@ -49,26 +47,33 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_sketch(args) -> None:
+    from . import params
+
     # a sketch could never be reconstructed if its window exceeds the cap at
     # every eta (first from n alone, then with the least noise bound that
     # epsilon gives at any eta and d), or if no noise bound lifts the
     # operator's spectrum floor to the invertibility threshold
     try:
-        mechanism.check_window(args.n)
+        params.check_max_count(args.n)
+        params.check_window(args.n)
     except ValueError as exc:
         raise ValueError(f"--n: {exc}") from None
-    b_min = mechanism.min_truncation_radius(args.epsilon)  # validates epsilon
+    b_min = params.min_truncation_radius(args.epsilon)  # validates epsilon
     try:
-        mechanism.check_window(args.n, b_min)
+        params.check_window(args.n, b_min)
     except ValueError as exc:
         raise ValueError(f"--epsilon {args.epsilon!r} (least B at any eta): {exc}") from None
-    sup_floor = mechanism.max_spectrum_floor(args.epsilon)
-    if sup_floor < mechanism.MIN_EIGENVALUE:
+    sup_floor = params.max_spectrum_floor(args.epsilon)
+    if sup_floor < params.MIN_EIGENVALUE:
         raise ValueError(
             f"--epsilon {args.epsilon!r}: every operator is ill-conditioned: its "
             f"spectrum floor is below tanh^2(eps/2) = {sup_floor:.3e} < "
-            f"{mechanism.MIN_EIGENVALUE:g} at any eta"
+            f"{params.MIN_EIGENVALUE:g} at any eta"
         )
+    import numpy as np
+
+    from . import mechanism
+
     h = mechanism.read_histogram(args.input, n=args.n)
     rng = np.random.default_rng(args.seed)
     sketch = mechanism.privatize(h, args.epsilon, clip=args.clip, rng=rng)
@@ -76,13 +81,21 @@ def cmd_sketch(args) -> None:
 
 
 def cmd_reconstruct(args) -> None:
-    from . import reconstruct
+    from . import params
+
+    try:
+        params.check_eta(args.eta)
+    except ValueError as exc:
+        raise ValueError(f"--eta {args.eta!r}: {exc}") from None
+    import numpy as np
+
+    from . import mechanism, reconstruct
 
     sketch = mechanism.read_sketch(args.input)
     # the sketch is valid, so a configuration error comes from --eta and
     # the noise bound it sets
     try:
-        cfg = ReconstructionConfig(
+        cfg = params.ReconstructionConfig(
             epsilon=sketch.epsilon,
             eta=args.eta,
             n=sketch.n,
@@ -105,6 +118,8 @@ def cmd_reconstruct(args) -> None:
 
 
 def cmd_update(args) -> None:
+    from . import mechanism
+
     sketch = mechanism.read_sketch(args.sketch)
     # Delta entries may be any integers: no [0, n] check.
     deltas = mechanism.read_int_lines(args.delta)
@@ -112,24 +127,37 @@ def cmd_update(args) -> None:
     _write_atomic_via(args.output, lambda p: mechanism.write_sketch(p, updated))
 
 
-def _parse_dist(text: str, n: int, d: int, seed: int):
-    from . import evaluation
+def _check_trials(trials: int) -> None:
+    from . import params
 
+    try:
+        params.check_trials(trials)
+    except ValueError as exc:
+        raise ValueError(f"--trials: {exc}") from None
+
+
+def _parse_dist(text: str) -> tuple[str, float]:
+    """The SynthSpec distribution and parameter that --dist names."""
     name, _, param = text.partition(":")
     if name == "point_mass":
-        if not param:
-            raise ValueError("point_mass needs a count, e.g. point_mass:1")
-        return evaluation.SynthSpec("point_mass", d=d, n=n, seed=seed, param=int(param))
+        try:
+            return "point_mass", int(param)
+        except ValueError:
+            raise ValueError(
+                f"--dist {text!r}: point_mass needs an integer count, e.g. point_mass:1"
+            ) from None
     if name == "uniform":
-        return evaluation.SynthSpec("uniform_counts", d=d, n=n, seed=seed)
+        return "uniform_counts", 0.0
     if name == "zipf":
-        alpha = float(param) if param else 1.1
-        return evaluation.SynthSpec("zipf", d=d, n=n, seed=seed, param=alpha)
-    raise ValueError(f"unknown distribution {text!r}")
+        try:
+            return "zipf", float(param) if param else 1.1
+        except ValueError:
+            raise ValueError(f"--dist {text!r}: zipf needs an exponent, e.g. zipf:1.1") from None
+    raise ValueError(f"--dist {text!r}: unknown distribution {name!r}")
 
 
 def cmd_eval(args) -> None:
-    from . import evaluation
+    from . import params
 
     try:
         d_list = [int(tok) for tok in args.d_list.split(",") if tok.strip()]
@@ -145,16 +173,27 @@ def cmd_eval(args) -> None:
     if too_small:
         raise ValueError(f"--d-list: domain size {too_small[0]} must be >= 1")
     # every cell holds a d-length histogram; refuse before any is built
-    too_large = [d for d in d_list if d > mechanism.MAX_WINDOW]
+    too_large = [d for d in d_list if d > params.MAX_WINDOW]
     if too_large:
         raise ValueError(
             f"--d-list: domain size {too_large[0]} is above the largest supported "
-            f"{mechanism.MAX_WINDOW}"
+            f"{params.MAX_WINDOW}"
         )
+    _check_trials(args.trials)
+    distribution, param = _parse_dist(args.dist)
+    cfgs = [
+        params.ReconstructionConfig(epsilon=args.epsilon, eta=args.eta, n=args.n, d=d)
+        for d in d_list
+    ]
+    from . import evaluation
+
     grid = []
-    for cell, d in enumerate(d_list):
-        spec = _parse_dist(args.dist, n=args.n, d=d, seed=evaluation.derive_seed(args.seed, cell, 1 << 32))
-        cfg = ReconstructionConfig(epsilon=args.epsilon, eta=args.eta, n=args.n, d=d)
+    for cell, cfg in enumerate(cfgs):
+        seed = evaluation.derive_seed(args.seed, cell, 1 << 32)
+        try:
+            spec = evaluation.SynthSpec(distribution, d=cfg.d, n=cfg.n, seed=seed, param=param)
+        except ValueError as exc:  # d and n are checked above
+            raise ValueError(f"--dist {args.dist!r}: {exc}") from None
         grid.append((spec, cfg))
     reports = evaluation.sweep(grid, trials=args.trials, master_seed=args.seed)
     slopes = None
@@ -166,10 +205,14 @@ def cmd_eval(args) -> None:
 
 
 def cmd_innerprod(args) -> None:
-    from . import twoparty
+    from . import params
 
     if not 16 <= args.d < 2**63:  # run_protocol's range, named by its flag here
         raise ValueError(f"--d must lie in [16, 2**63 - 1], got {args.d}")
+    _check_trials(args.trials)
+    params._check_epsilon(args.epsilon)  # run_protocol's check, before numpy loads
+    from . import twoparty
+
     results = twoparty.run_protocol(
         d=args.d, epsilon=args.epsilon, trials=args.trials, master_seed=args.seed
     )

@@ -35,6 +35,7 @@ from .mechanism import (
     privatize,
     window_pmf,
 )
+from .params import check_trials
 from .reconstruct import Profile, cached_operator, fast_inversion, rounding
 
 __all__ = [
@@ -89,6 +90,19 @@ class SynthSpec:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
+        # written so that NaN fails both checks
+        if self.distribution == "point_mass" and not (
+            0 <= self.param <= self.n and float(self.param).is_integer()
+        ):
+            raise ValueError(
+                f"point mass must be an integer count in [0, {self.n}], got {self.param!r}"
+            )
+        if self.distribution == "zipf" and not (
+            math.isfinite(self.param) and self.param > 0
+        ):
+            raise ValueError(
+                f"zipf exponent must be a finite number > 0, got {self.param!r}"
+            )
 
 
 def synth_histogram(spec: SynthSpec) -> Histogram:
@@ -100,17 +114,47 @@ def synth_histogram(spec: SynthSpec) -> Histogram:
 def _synth_counts(spec: SynthSpec) -> np.ndarray:
     """The counts of synth_histogram(spec) before _shuffle orders them."""
     if spec.distribution == "point_mass":
-        c = int(spec.param)
-        if not 0 <= c <= spec.n:
-            raise ValueError(f"point mass {c} outside [0, {spec.n}]")
-        return np.full(spec.d, c, dtype=np.int64)
+        return np.full(spec.d, int(spec.param), dtype=np.int64)
     if spec.distribution == "uniform_counts":
         return np.random.default_rng(spec.seed).integers(0, spec.n + 1, size=spec.d)
-    alpha = float(spec.param)
-    if alpha <= 0:
-        raise ValueError("zipf exponent must be positive")
-    ranks = np.arange(1, spec.d + 1, dtype=np.float64)
-    return np.rint(spec.n * ranks**-alpha).astype(np.int64)
+    return _zipf_counts(spec, np.arange(1, spec.d + 1, dtype=np.float64))
+
+
+def _zipf_counts(spec: SynthSpec, ranks: np.ndarray) -> np.ndarray:
+    """The zipf counts rint(n r^-alpha) at the float64 ranks r in 1..d."""
+    return np.rint(spec.n * ranks ** -float(spec.param)).astype(np.int64)
+
+
+def _zipf_class_sizes(spec: SynthSpec) -> np.ndarray | None:
+    """np.bincount(_synth_counts(spec), minlength=n + 1) of a zipf spec in
+    O(n) work, or None where that is no cheaper or not certain to be exact.
+
+    The counts do not rise with the rank, so for each c in 1..n the ranks
+    with a count >= c are 1..end[c].  A float estimate of each end is moved
+    until the counts themselves, evaluated by _zipf_counts at the end and
+    the rank after it, bracket c; rint thus decides every tie as it does
+    over the whole domain.
+    """
+    n, d, alpha = spec.n, spec.d, float(spec.param)
+    # n r^-alpha falls by a factor of about 1 - alpha / r from one rank to
+    # the next, far more than the few ulps the power rounds by while
+    # alpha > d 2^-40, so the computed counts cannot rise with the rank
+    if not (n < d and alpha * 2**40 > d):
+        return None
+    c = np.arange(1, n + 1)
+    # the count is >= c for n r^-alpha >= c - 1/2, i.e. r <= (n / (c - 1/2))^(1/alpha)
+    with np.errstate(over="ignore"):
+        end = np.exp(np.log1p((n - c + 0.5) / (c - 0.5)) / alpha)
+    end = np.floor(np.minimum(end, d)).astype(np.int64)
+    while True:
+        low = (end > 0) & (_zipf_counts(spec, np.maximum(end, 1.0)) < c)
+        high = (end < d) & (_zipf_counts(spec, np.minimum(end + 1.0, d)) >= c)
+        if not (low.any() or high.any()):
+            break
+        end += high.astype(np.int64) - low
+    # class c holds the ranks end[c + 1] + 1 .. end[c]; every count is >= 0
+    ends = np.concatenate(([d], end, [0]))
+    return ends[:-1] - ends[1:]
 
 
 def _shuffle(spec: SynthSpec, counts: np.ndarray) -> None:
@@ -189,9 +233,12 @@ class _Cell:
 def _prepare_cell(spec: SynthSpec, cfg: ReconstructionConfig) -> _Cell:
     # the profile and the class sizes do not depend on the order of the
     # counts, so they are binned before the shuffle, which only the per-item
-    # route needs
-    counts = _synth_counts(spec)
-    by_count = np.bincount(counts, minlength=spec.n + 1)  # items at each count
+    # route needs; a zipf cell may take them without forming its d counts
+    counts = None
+    by_count = _zipf_class_sizes(spec) if spec.distribution == "zipf" else None
+    if by_count is None:
+        counts = _synth_counts(spec)
+        by_count = np.bincount(counts, minlength=spec.n + 1)  # items at each count
     f = Profile(values=by_count / spec.d)
     op = cached_operator(cfg)
     values = np.flatnonzero(by_count)
@@ -202,6 +249,8 @@ def _prepare_cell(spec: SynthSpec, cfg: ReconstructionConfig) -> _Cell:
         classes = by_count[values]
         pmf = window_pmf(values, cfg.epsilon, cfg.n, cfg.B)
     else:
+        if counts is None:
+            counts = _synth_counts(spec)
         _shuffle(spec, counts)
         h = Histogram(counts=counts, n=spec.n)
     return _Cell(h=h, f=f, op=op, bounds=theoretical_bounds(cfg, f, op),
@@ -288,8 +337,7 @@ def sweep(
     """
     if not grid:
         raise ValueError("sweep grid is empty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     specs, cfgs = zip(*grid)
     tasks = [
         (ci, ti, derive_seed(master_seed, ci, ti))

@@ -32,6 +32,7 @@ from .mechanism import (
     update,
     window_pmf,
 )
+from .params import check_trials
 from .reconstruct import cached_operator, fast_inversion, reconstruct_profile, rounding
 
 __all__ = [
@@ -196,8 +197,7 @@ def run_protocol(
     """
     if not 16 <= d < 2**63:
         raise ValueError(f"d must lie in [16, 2**63 - 1], got {d}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     cfg = protocol_config(epsilon, d, eta=eta, p=p)
     op = cached_operator(cfg)
     delta = sensitivity_bound(op, d)

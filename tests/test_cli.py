@@ -373,6 +373,7 @@ def test_eval_d_list_above_cap_exits_2_before_any_histogram(tmp_path, capsys, mo
     assert not out.exists() and not (tmp_path / "e.csv.tmp").exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -381,6 +382,18 @@ def test_eval_d_list_above_cap_exits_2_before_any_histogram(tmp_path, capsys, mo
         ("--eta", "0", "--eta must lie in (0, 1), got 0.0"),
         ("--eta", "nan", "--eta must lie in (0, 1), got nan"),
         ("--d-list", "2000,0,4000", "--d-list: domain size 0 must be >= 1"),
+        ("--trials", "0", "--trials: trials must be >= 1, got 0"),
+        ("--dist", "zipf:nan",
+         "--dist 'zipf:nan': zipf exponent must be a finite number > 0, got nan"),
+        ("--dist", "zipf:inf",
+         "--dist 'zipf:inf': zipf exponent must be a finite number > 0, got inf"),
+        ("--dist", "zipf:0", "--dist 'zipf:0': zipf exponent must be a finite number > 0, got 0.0"),
+        ("--dist", "zipf:x", "--dist 'zipf:x': zipf needs an exponent, e.g. zipf:1.1"),
+        ("--dist", "point_mass:1.5",
+         "--dist 'point_mass:1.5': point_mass needs an integer count, e.g. point_mass:1"),
+        ("--dist", "point_mass:65",
+         "--dist 'point_mass:65': point mass must be an integer count in [0, 64], got 65"),
+        ("--dist", "beta", "--dist 'beta': unknown distribution 'beta'"),
     ],
 )
 def test_eval_refusal_names_the_flag_and_value(tmp_path, capsys, flag, value, message):
@@ -482,6 +495,41 @@ def test_innerprod_d_past_int64_exits_2_naming_d(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "x.csv.tmp").exists()
 
 
+# --- flag values refused before any input ---------------------------------------
+#
+# The input files named here do not exist: a command that read its input
+# first would fail on that instead.
+
+EARLY_REFUSALS = {
+    "sketch --n 0": (["sketch", "--input", "missing.txt", "--output", "s.json",
+                      "--epsilon", "1", "--n", "0"],
+                     "--n: maximum count n must be >= 1, got 0"),
+    "sketch --n -3": (["sketch", "--input", "missing.txt", "--output", "s.json",
+                       "--epsilon", "1", "--n", "-3"],
+                      "--n: maximum count n must be >= 1, got -3"),
+    "reconstruct --eta nan": (["reconstruct", "--input", "missing.json", "--output", "p.csv",
+                               "--eta", "nan"],
+                              "--eta nan: eta must lie in (0, 1)"),
+    "eval --trials 0": (["eval", "--dist", "zipf:1.1", "--d-list", "1000", "--n", "8",
+                         "--epsilon", "1", "--eta", "0.1", "--trials", "0",
+                         "--output", "e.csv"],
+                        "--trials: trials must be >= 1, got 0"),
+    "innerprod --trials 0": (["innerprod", "--d", "1000", "--epsilon", "1", "--trials", "0",
+                              "--output", "i.csv"],
+                             "--trials: trials must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("args, message", EARLY_REFUSALS.values(), ids=EARLY_REFUSALS)
+def test_flag_refusal_comes_before_any_input_and_names_the_flag(
+    tmp_path, capsys, monkeypatch, args, message
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- runtime dependencies ---------------------------------------------------------
 
 def test_cli_import_pulls_in_no_scipy():
@@ -503,12 +551,12 @@ def test_cli_import_pulls_in_no_scipy():
 LATER_LAYERS = {f"dpprofile.{layer}" for layer in ("circulant", "reconstruct", "evaluation", "twoparty")}
 
 
-def imported_modules(*args):
+def imported_modules(*args, returncode=0, cwd=None):
     """Every module a `python -X importtime` process imports, by name."""
     res = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, cwd=cwd
     )
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == returncode, res.stderr
     return {
         line.rpartition("|")[2].strip()
         for line in res.stderr.splitlines()
@@ -526,7 +574,7 @@ def sketch_files(hist_file, tmp_path):
     return plain, clipped
 
 
-def test_sketch_update_and_help_load_only_the_mechanism(hist_file, sketch_files, tmp_path):
+def test_sketch_and_update_load_only_the_mechanism(hist_file, sketch_files, tmp_path):
     delta = tmp_path / "delta.txt"
     delta.write_text("1\n0\n-1\n")
     runs = {
@@ -534,13 +582,37 @@ def test_sketch_update_and_help_load_only_the_mechanism(hist_file, sketch_files,
                    "--epsilon", "1", "--n", "5"),
         "update": ("update", "--sketch", sketch_files[0], "--delta", str(delta),
                    "--output", str(tmp_path / "u.json")),
-        "--help": ("--help",),
     }
     for command, args in runs.items():
         modules = imported_modules("-m", "dpprofile", *args)
         assert "dpprofile.mechanism" in modules, command  # the report lists layers
         unwanted = modules & (LATER_LAYERS | {"concurrent.futures"})
         assert not unwanted, (command, unwanted)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["--help"], 0),
+        (["sketch", "--help"], 0),
+        (["sketch", "--n", "5"], 2),  # argparse: required flags missing
+        (["sketch", "--input", "missing.txt", "--output", "s.json", "--epsilon", "nan",
+          "--n", "8"], 2),
+        (["innerprod", "--d", "1000", "--epsilon", "nan", "--trials", "1",
+          "--output", "i.csv"], 2),
+        *[(args, 2) for args, _ in EARLY_REFUSALS.values()],
+    ],
+    ids=["--help", "sketch --help", "usage error", "sketch --epsilon nan",
+         "innerprod --epsilon nan", *EARLY_REFUSALS],
+)
+def test_help_usage_errors_and_flag_refusals_load_no_numpy(tmp_path, args, code):
+    # the interpreter's start is the whole cost of a process that only
+    # prints help or refuses a flag value
+    modules = imported_modules("-m", "dpprofile", *args, returncode=code, cwd=tmp_path)
+    assert "dpprofile.cli" in modules  # the report lists the package's modules
+    assert not {m for m in modules if m.partition(".")[0] == "numpy"}
+    assert "dpprofile.mechanism" not in modules
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_loads_neither_evaluation_nor_twoparty(sketch_files, tmp_path):

@@ -66,6 +66,35 @@ def test_unknown_distribution_rejected():
         SynthSpec("beta", d=10, n=5, seed=0)
 
 
+@pytest.mark.parametrize(
+    "distribution, param",
+    [("zipf", math.nan), ("zipf", math.inf), ("zipf", 0.0), ("zipf", -1.0),
+     ("point_mass", math.nan), ("point_mass", 1.5), ("point_mass", -1), ("point_mass", 6)],
+)
+def test_synth_spec_rejects_a_parameter_with_no_histogram(distribution, param):
+    # written so that NaN fails: it compares false with every bound
+    with pytest.raises(ValueError, match="must be"):
+        SynthSpec(distribution, d=10, n=5, seed=0, param=param)
+
+
+def test_zipf_class_sizes_equal_the_binned_counts():
+    # the O(n) sizes decide every class boundary as rint does over all d
+    # ranks, ties included
+    rng = np.random.default_rng(17)
+    grid = [(d, n, alpha) for d in (2, 7, 1000, 12345) for n in (1, 2, 5, 32, 999)
+            for alpha in (0.5, 0.7, 1.0, 1.1, 2.0, 3.7, 40.0) if n < d]
+    grid += [(int(d), int(rng.integers(1, min(d, 3000))), float(rng.uniform(0.01, 5)))
+             for d in rng.integers(2, 10**5, size=100)]
+    for d, n, alpha in grid:
+        spec = SynthSpec("zipf", d=d, n=n, seed=0, param=alpha)
+        want = np.bincount(evaluation._synth_counts(spec), minlength=n + 1)
+        assert evaluation._zipf_class_sizes(spec).tolist() == want.tolist(), (d, n, alpha)
+    # no cheaper than binning with n >= d; not certain to be exact when the
+    # counts of neighbouring ranks lie within rounding of each other
+    for d, n, alpha in ((10, 10, 1.1), (10, 50, 1.1), (10**6, 32, 1e-7)):
+        assert evaluation._zipf_class_sizes(SynthSpec("zipf", d=d, n=n, seed=0, param=alpha)) is None
+
+
 # --- true profile ----------------------------------------------------------------
 
 def test_true_profile_counts():

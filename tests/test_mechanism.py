@@ -493,6 +493,8 @@ def test_histogram_validation():
         Histogram(counts=np.array([-1]), n=5)
     with pytest.raises(ValueError):
         Histogram(counts=np.array([], dtype=np.int64), n=5)
+    with pytest.raises(ValueError, match="maximum count n must be >= 1, got 0"):
+        Histogram(counts=np.array([0]), n=0)
 
 
 # --- file formats ----------------------------------------------------------
@@ -646,6 +648,9 @@ def test_histogram_file_range_errors_name_the_line(tmp_path):
     path.write_text("# nothing\n\n")
     with pytest.raises(ValueError, match="no counts"):
         read_histogram(str(path), n=4)
+    # a maximum count below 1 is refused before the file is read
+    with pytest.raises(ValueError, match=r"^maximum count n must be >= 1, got -3$"):
+        read_histogram(str(tmp_path / "missing.txt"), n=-3)
 
 
 # --- sketch files --------------------------------------------------------------

@@ -9,14 +9,16 @@ import pytest
 import dpprofile
 
 # The public names of the package, as dir(dpprofile) listed them when
-# dpprofile/__init__.py imported every layer module eagerly.
+# dpprofile/__init__.py imported every layer module eagerly, and the
+# numpy-free parameter module that now owns ReconstructionConfig and
+# truncation_radius.
 PUBLIC = [
     "CirculantOperator", "EmpiricalProfile", "ErrorReport", "Histogram",
     "NormBounds", "PartyVector", "PrivateSketch", "Profile", "ProtocolResult",
     "ReconstructionConfig", "RelaxedSolution", "SynthSpec", "alice_message",
     "apply", "apply_inverse", "bob_estimate", "build_operator", "circulant",
     "direction_vector", "empirical_profile", "evaluation", "fast_inversion",
-    "fit_scaling", "mechanism", "norm_bounds", "privatize", "read_histogram",
+    "fit_scaling", "mechanism", "norm_bounds", "params", "privatize", "read_histogram",
     "read_sketch", "reconstruct", "reconstruct_profile", "rounding",
     "run_protocol", "run_trial", "sample_dlap", "sample_geometric",
     "sensitivity_bound", "sweep", "synth_histogram", "theoretical_bounds",
@@ -24,7 +26,7 @@ PUBLIC = [
     "update", "write_histogram", "write_sketch",
 ]
 
-LAYERS = ("circulant", "mechanism", "reconstruct", "evaluation", "twoparty")
+LAYERS = ("circulant", "params", "mechanism", "reconstruct", "evaluation", "twoparty")
 
 
 def run_python(code):
@@ -71,9 +73,16 @@ def test_fresh_namespace_lists_the_public_names_and_loads_no_layer():
 
 
 def test_a_name_loads_only_the_layers_its_module_needs():
-    loaded = run_python(
-        "import json, sys\n"
-        "from dpprofile import PrivateSketch\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpprofile.'))))\n"
-    )
-    assert loaded == ["dpprofile.mechanism"]
+    # the parameter module needs no numpy; the mechanism imports it
+    for name, layers in (
+        ("PrivateSketch", ["dpprofile.mechanism", "dpprofile.params"]),
+        ("ReconstructionConfig", ["dpprofile.params"]),
+    ):
+        loaded, numpy_loaded = run_python(
+            "import json, sys\n"
+            f"from dpprofile import {name}\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.startswith('dpprofile.')),\n"
+            "                  'numpy' in sys.modules]))\n"
+        )
+        assert loaded == layers, name
+        assert numpy_loaded == ("dpprofile.mechanism" in layers), name
