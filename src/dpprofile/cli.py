@@ -12,6 +12,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -46,6 +47,15 @@ def _write_atomic(path: str, text: str) -> None:
     _write_atomic_via(path, writer)
 
 
+@contextlib.contextmanager
+def _naming(flag: str):
+    """Prefix the message of a ValueError raised in the block with `flag`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_sketch(args) -> None:
     from . import params
 
@@ -53,16 +63,13 @@ def cmd_sketch(args) -> None:
     # every eta (first from n alone, then with the least noise bound that
     # epsilon gives at any eta and d), or if no noise bound lifts the
     # operator's spectrum floor to the invertibility threshold
-    try:
+    with _naming("--n"):
         params.check_max_count(args.n)
         params.check_window(args.n)
-    except ValueError as exc:
-        raise ValueError(f"--n: {exc}") from None
-    b_min = params.min_truncation_radius(args.epsilon)  # validates epsilon
-    try:
+    with _naming(f"--epsilon {args.epsilon!r}"):
+        b_min = params.min_truncation_radius(args.epsilon)  # validates epsilon
+    with _naming(f"--epsilon {args.epsilon!r} (least B at any eta)"):
         params.check_window(args.n, b_min)
-    except ValueError as exc:
-        raise ValueError(f"--epsilon {args.epsilon!r} (least B at any eta): {exc}") from None
     sup_floor = params.max_spectrum_floor(args.epsilon)
     if sup_floor < params.MIN_EIGENVALUE:
         raise ValueError(
@@ -83,10 +90,8 @@ def cmd_sketch(args) -> None:
 def cmd_reconstruct(args) -> None:
     from . import params
 
-    try:
+    with _naming(f"--eta {args.eta!r}"):
         params.check_eta(args.eta)
-    except ValueError as exc:
-        raise ValueError(f"--eta {args.eta!r}: {exc}") from None
     import numpy as np
 
     from . import mechanism, reconstruct
@@ -94,7 +99,7 @@ def cmd_reconstruct(args) -> None:
     sketch = mechanism.read_sketch(args.input)
     # the sketch is valid, so a configuration error comes from --eta and
     # the noise bound it sets
-    try:
+    with _naming(f"--eta {args.eta!r}"):
         cfg = params.ReconstructionConfig(
             epsilon=sketch.epsilon,
             eta=args.eta,
@@ -102,8 +107,6 @@ def cmd_reconstruct(args) -> None:
             d=sketch.d,
             p_norm=args.norm,
         )
-    except ValueError as exc:
-        raise ValueError(f"--eta {args.eta!r}: {exc}") from None
     # only unfolding a clipped sketch draws randomness
     rng = np.random.default_rng(args.seed) if sketch.clipped else None
     start = time.perf_counter()
@@ -127,15 +130,6 @@ def cmd_update(args) -> None:
     _write_atomic_via(args.output, lambda p: mechanism.write_sketch(p, updated))
 
 
-def _check_trials(trials: int) -> None:
-    from . import params
-
-    try:
-        params.check_trials(trials)
-    except ValueError as exc:
-        raise ValueError(f"--trials: {exc}") from None
-
-
 def _parse_dist(text: str) -> tuple[str, float]:
     """The SynthSpec distribution and parameter that --dist names."""
     name, _, param = text.partition(":")
@@ -147,6 +141,8 @@ def _parse_dist(text: str) -> tuple[str, float]:
                 f"--dist {text!r}: point_mass needs an integer count, e.g. point_mass:1"
             ) from None
     if name == "uniform":
+        if param:
+            raise ValueError(f"--dist {text!r}: uniform takes no parameter")
         return "uniform_counts", 0.0
     if name == "zipf":
         try:
@@ -165,10 +161,19 @@ def cmd_eval(args) -> None:
         raise ValueError(f"--d-list must be comma-separated integers, got {args.d_list!r}")
     if not d_list:
         raise ValueError("--d-list is empty")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    if not 0 < args.eta < 1:
-        raise ValueError(f"--eta must lie in (0, 1), got {args.eta!r}")
+    # params' checks; these two messages name their flag as the subject
+    try:
+        params.check_max_count(args.n)
+    except ValueError:
+        raise ValueError(f"--n must be >= 1, got {args.n}") from None
+    try:
+        params.check_eta(args.eta)
+    except ValueError:
+        raise ValueError(f"--eta must lie in (0, 1), got {args.eta!r}") from None
+    with _naming("--n"):
+        params.check_window(args.n)
+    with _naming(f"--epsilon {args.epsilon!r}"):
+        params._check_epsilon(args.epsilon)
     too_small = [d for d in d_list if d < 1]
     if too_small:
         raise ValueError(f"--d-list: domain size {too_small[0]} must be >= 1")
@@ -179,12 +184,16 @@ def cmd_eval(args) -> None:
             f"--d-list: domain size {too_large[0]} is above the largest supported "
             f"{params.MAX_WINDOW}"
         )
-    _check_trials(args.trials)
+    with _naming("--trials"):
+        params.check_trials(args.trials)
     distribution, param = _parse_dist(args.dist)
-    cfgs = [
-        params.ReconstructionConfig(epsilon=args.epsilon, eta=args.eta, n=args.n, d=d)
-        for d in d_list
-    ]
+    # the flags are valid one by one; the noise bound they set together may
+    # still give no window
+    with _naming(f"--epsilon {args.epsilon!r} with --eta {args.eta!r}"):
+        cfgs = [
+            params.ReconstructionConfig(epsilon=args.epsilon, eta=args.eta, n=args.n, d=d)
+            for d in d_list
+        ]
     from . import evaluation
 
     grid = []
@@ -209,10 +218,15 @@ def cmd_innerprod(args) -> None:
 
     if not 16 <= args.d < 2**63:  # run_protocol's range, named by its flag here
         raise ValueError(f"--d must lie in [16, 2**63 - 1], got {args.d}")
-    _check_trials(args.trials)
-    params._check_epsilon(args.epsilon)  # run_protocol's check, before numpy loads
+    with _naming("--trials"):
+        params.check_trials(args.trials)
+    with _naming(f"--epsilon {args.epsilon!r}"):
+        params._check_epsilon(args.epsilon)  # run_protocol's check, before numpy loads
     from . import twoparty
 
+    # run_protocol's configuration, whose window the noise bound may overrun
+    with _naming(f"--epsilon {args.epsilon!r}"):
+        twoparty.protocol_config(args.epsilon, args.d)
     results = twoparty.run_protocol(
         d=args.d, epsilon=args.epsilon, trials=args.trials, master_seed=args.seed
     )

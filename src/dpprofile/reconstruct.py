@@ -13,7 +13,8 @@ total mass one) without amplifying the l1/l2 error and at most doubling the
 linf error.  Its last phase is a Euclidean projection onto the simplex,
 solved without a full sort: a strided sample brackets the threshold, and
 one pass over the window leaves only the entries inside the bracket to
-solve exactly.
+solve exactly.  A window too short to bracket, or one whose threshold the
+bracket misses, is solved by sorting it whole.
 
 Memory: besides its result, a reconstruction keeps at most two arrays of the
 window's length alive at once: the shifted counts (d of them) and their
@@ -63,10 +64,6 @@ _SUM_TOL = 1e-9
 # the pad (w the inverse taps' half-width): a few KB each at m ~ 1e6 and
 # eps >= 0.5, whatever n is.
 _CACHE_SIZE = 8
-
-# Michelot passes in threshold_tau before it sorts the entries still active.
-# Relaxed solutions at n = d = 1e6 and eps 0.5-2 take 2-5 passes.
-_MAX_PASSES = 8
 
 # The drain threshold is first solved on every _SAMPLE_STRIDE-th entry; the
 # bracket then spans _BRACKET_SPREAD sqrt(k) ranks of that k-entry sample on
@@ -297,10 +294,8 @@ def threshold_tau(r: np.ndarray, s: float) -> float:
     Equivalently sum_t max(r[t] - tau, 0) = sum r - s: tau is the threshold
     of the Euclidean projection of r onto a scaled simplex.  It is bracketed
     from a strided sample and solved exactly on the entries inside the
-    bracket; when the bracket misses or r is too short to bracket,
-    Michelot's fixed point (J. Optim. Theory Appl. 1986), with a bounded
-    number of passes and a sort of the remaining entries as its fallback,
-    solves the whole problem.
+    bracket; when the bracket misses or r is too short to bracket, a sort
+    of all of r solves it in O(len(r) log len(r)).
     """
     r = np.asarray(r, dtype=np.float64)
     total = float(r.sum())
@@ -310,10 +305,10 @@ def threshold_tau(r: np.ndarray, s: float) -> float:
         return 0.0
     if not len(r):  # an s within the tolerance of the empty sum
         return s
-    return _bracket_threshold(r, s, total)
+    return _bracket_threshold(r, s)
 
 
-def _bracket_threshold(r: np.ndarray, s: float, total: float) -> float:
+def _bracket_threshold(r: np.ndarray, s: float) -> float:
     """threshold_tau's tau for s > 0, from a sampled bracket.
 
     The threshold of every _SAMPLE_STRIDE-th entry, for the target scaled
@@ -325,14 +320,14 @@ def _bracket_threshold(r: np.ndarray, s: float, total: float) -> float:
     the entries above lo and above hi and the drained mass at lo, and
     compacts only the entries inside the bracket, which are solved exactly.
     When s is not between the drained masses at lo and hi, tau is not in the
-    bracket, and _drain_threshold solves the whole problem, as it does at
-    once for an r so short (under about 320 entries) that the spread spans
-    the whole sample.
+    bracket, and a sort of all of r solves the problem, as it does at once
+    for an r so short (under about 320 entries) that the spread spans the
+    whole sample.
     """
     k = -(-len(r) // _SAMPLE_STRIDE)
     spread = _BRACKET_SPREAD * math.isqrt(k) + 1
     if spread >= k:  # no sample entry can bound tau: the bracket holds all of r
-        return _drain_threshold(r, s, total)[0]
+        return _sorted_threshold(r, s)
     sample = np.sort(r[::_SAMPLE_STRIDE])
     j = int(np.searchsorted(sample, _sorted_threshold(sample, s * k / len(r))))
     lo = float(sample[j - spread]) if j >= spread else 0.0
@@ -353,30 +348,8 @@ def _bracket_threshold(r: np.ndarray, s: float, total: float) -> float:
     below = drained_lo - (len(inside) + n_hi) * lo  # the mass of the entries <= lo
     drained_hi = below + float(inside.sum()) + (n_hi * hi if n_hi else 0.0)
     if not (drained_lo <= s <= drained_hi and (len(inside) or n_hi)):
-        return _drain_threshold(r, s, total)[0]
+        return _sorted_threshold(r, s)
     return _sorted_threshold(inside, s - below, above=n_hi)
-
-
-def _drain_threshold(r: np.ndarray, s: float, total: float) -> tuple[float, int]:
-    """threshold_tau's tau for s > 0, and the number of Michelot passes made.
-
-    A pass takes tau = (s - mass of the inactive entries) / #active and keeps
-    active only the entries above it.  Starting from all entries, every
-    active set holds the solution's, so tau rises to the solution from below
-    and the passes stop when none is dropped.  Each pass is linear in the
-    active entries, which usually shrink to the solution's in a few passes;
-    an input that drops one entry per pass meets the cap, after which the
-    active entries are solved by sorting, as they hold the whole problem.
-    """
-    active, active_sum = r, total
-    for passes in range(1, _MAX_PASSES + 1):
-        tau = (s - (total - active_sum)) / len(active)
-        kept = active[active > tau]
-        # nothing dropped: converged; nothing kept: s reaches sum r
-        if len(kept) == len(active) or not len(kept):
-            return max(tau, 0.0), passes
-        active, active_sum = kept, float(kept.sum())
-    return _sorted_threshold(active, s - (total - active_sum)), _MAX_PASSES
 
 
 def _sorted_threshold(r: np.ndarray, s: float, above: int = 0) -> float:
@@ -412,7 +385,8 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
     bracket the sample gives, so the window is read in about two passes
     beyond the clip, the bracket's (a cache-sized block at a time) and the
     drain's; the window's sum is the one the relaxed solution already
-    checked.
+    checked.  A window under about 320 entries, or one whose tau falls
+    outside the bracket, is sorted whole instead.
     """
     if n != r.n:
         raise ValueError(f"n={n} does not match the relaxed solution (n={r.n})")
@@ -426,7 +400,7 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
             "the unit-sum constraint"
         )
     if s > 0:
-        tau = _bracket_threshold(clipped, s, clipped_sum)
+        tau = _bracket_threshold(clipped, s)
         # max(c - tau, 0) is c - min(tau, c) bit for bit
         clipped -= tau
         np.maximum(clipped, 0.0, out=clipped)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dpprofile import params
 from dpprofile.cli import main
 
 
@@ -394,6 +395,7 @@ def test_eval_d_list_above_cap_exits_2_before_any_histogram(tmp_path, capsys, mo
         ("--dist", "point_mass:65",
          "--dist 'point_mass:65': point mass must be an integer count in [0, 64], got 65"),
         ("--dist", "beta", "--dist 'beta': unknown distribution 'beta'"),
+        ("--dist", "uniform:7", "--dist 'uniform:7': uniform takes no parameter"),
     ],
 )
 def test_eval_refusal_names_the_flag_and_value(tmp_path, capsys, flag, value, message):
@@ -500,6 +502,7 @@ def test_innerprod_d_past_int64_exits_2_naming_d(tmp_path, capsys):
 # The input files named here do not exist: a command that read its input
 # first would fail on that instead.
 
+EPSILON_RULE = f"epsilon must be a finite number >= {params._MIN_EPSILON:.3g}"
 EARLY_REFUSALS = {
     "sketch --n 0": (["sketch", "--input", "missing.txt", "--output", "s.json",
                       "--epsilon", "1", "--n", "0"],
@@ -517,6 +520,24 @@ EARLY_REFUSALS = {
     "innerprod --trials 0": (["innerprod", "--d", "1000", "--epsilon", "1", "--trials", "0",
                               "--output", "i.csv"],
                              "--trials: trials must be >= 1, got 0"),
+    "sketch --epsilon inf": (["sketch", "--input", "missing.txt", "--output", "s.json",
+                              "--epsilon", "inf", "--n", "8"],
+                             f"--epsilon inf: {EPSILON_RULE}, got inf"),
+    "eval --epsilon nan": (["eval", "--dist", "zipf:1.1", "--d-list", "1000", "--n", "8",
+                            "--epsilon", "nan", "--eta", "0.1", "--trials", "2",
+                            "--output", "e.csv"],
+                           f"--epsilon nan: {EPSILON_RULE}, got nan"),
+    "innerprod --epsilon -1": (["innerprod", "--d", "1000", "--epsilon", "-1", "--trials", "1",
+                                "--output", "i.csv"],
+                               f"--epsilon -1.0: {EPSILON_RULE}, got -1.0"),
+    "eval --n 1e20": (["eval", "--dist", "zipf:1.1", "--d-list", "1000", "--n", str(10**20),
+                       "--epsilon", "1", "--eta", "0.1", "--trials", "2", "--output", "e.csv"],
+                      f"--n: n={10**20} is above the largest supported maximum count 99999999"),
+    "eval window": (["eval", "--dist", "zipf:1.1", "--d-list", "1000", "--n", "16",
+                     "--epsilon", "1e-06", "--eta", "0.1", "--trials", "2", "--output", "e.csv"],
+                    "--epsilon 1e-06 with --eta 0.1: maximum count n=16 is below the noise "
+                    "bound B=15201805; the error guarantee requires n >= B (raise n, raise "
+                    "epsilon, or relax eta)"),
 }
 
 
@@ -527,6 +548,15 @@ def test_flag_refusal_comes_before_any_input_and_names_the_flag(
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_innerprod_window_refusal_names_epsilon(tmp_path, capsys):
+    # the protocol's window at eps 1e-7 is past the supported cap
+    out = tmp_path / "i.csv"
+    assert main(["innerprod", "--d", "1000", "--epsilon", "1e-7", "--trials", "1",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --epsilon 1e-07: noise bound B=")
     assert list(tmp_path.iterdir()) == []
 
 

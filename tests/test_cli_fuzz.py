@@ -8,9 +8,13 @@ integers up to 1e20, and domain sizes past the supported cap or past int64.
 Histogram and delta files, and sketch JSON mutated from a valid sketch, are
 drawn as described further down.  Whatever the input, a command must exit 0
 with an output that parses, or 2 with no output and no `.tmp` file; never 1.
-The examples are derandomized, so every run draws the same ones.
+A flag value refused with exit 2 is named in the message: the command's own
+`error: --<flag>...` line, or argparse's `error: argument --<flag>` for a
+value it cannot parse.  The examples are derandomized, so every run draws
+the same ones.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -43,11 +47,22 @@ HIST = "3\n0\n7\n2\n"
 SKETCH_COUNTS = [3, 0, 7, 50, -2]
 
 
-def run(argv) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse turns away a value it cannot parse
-        return exc.code
+def run(argv) -> tuple[int, str]:
+    """The exit code of a command and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse turns away a value it cannot parse
+            code = exc.code
+    return code, err.getvalue()
+
+
+def names_what_it_refuses(err: str, *inputs: str) -> bool:
+    """Whether a refusal's message starts by naming a flag or one of `inputs`."""
+    starts = ("error: --", *(f"error: {path}:" for path in inputs))
+    return any(line.startswith(starts) or ": error: argument --" in line
+               for line in err.splitlines())
 
 
 def outputs(folder, inputs):
@@ -64,9 +79,11 @@ def test_sketch_flag_values_fail_closed(epsilon, n, clip):
         out = os.path.join(folder, "sketch.json")
         argv = ["sketch", "--input", hist, "--output", out,
                 f"--epsilon={epsilon}", f"--n={n}", "--seed", "3"]
-        code = run(argv + ["--clip"] if clip else argv)
+        code, err = run(argv + ["--clip"] if clip else argv)
         assert code in (0, 2)
         if code == 2:
+            # a count of the histogram above --n is refused at its line
+            assert names_what_it_refuses(err, hist), err
             assert outputs(folder, ["hist.txt"]) == []
             return
         assert outputs(folder, ["hist.txt"]) == ["sketch.json"]
@@ -88,9 +105,10 @@ def test_reconstruct_eta_values_fail_closed(eta, epsilon):
             json.dump({"version": 1, "epsilon": epsilon, "n": 50, "d": len(SKETCH_COUNTS),
                        "clipped": False, "counts": SKETCH_COUNTS}, fh)
         out = os.path.join(folder, "profile.csv")
-        code = run(["reconstruct", "--input", sketch, "--output", out, f"--eta={eta}"])
+        code, err = run(["reconstruct", "--input", sketch, "--output", out, f"--eta={eta}"])
         assert code in (0, 2)
         if code == 2:
+            assert names_what_it_refuses(err), err
             assert outputs(folder, ["sketch.json"]) == []
             return
         assert outputs(folder, ["sketch.json"]) == ["profile.csv"]
@@ -116,7 +134,8 @@ EPSILONS = st.one_of(
 PAST_CAP = st.sampled_from([10**8 + 1, 10**12, 2**63 - 1, 2**63, 10**30])
 SMALL_TRIALS = st.integers(-1, 3).map(str)
 EVAL_FLAGS = {
-    "--dist": (st.sampled_from(["uniform", "point_mass:1", "zipf:-1", "other"]), "zipf:1.1"),
+    "--dist": (st.sampled_from(["uniform", "uniform:7", "point_mass:1", "zipf:-1", "other"]),
+               "zipf:1.1"),
     "--d-list": (st.lists(st.one_of(st.integers(-2, 3000), PAST_CAP), max_size=3)
                  .map(lambda ds: ",".join(map(str, ds))), "200,400"),
     "--n": (st.integers(-1, 40).map(str), "16"),
@@ -146,9 +165,10 @@ def test_eval_flag_values_fail_closed(data, replaced):
     with tempfile.TemporaryDirectory() as folder:
         out = os.path.join(folder, "eval.csv")
         argv = [f"{flag}={value}" for flag, value in flags.items()]
-        code = run(["eval", *argv, "--output", out, "--seed", "3"])
+        code, err = run(["eval", *argv, "--output", out, "--seed", "3"])
         assert code in (0, 2)
         if code == 2:
+            assert names_what_it_refuses(err), err
             assert outputs(folder, []) == []
             return
         assert outputs(folder, []) == ["eval.csv"]
@@ -170,9 +190,10 @@ def test_innerprod_flag_values_fail_closed(data, replaced):
     with tempfile.TemporaryDirectory() as folder:
         out = os.path.join(folder, "ip.csv")
         argv = [f"{flag}={value}" for flag, value in flags.items()]
-        code = run(["innerprod", *argv, "--output", out, "--seed", "3"])
+        code, err = run(["innerprod", *argv, "--output", out, "--seed", "3"])
         assert code in (0, 2)
         if code == 2:
+            assert names_what_it_refuses(err), err
             assert outputs(folder, []) == []
             return
         assert outputs(folder, []) == ["ip.csv"]
@@ -236,7 +257,7 @@ def test_sketch_histogram_contents_fail_closed(data):
     with tempfile.TemporaryDirectory() as folder:
         hist = write_bytes(folder, "hist.txt", data)
         out = os.path.join(folder, "sketch.json")
-        code = run(["sketch", "--input", hist, "--output", out,
+        code, _ = run(["sketch", "--input", hist, "--output", out,
                     "--epsilon", "50", "--n", "100", "--seed", "3"])
         assert code in (0, 2)
         if code == 2:
@@ -257,7 +278,7 @@ def test_update_delta_contents_fail_closed(data):
         sketch = write_sketch_obj(folder, valid_sketch())
         delta = write_bytes(folder, "delta.txt", data)
         out = os.path.join(folder, "updated.json")
-        code = run(["update", "--sketch", sketch, "--delta", delta, "--output", out])
+        code, _ = run(["update", "--sketch", sketch, "--delta", delta, "--output", out])
         assert code in (0, 2)
         if code == 2:
             assert outputs(folder, ["sketch.json", "delta.txt"]) == []
@@ -344,7 +365,7 @@ def test_mutated_sketch_json_fails_closed(edits, deep, command):
             inputs.append("delta.txt")
             out = os.path.join(folder, "updated.json")
             argv = ["update", "--sketch", sketch, "--delta", delta, "--output", out]
-        code = run(argv)
+        code, _ = run(argv)
         assert code in (0, 2)
         if code == 2:
             assert outputs(folder, inputs) == []

@@ -172,27 +172,14 @@ def structured_drain_cases(rng, count):
         yield r, frac * total
 
 
-def test_threshold_tau_agrees_with_bisection():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        r = rng.uniform(0, 1, size=rng.integers(1, 40))
-        s = rng.uniform(0, float(r.sum()))
-        fast = threshold_tau(r, s)
-        slow = bisection_tau(r, s)
-        assert abs(fast - slow) <= 1e-9
-        assert float(np.minimum(fast, r).sum()) == pytest.approx(s, abs=1e-9)
-    for r, s in structured_drain_cases(rng, 200):
-        fast = threshold_tau(r, s)
-        assert abs(fast - bisection_tau(r, s)) <= 1e-9
-        assert float(np.minimum(fast, r).sum()) == pytest.approx(s, abs=1e-9)
-
-
 def one_drop_per_pass(length):
-    """Entries on which each threshold pass drops exactly one, and the target.
+    """Entries on which each fixed-point threshold pass (tau = (s - mass of
+    the entries dropped so far) / #entries kept) drops exactly one, and the
+    target.
 
     A chain of `length` entries below one entry of 1: the chain's j-th entry
     sits just under the j-th pass's threshold and above the one before, so
-    the passes end only when the chain is used up, after length + 1 passes.
+    such passes end only when the chain is used up, after length + 1 passes.
     """
     k = length + 1
     tau, gap = 0.5, 0.25
@@ -205,33 +192,53 @@ def one_drop_per_pass(length):
     return np.random.default_rng(3).permutation(r), k * 0.5  # s: tau_1 = s / k
 
 
-def test_threshold_tau_passes_are_bounded(monkeypatch):
-    rng = np.random.default_rng(47)
-    for r, s in structured_drain_cases(rng, 200):
-        if s > 0:
-            assert reconstruct._drain_threshold(r, s, float(r.sum()))[1] <= reconstruct._MAX_PASSES
-    # one entry dropped per pass: without the cap the passes grow with the input
-    r, s = one_drop_per_pass(reconstruct._MAX_PASSES + 2)
-    assert reconstruct._drain_threshold(r, s, float(r.sum()))[1] == reconstruct._MAX_PASSES
-    monkeypatch.setattr(reconstruct, "_MAX_PASSES", 100)
-    assert reconstruct._drain_threshold(r, s, float(r.sum()))[1] == len(r)
+def test_threshold_tau_agrees_with_bisection():
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        r = rng.uniform(0, 1, size=rng.integers(1, 40))
+        s = rng.uniform(0, float(r.sum()))
+        fast = threshold_tau(r, s)
+        slow = bisection_tau(r, s)
+        assert abs(fast - slow) <= 1e-9
+        assert float(np.minimum(fast, r).sum()) == pytest.approx(s, abs=1e-9)
+    # inputs on which fixed-point passes converge slowly: one entry per pass,
+    # and a dense ramp with tau pressed against its top
+    adversarial = [one_drop_per_pass(10), (np.linspace(0, 1, 10001), 0.999999 * 5000.5)]
+    for r, s in [*structured_drain_cases(rng, 200), *adversarial]:
+        fast = threshold_tau(r, s)
+        assert abs(fast - bisection_tau(r, s)) <= 1e-9
+        assert float(np.minimum(fast, r).sum()) == pytest.approx(s, abs=1e-9)
 
 
-@pytest.mark.parametrize("cap", [1, 2, 8])
-def test_threshold_tau_sorts_what_the_capped_passes_leave(monkeypatch, cap):
-    rng = np.random.default_rng(53)
-    cases = [one_drop_per_pass(10), (np.linspace(0, 1, 10001), 0.999999 * 5000.5)]
-    cases += [(r, s) for r, s in structured_drain_cases(rng, 50) if s > 0]
-    default_cap = reconstruct._MAX_PASSES
-    monkeypatch.setattr(reconstruct, "_MAX_PASSES", 100)
-    uncapped = [reconstruct._drain_threshold(r, s, float(r.sum())) for r, s in cases]
-    # the first two cases need more passes than even the default cap allows
-    assert min(passes for _, passes in uncapped[:2]) > default_cap
-    monkeypatch.setattr(reconstruct, "_MAX_PASSES", cap)
-    for (r, s), (tau, _) in zip(cases, uncapped):
-        capped = threshold_tau(r, s)
-        assert abs(capped - tau) <= 1e-12 * max(1.0, tau)
-        assert abs(capped - bisection_tau(r, s)) <= 1e-9
+def spy_on_sorts(monkeypatch):
+    """Record the (r, s, above) of every _sorted_threshold call."""
+    sort = reconstruct._sorted_threshold
+    calls = []
+
+    def spy(r, s, above=0):
+        calls.append((r, s, above))
+        return sort(r, s, above)
+
+    monkeypatch.setattr(reconstruct, "_sorted_threshold", spy)
+    return calls
+
+
+def whole_sorts(calls, r):
+    """The recorded sorts of all of r: the short-input and bracket-miss exits."""
+    return [call for call in calls if len(call[0]) == len(r) and call[2] == 0]
+
+
+def test_threshold_tau_sorts_a_short_input_whole(monkeypatch):
+    # under 321 entries no sample entry can bound tau: one sort of all of r
+    rng = np.random.default_rng(59)
+    calls = spy_on_sorts(monkeypatch)
+    for length in (1, 33, 200, 320):
+        r = rng.uniform(0, 1, size=length)
+        s = 0.3 * float(r.sum())
+        calls.clear()
+        tau = threshold_tau(r, s)
+        assert len(calls) == 1 and len(whole_sorts(calls, r)) == 1
+        assert abs(tau - bisection_tau(r, s)) <= 1e-9
 
 
 def wide_relaxed_solutions(seed=4244):
@@ -253,38 +260,29 @@ def wide_relaxed_solutions(seed=4244):
 
 
 def test_bracketed_threshold_agrees_with_sorting_at_scale(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the sampled bracket missed")
-
-    monkeypatch.setattr(reconstruct, "_drain_threshold", refuse)
     for relaxed in wide_relaxed_solutions():
         clipped = np.clip(relaxed.core(), 0.0, 1.0)
-        total = float(clipped.sum())
-        s = total - relaxed.core_sum
-        tau = reconstruct._bracket_threshold(clipped, s, total)
-        assert abs(tau - reconstruct._sorted_threshold(clipped, s)) <= 1e-18
+        s = float(clipped.sum()) - relaxed.core_sum
+        expected = reconstruct._sorted_threshold(clipped, s)
+        with monkeypatch.context() as patch:
+            calls = spy_on_sorts(patch)
+            tau = reconstruct._bracket_threshold(clipped, s)
+        assert whole_sorts(calls, clipped) == [], "the sampled bracket missed"
+        assert abs(tau - expected) <= 1e-18
 
 
-@pytest.mark.parametrize("cap", [reconstruct._MAX_PASSES, 1])
-def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch, cap):
+def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch):
     # the sample reads only every 64th entry; those are spread over [0, 1]
     # while every other entry is 0.5, so the sample puts tau near 0.55
     # while the whole array's tau is near 0.4, far outside the bracket
     r = np.full(64 * 2500, 0.5)
     r[::64] = np.linspace(0.0, 1.0, 2500)
     s = 0.4 * len(r)
-    drain = reconstruct._drain_threshold
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return drain(*args)
-
-    monkeypatch.setattr(reconstruct, "_MAX_PASSES", cap)  # 1: the passes sort
-    monkeypatch.setattr(reconstruct, "_drain_threshold", spy)
+    expected = reconstruct._sorted_threshold(r, s)
+    calls = spy_on_sorts(monkeypatch)
     tau = threshold_tau(r, s)
-    assert len(calls) == 1
-    assert tau == drain(r, s, float(r.sum()))[0]
+    assert len(whole_sorts(calls, r)) == 1
+    assert tau == expected
     assert abs(tau - bisection_tau(r, s)) <= 1e-9
 
 
@@ -293,10 +291,6 @@ def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch, cap):
     [circulant._BLOCK - 1, circulant._BLOCK, circulant._BLOCK + 1, 3 * circulant._BLOCK + 7],
 )
 def test_blocked_bracket_matches_sorting_across_block_edges(monkeypatch, length):
-    def refuse(*args):
-        raise AssertionError("the sampled bracket missed")
-
-    monkeypatch.setattr(reconstruct, "_drain_threshold", refuse)
     rng = np.random.default_rng(length)
     base = rng.exponential(size=length)
     base[rng.random(length) < 0.4] = 0.0  # a clipped window: many zeros
@@ -311,7 +305,10 @@ def test_blocked_bracket_matches_sorting_across_block_edges(monkeypatch, length)
         r[edges + [length - 1]] = tau * (1.0 + 1e-3 * rng.uniform(-1, 1, len(edges) + 1))
         total = float(r.sum())
         expected = reconstruct._sorted_threshold(r, frac * total)
-        got = reconstruct._bracket_threshold(r, frac * total, total)
+        with monkeypatch.context() as patch:
+            calls = spy_on_sorts(patch)
+            got = reconstruct._bracket_threshold(r, frac * total)
+        assert whole_sorts(calls, r) == [], "the sampled bracket missed"
         assert abs(got - expected) <= 1e-15 * expected
 
 
@@ -321,17 +318,11 @@ def test_blocked_bracket_miss_reaches_the_drain(monkeypatch):
     r = np.full(3 * circulant._BLOCK + 7, 0.5)
     r[::64] = np.linspace(0.0, 1.0, len(r[::64]))
     s = 0.4 * len(r)
-    drain = reconstruct._drain_threshold
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return drain(*args)
-
-    monkeypatch.setattr(reconstruct, "_drain_threshold", spy)
+    expected = reconstruct._sorted_threshold(r, s)
+    calls = spy_on_sorts(monkeypatch)
     tau = threshold_tau(r, s)
-    assert len(calls) == 1
-    assert tau == drain(r, s, float(r.sum()))[0]
+    assert len(whole_sorts(calls, r)) == 1
+    assert tau == expected
     assert abs(tau - bisection_tau(r, s)) <= 1e-9
 
 
