@@ -271,13 +271,15 @@ def test_bracketed_threshold_agrees_with_sorting_at_scale(monkeypatch):
         assert abs(tau - expected) <= 1e-18
 
 
-def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch):
+@pytest.mark.parametrize("scale", [1, 8])
+def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch, scale):
     # the sample reads only every 64th entry; those are spread over [0, 1]
     # while every other entry is 0.5, so the sample puts tau near 0.55
-    # while the whole array's tau is near 0.4, far outside the bracket
-    r = np.full(64 * 2500, 0.5)
-    r[::64] = np.linspace(0.0, 1.0, 2500)
-    s = 0.4 * len(r)
+    # while the whole array's tau is near 0.4, far outside the bracket;
+    # a power-of-two scale of values and target keeps the same miss exactly
+    r = np.full(64 * 2500, 0.5 * scale)
+    r[::64] = np.linspace(0.0, scale, 2500)
+    s = 0.4 * scale * len(r)
     expected = reconstruct._sorted_threshold(r, s)
     calls = spy_on_sorts(monkeypatch)
     tau = threshold_tau(r, s)
