@@ -12,7 +12,7 @@ Each layer module is imported on first use (PEP 562): `import dpprofile`
 loads none of them, and `dpprofile.X` or `from dpprofile import X` loads
 only the module that defines X.  `ReconstructionConfig` and
 `truncation_radius` are defined in `params`, the scalar parameter maths,
-which needs no numpy; `mechanism` re-exports them.
+which needs no numpy.
 """
 
 import sys as _sys

@@ -69,7 +69,7 @@ def cmd_sketch(args) -> None:
     with _naming(f"--epsilon {args.epsilon!r}"):
         b_min = params.min_truncation_radius(args.epsilon)  # validates epsilon
     with _naming(f"--epsilon {args.epsilon!r} (least B at any eta)"):
-        params.check_window(args.n, b_min)
+        params.check_window(args.n, b_min, remedy="raise epsilon")
     sup_floor = params.max_spectrum_floor(args.epsilon)
     if sup_floor < params.MIN_EIGENVALUE:
         raise ValueError(
@@ -224,9 +224,11 @@ def cmd_innerprod(args) -> None:
         params._check_epsilon(args.epsilon)  # run_protocol's check, before numpy loads
     from . import twoparty
 
-    # run_protocol's configuration, whose window the noise bound may overrun
+    # run_protocol's window, which the noise bound may overrun; the protocol
+    # fixes eta, so epsilon is the one flag that narrows it
     with _naming(f"--epsilon {args.epsilon!r}"):
-        twoparty.protocol_config(args.epsilon, args.d)
+        b = params.truncation_radius(args.epsilon, twoparty.PROTOCOL_ETA, args.d)
+        params.check_window(twoparty.PROTOCOL_N, b, remedy="raise epsilon")
     results = twoparty.run_protocol(
         d=args.d, epsilon=args.epsilon, trials=args.trials, master_seed=args.seed
     )

@@ -30,12 +30,11 @@ from ._util import NORMS, derive_seed, lp_norm
 from .circulant import CirculantOperator
 from .mechanism import (
     Histogram,
-    ReconstructionConfig,
     empirical_profile,
     privatize,
     window_pmf,
 )
-from .params import check_trials
+from .params import ReconstructionConfig, check_trials
 from .reconstruct import Profile, cached_operator, fast_inversion, rounding
 
 __all__ = [

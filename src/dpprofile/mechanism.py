@@ -13,36 +13,17 @@ import io
 import json
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-# The scalar parameters and their checks need no numpy, so they live in
-# params; every name stays importable from here as the same object.
-from .params import (  # noqa: F401
-    _MIN_EPSILON,
-    MAX_WINDOW,
-    MIN_EIGENVALUE,
-    ReconstructionConfig,
-    _check_epsilon,
-    _log_conditioning,
-    check_max_count,
-    check_window,
-    max_spectrum_floor,
-    min_truncation_radius,
-    truncation_radius,
-)
+from .params import ReconstructionConfig, _check_epsilon, check_max_count, check_window
 
 __all__ = [
     "Histogram",
     "PrivateSketch",
     "EmpiricalProfile",
-    "ReconstructionConfig",
-    "MAX_WINDOW",
-    "check_window",
-    "truncation_radius",
-    "min_truncation_radius",
     "sample_geometric",
     "sample_dlap",
     "window_pmf",
@@ -402,77 +383,99 @@ _SKETCH_KEYS = frozenset(("version", "epsilon", "n", "d", "clipped", "counts"))
 _COUNTS_KEY = b'"counts": '
 _SKETCH_END = b"}\n"
 
+# codec block sizes, in counts and in bytes: no codec temporary grows with d
+_FORMAT_BLOCK = 2**15
+_PARSE_PIECE = 2**17
+
 # 10 .. 10**18: a magnitude at or above k of them has k + 1 digits
 _POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 
-def _format_counts(counts: np.ndarray) -> bytes:
-    """json.dumps(counts.tolist()) of an int64 vector, byte for byte.
+def _format_counts(counts: np.ndarray) -> Iterator[bytes]:
+    """json.dumps(counts.tolist())[1:-1] of an int64 vector, in chunks.
 
-    The digits are computed for all counts at once and scattered into one
-    byte buffer laid out as "<sign><digits>, " per count.
+    The chunks, one per block of _FORMAT_BLOCK counts, concatenate to the
+    text byte for byte: every chunk but the first starts with its ", ".  A
+    block's digits are computed for all its counts at once and scattered
+    into one byte buffer laid out as ", <sign><digits>" per count.
     """
-    values = np.asarray(counts, dtype=np.int64)
-    if not len(values):
-        return b"[]"
-    rest = np.abs(values).view(np.uint64)  # |INT64_MIN| wraps to 2**63
-    width = (values < 0) + np.uint8(3)  # a sign, one digit and the ", "
-    ndigits = 1
-    for power in _POW10:
-        longer = rest >= power
-        if not longer.any():
-            break
-        width += longer
-        ndigits += 1
-    last = np.cumsum(width, dtype=np.intp)  # one past each count's ", "
-    text = np.full(last[-1], ord(" "), dtype=np.uint8)
-    # every count gets a "-"; the digits overwrite it where it is not negative
-    text[last - width] = ord("-")
-    last -= 3  # each count's last digit
-    text[last + 1] = ord(",")
-    spare = len(text) - 1  # the final ", " is cut below, so finished counts write here
-    for _ in range(ndigits):
-        digit = rest.astype(np.uint8)
-        np.floor_divide(rest, 10, out=rest)
-        # the digit is below 10, so the low bytes give it exactly
-        digit -= rest.astype(np.uint8) * np.uint8(10)
-        digit += ord("0")
-        text[last] = digit
-        last -= 1
-        np.copyto(last, spare, where=rest == 0)
-    return b"[" + text[:-2].tobytes() + b"]"
+    for lo in range(0, len(counts), _FORMAT_BLOCK):
+        values = counts[lo : lo + _FORMAT_BLOCK]
+        rest = np.abs(values).view(np.uint64)  # |INT64_MIN| wraps to 2**63
+        width = (values < 0) + np.uint8(3)  # the ", ", a sign and one digit
+        ndigits = 1
+        for power in _POW10:
+            longer = rest >= power
+            if not longer.any():
+                break
+            width += longer
+            ndigits += 1
+        last = np.cumsum(width, dtype=np.intp)  # one past each count's last digit
+        text = np.full(last[-1] + 1, ord(" "), dtype=np.uint8)  # + a spare byte
+        last -= width
+        text[last] = ord(",")
+        # every count gets a "-"; the digits overwrite it where it is not negative
+        text[last + 2] = ord("-")
+        last += width - np.uint8(1)  # each count's last digit
+        for _ in range(ndigits):
+            digit = rest.astype(np.uint8)
+            np.floor_divide(rest, 10, out=rest)
+            # the digit is below 10, so the low bytes give it exactly
+            digit -= rest.astype(np.uint8) * np.uint8(10)
+            digit += ord("0")
+            text[last] = digit
+            last -= 1
+            np.copyto(last, len(text) - 1, where=rest == 0)  # finished: the spare
+        yield text[2 if lo == 0 else 0 : -1].tobytes()
 
 
 def _parse_canonical(data: bytes) -> dict | None:
     """The sketch object of a file in write_sketch's exact layout, else None.
 
-    The counts are parsed by numpy and taken only if they format back to the
-    same bytes, which proves they are JSON integers within int64.  The rest
-    is parsed by json with an empty list in their place.  If that gives an
-    object with exactly the sketch keys, the empty list is the value of
-    "counts" (no sketch key holds a quote, so the match was not inside a
-    string) and the object's last entry, so json.loads of the whole file
-    gives the same object with the counts in that list.  Anything else, a
-    valid sketch in another layout included, returns None.
+    The head is parsed by json with an empty list in place of the counts.
+    If that gives an object with exactly the sketch keys, the empty list is
+    the value of "counts" (no sketch key holds a quote, so the match was not
+    inside a string) and the object's last entry, so json.loads of the whole
+    file gives the same object with the counts in that list.  The counts are
+    parsed by numpy into one array of the head's d, a piece at a time: each
+    piece ends at the first ", " past _PARSE_PIECE bytes and is taken only
+    if its counts format back to the same bytes, which proves them JSON
+    integers within int64.  The text is the counts' texts joined by ", ", so
+    this accepts what a check of the whole text would.  Anything else, a
+    valid sketch in another layout or a d that is not the number of counts
+    included, returns None.
     """
     start = data.rfind(_COUNTS_KEY + b"[")
     if start < 0 or not data.endswith(b"]" + _SKETCH_END):
         return None
-    counts_text = data[start + len(_COUNTS_KEY) : -len(_SKETCH_END)]
+    pos = start + len(_COUNTS_KEY)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # older numpy warns on a stray byte
-            counts = np.fromstring(counts_text[1:-1], dtype=np.int64, sep=",")
-    except (ValueError, DeprecationWarning):
-        return None
-    if _format_counts(counts) != counts_text:
-        return None
-    head = data[: start + len(_COUNTS_KEY)]
-    try:
-        obj = json.loads(head.decode("utf-8") + "[]}")
+        obj = json.loads(data[:pos].decode("utf-8") + "[]}")
     except (ValueError, RecursionError):  # decoding and JSON errors alike
         return None
     if not isinstance(obj, dict) or obj.keys() != _SKETCH_KEYS:
+        return None
+    d, pos, end = obj["d"], pos + 1, len(data) - len(b"]" + _SKETCH_END)
+    # every count but the last takes a digit and a ", " at least, so the text
+    # bounds the array before it is allocated
+    if not _is_json_int(d) or not 0 <= 3 * d <= end - pos + 2:
+        return None
+    counts, filled, cut = np.empty(d, dtype=np.int64), 0, pos
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy warns on a stray byte
+        while filled < d:
+            cut = data.find(b", ", pos + _PARSE_PIECE, end)
+            cut = end if cut < 0 else cut
+            piece = data[pos:cut]
+            try:
+                values = np.fromstring(piece, dtype=np.int64, sep=",")
+            except (ValueError, DeprecationWarning):
+                return None
+            if not 0 < len(values) <= d - filled or b"".join(_format_counts(values)) != piece:
+                return None
+            counts[filled : filled + len(values)] = values
+            filled, pos = filled + len(values), cut + 2
+    if cut != end:  # text past the d-th count
         return None
     obj["counts"] = counts
     return obj
@@ -485,9 +488,9 @@ def _is_json_int(value) -> bool:
 def read_sketch(path: str) -> PrivateSketch:
     """Read a sketch file, failing with a ValueError that names the path.
 
-    A file in write_sketch's layout takes a vectorised parse; any other JSON
-    is parsed whole.  Both go through the same checks, so the outcome, value
-    or message, does not depend on the path taken.
+    A file in write_sketch's layout takes a vectorised parse, piece by piece;
+    any other JSON is parsed whole.  Both go through the same checks, so the
+    outcome, value or message, does not depend on the path taken.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -541,7 +544,10 @@ def read_sketch(path: str) -> PrivateSketch:
 
 
 def write_sketch(path: str, s: PrivateSketch) -> None:
-    """Write the bytes of json.dumps(sketch object) + "\\n", counts last."""
+    """Write the bytes of json.dumps(sketch object) + "\\n", counts last.
+
+    Each block of counts is written as soon as it is formatted.
+    """
     head = json.dumps({
         "version": 1,
         "epsilon": float(s.epsilon),
@@ -551,6 +557,7 @@ def write_sketch(path: str, s: PrivateSketch) -> None:
         "counts": [],
     })
     with open(path, "wb") as fh:
-        fh.write(head[: -len("[]}")].encode())  # up to '"counts": '
-        fh.write(_format_counts(s.counts))
-        fh.write(_SKETCH_END)
+        fh.write(head[: -len("]}")].encode())  # up to '"counts": ['
+        for chunk in _format_counts(s.counts):
+            fh.write(chunk)
+        fh.write(b"]" + _SKETCH_END)

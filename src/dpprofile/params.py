@@ -3,8 +3,8 @@
 The privacy budget epsilon, the failure probability eta, the maximum count
 n, the noise bound B that they give and the window m = n + 2B + 1 it sets
 are plain numbers, so their maths needs the standard library alone.  The
-command line checks its flags here before it loads numpy, and `mechanism`
-re-exports every name, so `mechanism.ReconstructionConfig` is this class.
+command line checks its flags here before it loads numpy, and every layer
+imports these names from here.
 """
 
 from __future__ import annotations
@@ -87,11 +87,12 @@ def max_spectrum_floor(epsilon: float) -> float:
     return math.tanh(epsilon / 2) ** 2
 
 
-def check_window(n: int, B: int = 0) -> None:
+def check_window(n: int, B: int = 0, remedy: str = "raise epsilon or eta") -> None:
     """Reject a maximum count n and noise bound B whose window exceeds MAX_WINDOW.
 
     With the default B = 0 this checks n alone: a sketch with a larger n has
-    no reconstruction, whatever its noise bound.
+    no reconstruction, whatever its noise bound.  remedy ends the message
+    about B; a caller whose eta is fixed names epsilon alone.
     """
     if n + 1 > MAX_WINDOW:
         raise ValueError(
@@ -100,8 +101,7 @@ def check_window(n: int, B: int = 0) -> None:
     if n + 2 * B + 1 > MAX_WINDOW:
         raise ValueError(
             f"noise bound B={B} with n={n} gives a window of n + 2B + 1 = "
-            f"{n + 2 * B + 1} counts, above the supported {MAX_WINDOW} "
-            "(raise epsilon or eta)"
+            f"{n + 2 * B + 1} counts, above the supported {MAX_WINDOW} ({remedy})"
         )
 
 

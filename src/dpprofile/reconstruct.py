@@ -40,10 +40,10 @@ from .circulant import CirculantOperator
 from .mechanism import (
     EmpiricalProfile,
     PrivateSketch,
-    ReconstructionConfig,
     empirical_profile,
     unfold,
 )
+from .params import ReconstructionConfig
 
 __all__ = [
     "Profile",

@@ -26,19 +26,19 @@ from .circulant import CirculantOperator, norm_bounds
 from .mechanism import (
     Histogram,
     PrivateSketch,
-    ReconstructionConfig,
     int64_array,
     privatize,
     update,
     window_pmf,
 )
-from .params import check_trials
+from .params import ReconstructionConfig, check_trials
 from .reconstruct import cached_operator, fast_inversion, reconstruct_profile, rounding
 
 __all__ = [
     "PartyVector",
     "ProtocolResult",
     "PROTOCOL_N",
+    "PROTOCOL_ETA",
     "protocol_config",
     "sensitivity_bound",
     "alice_message",
@@ -49,6 +49,8 @@ __all__ = [
 
 # Counts of (x + 1) + (y + 1) lie in {0, 2, 4}, so the histogram cap is 4.
 PROTOCOL_N = 4
+# The failure probability of Bob's noise bound unless a caller sets another.
+PROTOCOL_ETA = 0.05
 
 # The combined counts and their law when x and y are uniform sign vectors:
 # a coordinate lands on 0 or 4 when the signs agree, on 2 when they differ.
@@ -91,7 +93,7 @@ class ProtocolResult:
 
 
 def protocol_config(
-    epsilon: float, d: int, eta: float = 0.05, p: str = "l2"
+    epsilon: float, d: int, eta: float = PROTOCOL_ETA, p: str = "l2"
 ) -> ReconstructionConfig:
     """Reconstruction configuration used by Bob.
 
@@ -156,7 +158,7 @@ def bob_estimate(
     delta: float,
     rng: np.random.Generator,
     x_for_truth: PartyVector | None = None,
-    eta: float = 0.05,
+    eta: float = PROTOCOL_ETA,
     p: str = "l2",
 ) -> ProtocolResult:
     """Bob's turn: update the sketch with y + 1, reconstruct, publish.
@@ -182,7 +184,7 @@ def run_protocol(
     epsilon: float,
     trials: int,
     master_seed: int,
-    eta: float = 0.05,
+    eta: float = PROTOCOL_ETA,
     p: str = "l2",
 ) -> list[ProtocolResult]:
     """End-to-end protocol on fresh uniform random (x, y) pairs, one per trial.

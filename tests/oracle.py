@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpprofile.circulant import generator_vector
-from dpprofile.mechanism import ReconstructionConfig
+from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import Profile
 
 __all__ = [

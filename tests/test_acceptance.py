@@ -29,12 +29,12 @@ from dpprofile.evaluation import (
 from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
-    ReconstructionConfig,
     empirical_profile,
     privatize,
     sample_dlap,
     unfold,
 )
+from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import (
     Profile,
     RelaxedSolution,

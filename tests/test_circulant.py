@@ -13,7 +13,7 @@ from dpprofile.circulant import (
     norm_bounds,
     spectrum_floor,
 )
-from dpprofile.mechanism import (
+from dpprofile.params import (
     ReconstructionConfig,
     max_spectrum_floor,
     truncation_radius,

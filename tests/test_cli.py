@@ -85,6 +85,8 @@ def test_sketch_epsilon_with_no_window_exits_2_naming_epsilon(hist_file, tmp_pat
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --epsilon {float(epsilon)!r} (least B at any eta): noise bound B=")
+    # sketch has no --eta, and no eta would narrow the window anyway
+    assert err.endswith("(raise epsilon)\n")
     assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
 
 
@@ -556,7 +558,11 @@ def test_innerprod_window_refusal_names_epsilon(tmp_path, capsys):
     out = tmp_path / "i.csv"
     assert main(["innerprod", "--d", "1000", "--epsilon", "1e-7", "--trials", "1",
                  "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: --epsilon 1e-07: noise bound B=")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --epsilon 1e-07: noise bound B=")
+    # innerprod has no --eta flag (the protocol fixes eta), so the advice
+    # names epsilon alone
+    assert "eta" not in err and err.endswith("(raise epsilon)\n")
     assert list(tmp_path.iterdir()) == []
 
 

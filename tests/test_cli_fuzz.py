@@ -24,7 +24,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from dpprofile.cli import main
-from dpprofile.mechanism import _MIN_EPSILON
+from dpprofile.params import _MIN_EPSILON
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 FILE_FUZZ = settings(derandomize=True, max_examples=100, deadline=None)

@@ -23,10 +23,10 @@ from dpprofile.evaluation import (
 from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
-    ReconstructionConfig,
     empirical_profile,
     privatize,
 )
+from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import cached_operator, fast_inversion, rounding
 from dpprofile._util import lp_norm
 

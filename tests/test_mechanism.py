@@ -3,35 +3,40 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpprofile import mechanism
 from dpprofile.mechanism import (
-    MAX_WINDOW,
     EmpiricalProfile,
     Histogram,
     PrivateSketch,
-    ReconstructionConfig,
-    _MIN_EPSILON,
     _parse_canonical,
-    check_window,
     empirical_profile,
-    min_truncation_radius,
     privatize,
     read_histogram,
     read_int_lines,
     read_sketch,
     sample_dlap,
     sample_geometric,
-    truncation_radius,
     unfold,
     update,
     window_pmf,
     write_histogram,
     write_sketch,
+)
+
+from dpprofile.params import (
+    MAX_WINDOW,
+    ReconstructionConfig,
+    _MIN_EPSILON,
+    check_window,
+    min_truncation_radius,
+    truncation_radius,
 )
 
 from helpers import gof_chi2_pvalue, two_sample_chi2_pvalue
@@ -797,9 +802,8 @@ CODEC_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CODEC_CASES)
-def test_write_sketch_bytes_equal_json_dumps(tmp_path, name):
-    counts = CODEC_CASES[name]
+def check_codec_case(tmp_path, counts):
+    """write_sketch gives json.dumps's bytes, which read back by the fast parse."""
     s = PrivateSketch(counts=np.array(counts, dtype=np.int64), epsilon=0.25, n=3,
                       clipped=False)
     path = tmp_path / "sketch.json"
@@ -810,6 +814,11 @@ def test_write_sketch_bytes_equal_json_dumps(tmp_path, name):
     assert _parse_canonical(path.read_bytes()) is not None
     assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
         reference_read_sketch, str(path))
+
+
+@pytest.mark.parametrize("name", CODEC_CASES)
+def test_write_sketch_bytes_equal_json_dumps(tmp_path, name):
+    check_codec_case(tmp_path, CODEC_CASES[name])
 
 
 @pytest.mark.parametrize("newline", ["", "\n"], ids=["bare", "newline"])
@@ -859,6 +868,8 @@ LAYOUT_CASES = {
     "nan epsilon": GOOD_HEAD.replace(b"1.0", b"NaN") + b'"counts": [1, 2]}\n',
     "arabic digit": GOOD_HEAD + "\"counts\": [1, ٣]}\n".encode(),
     "empty counts": GOOD_HEAD.replace(b'"d": 2', b'"d": 0') + b'"counts": []}\n',
+    "more counts than d": GOOD_HEAD + b'"counts": [1, 2, 3]}\n',
+    "fewer counts than d": GOOD_HEAD + b'"counts": [111111]}\n',
 }
 
 
@@ -879,8 +890,7 @@ def test_read_sketch_matches_json_reader_off_the_canonical_layout(tmp_path, name
 MUTATION_BYTES = st.sampled_from([*b"0123456789-+,. e]\n\r\t", *b'"\\[{}x', 0xFF])
 
 
-@settings(max_examples=400, deadline=None)
-@given(
+MUTATED_COUNTS = dict(
     counts=st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=6),
     edits=st.lists(
         st.tuples(st.sampled_from(["insert", "replace", "delete"]),
@@ -888,7 +898,9 @@ MUTATION_BYTES = st.sampled_from([*b"0123456789-+,. e]\n\r\t", *b'"\\[{}x', 0xFF
         min_size=1, max_size=4,
     ),
 )
-def test_read_sketch_matches_json_reader_on_mutated_counts(tmp_path_factory, counts, edits):
+
+
+def check_mutated_counts(tmp_path_factory, counts, edits):
     canonical = json.dumps(dict(GOOD_SKETCH, d=len(counts), counts=counts)) + "\n"
     data = bytearray(canonical.encode())
     lo = data.rindex(b"[")
@@ -904,6 +916,134 @@ def test_read_sketch_matches_json_reader_on_mutated_counts(tmp_path_factory, cou
     path.write_bytes(bytes(data))
     assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
         reference_read_sketch, str(path))
+
+
+@settings(max_examples=400, deadline=None)
+@given(**MUTATED_COUNTS)
+def test_read_sketch_matches_json_reader_on_mutated_counts(tmp_path_factory, counts, edits):
+    check_mutated_counts(tmp_path_factory, counts, edits)
+
+
+# --- the codec in blocks: cuts between pieces, and peak memory ----------------------
+
+def cut_small(monkeypatch, piece=5, block=3):
+    """Parse the counts in pieces of about `piece` bytes, format `block` at a time."""
+    monkeypatch.setattr(mechanism, "_PARSE_PIECE", piece)
+    monkeypatch.setattr(mechanism, "_FORMAT_BLOCK", block)
+
+
+@settings(max_examples=400, deadline=None)
+@given(**MUTATED_COUNTS)
+def test_read_sketch_in_small_pieces_matches_json_reader_on_mutated_counts(
+    tmp_path_factory, counts, edits
+):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cut_small(monkeypatch)
+        check_mutated_counts(tmp_path_factory, counts, edits)
+
+
+SMALL_PIECE_FILES = {
+    **LAYOUT_CASES,
+    **{f"{name} (json.dumps)": (json.dumps(obj) + "\n").encode()
+       for name, obj in BAD_SKETCHES.items()},
+}
+
+
+@pytest.mark.parametrize("name", SMALL_PIECE_FILES)
+def test_read_sketch_in_small_pieces_matches_json_reader(tmp_path, monkeypatch, name):
+    cut_small(monkeypatch)
+    data = SMALL_PIECE_FILES[name]
+    path = tmp_path / "sketch.json"
+    path.write_bytes(data)
+    if name in LAYOUT_CASES:
+        assert (_parse_canonical(data) is not None) == (name in FAST_LAYOUTS)
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+@pytest.mark.parametrize("name", CODEC_CASES)
+def test_codec_in_small_pieces_keeps_bytes_and_fast_path(tmp_path, monkeypatch, name):
+    counts = CODEC_CASES[name]
+    # each cut costs tens of numpy calls: the 100 000 random counts take
+    # larger pieces, so that the test runs in seconds, not minutes
+    cut_small(monkeypatch, *((5, 3) if len(counts) < 1000 else (4096, 256)))
+    check_codec_case(tmp_path, counts)
+
+
+# (d, counts text) for pieces of 1 to 8 bytes, so that some cut lands on each defect
+CUT_BODIES = {
+    "canonical": (4, b"1111, -1, 22, 0"),
+    "no space": (3, b"1111, 1,2"),
+    "leading zero": (2, b"1111, 01"),
+    "minus zero": (2, b"1111, -0"),
+    "trailing separator": (2, b"1111, 2, "),
+    "trailing separator counted in d": (3, b"1111, 2, "),
+    "a count past d": (2, b"1111, 2, 3"),
+    "20 digits across a cut": (3, b"1, 12345678901234567890, 3"),
+}
+
+
+@pytest.mark.parametrize("piece", range(1, 9))
+@pytest.mark.parametrize("name", CUT_BODIES)
+def test_read_sketch_decides_a_defect_on_a_cut_as_json_does(tmp_path, monkeypatch, name, piece):
+    cut_small(monkeypatch, piece, block=2)
+    d, body = CUT_BODIES[name]
+    data = GOOD_HEAD.replace(b'"d": 2', b'"d": %d' % d) + b'"counts": [' + body + b"]}\n"
+    path = tmp_path / "sketch.json"
+    path.write_bytes(data)
+    assert (_parse_canonical(data) is not None) == (name == "canonical")
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+def test_read_sketch_allocates_nothing_for_a_d_the_text_cannot_hold(tmp_path):
+    # every count but the last takes at least 3 bytes, so d = 10**12 is refused
+    # by the json reader's message before any array is allocated
+    data = GOOD_HEAD.replace(b'"d": 2', b'"d": 1000000000000') + b'"counts": [1, 2]}\n'
+    path = tmp_path / "sketch.json"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        assert _parse_canonical(data) is None
+        outcome = sketch_outcome(read_sketch, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == f"{path}: d=1000000000000 but 2 counts present"
+    assert peak < 2**20
+
+
+def sketch_d1e6():
+    rng = np.random.default_rng(9001)
+    h = Histogram(counts=rng.integers(0, 33, 10**6), n=32)
+    return privatize(h, 1.0, clip=False, rng=rng)
+
+
+def test_write_sketch_peak_allocation_is_a_few_blocks(tmp_path):
+    s = sketch_d1e6()
+    tracemalloc.start()
+    try:
+        write_sketch(str(tmp_path / "sketch.json"), s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+
+
+def test_read_sketch_peak_allocation_is_the_file_and_the_counts(tmp_path):
+    # numpy reports its buffers to tracemalloc: the file's bytes, the d counts
+    # and the pieces in flight
+    s = sketch_d1e6()
+    path = tmp_path / "sketch.json"
+    write_sketch(str(path), s)
+    tracemalloc.start()
+    try:
+        back = read_sketch(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.counts, s.counts)
+    assert peak <= path.stat().st_size + 8 * s.d + 4_000_000
 
 
 @pytest.mark.parametrize("data", [b'{"version": 1,', b'{"version": \xff1}'],

@@ -7,7 +7,7 @@ import pytest
 
 from dpprofile import circulant
 from dpprofile.evaluation import pad_profile
-from dpprofile.mechanism import ReconstructionConfig
+from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import Profile
 
 from helpers import random_profile

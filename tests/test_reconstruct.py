@@ -14,10 +14,10 @@ from dpprofile import circulant, reconstruct
 from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
-    ReconstructionConfig,
     empirical_profile,
     privatize,
 )
+from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import (
     Profile,
     RelaxedSolution,

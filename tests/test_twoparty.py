@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dpprofile.mechanism import PrivateSketch, ReconstructionConfig, sample_dlap
+from dpprofile.mechanism import PrivateSketch, sample_dlap
+from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import cached_operator, reconstruct_profile
 from dpprofile.twoparty import (
     PROTOCOL_N,
