@@ -43,13 +43,11 @@ _EXPORTS = {
         "sample_geometric",
         "unfold",
         "update",
-        "write_histogram",
         "write_sketch",
     ),
     "reconstruct": (
         "Profile",
         "RelaxedSolution",
-        "direction_vector",
         "fast_inversion",
         "reconstruct_profile",
         "rounding",
@@ -59,17 +57,13 @@ _EXPORTS = {
         "ErrorReport",
         "SynthSpec",
         "fit_scaling",
-        "run_trial",
         "sweep",
         "synth_histogram",
         "theoretical_bounds",
         "true_profile",
     ),
     "twoparty": (
-        "PartyVector",
         "ProtocolResult",
-        "alice_message",
-        "bob_estimate",
         "run_protocol",
         "sensitivity_bound",
     ),

@@ -12,8 +12,7 @@ An operator is its taps: A and A^{-1} are each stored as an exactly
 symmetric vector of centred taps (the first column at offsets -w..w) and
 applied by one cyclic product that visits only the nonzero taps, folding
 each pair of offsets +-u into one multiply, at O(m nnz) cost.  The forward
-taps are the kernel's 2B + 1 entries; the generator row and the spectrum
-are computed on read.  The inverse factors as P/(1-q^2) T (I - E)^{-1},
+taps are the kernel's 2B + 1 entries; the spectrum is computed on read.  The inverse factors as P/(1-q^2) T (I - E)^{-1},
 with q = e^{-eps}, T the 3-tap circulant (-q, 1+q^2, -q) and E a 4-tap
 circulant at offsets +-B and +-(B+1) of norm rho = 2q^{B+1}/(1-q).  The
 derived B is at least the conditioning radius log(4/sinh eps)/eps, which
@@ -44,7 +43,6 @@ from .params import MIN_EIGENVALUE, ReconstructionConfig
 __all__ = [
     "CirculantOperator",
     "NormBounds",
-    "generator_vector",
     "build_operator",
     "apply",
     "apply_inverse",
@@ -71,7 +69,7 @@ _BLOCK = 1 << 15
 
 @dataclass(eq=False)
 class CirculantOperator:
-    """The operator as its taps; generator and spectrum are computed on read."""
+    """The operator as its taps; the spectrum is computed on read."""
 
     m: int
     n: int
@@ -85,11 +83,6 @@ class CirculantOperator:
         # operators are shared through the cache, so nothing may edit them
         self._fwd_taps.flags.writeable = False
         self._inv_taps.flags.writeable = False
-
-    @property
-    def generator(self) -> np.ndarray:
-        """First row; 2B+1 non-zeros, scaled by 1/p_norm_const."""
-        return generator_vector(self.epsilon, self.n, self.B)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -113,11 +106,6 @@ def _kernel_taps(epsilon: float, B: int) -> np.ndarray:
     """Centred taps of A: e^{-eps |u|} / P at offsets u = -B..B."""
     decay = np.exp(-epsilon * np.arange(B + 1))
     return np.concatenate((decay[:0:-1], decay)) / kernel_normalizer(epsilon, B)
-
-
-def generator_vector(epsilon: float, n: int, B: int) -> np.ndarray:
-    """First row of the operator: e^{-eps j} / P at cyclic distance j <= B."""
-    return np.roll(np.pad(_kernel_taps(epsilon, B), (0, n)), -B)
 
 
 def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:

@@ -297,6 +297,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked once for every command: numpy refuses a negative seed
+        # without naming the flag, and derive_seed's 64-bit mask wraps one
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed {args.seed}: must lie in [0, 2**64 - 1]")
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

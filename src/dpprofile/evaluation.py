@@ -44,7 +44,6 @@ __all__ = [
     "true_profile",
     "pad_profile",
     "theoretical_bounds",
-    "run_trial",
     "sweep",
     "rows_to_csv",
     "fit_scaling",
@@ -267,6 +266,11 @@ def _noisy_profile(cell: _Cell, cfg: ReconstructionConfig, rng) -> np.ndarray:
 def _run_cell_trial(
     cell: _Cell, cfg: ReconstructionConfig, seed: int, trial: int
 ) -> list[ErrorReport]:
+    """One pipeline run per norm on a fresh noisy profile; three reports.
+
+    f~ is drawn once, by the cell's route, and reconstructed once with each
+    norm objective; each error is measured in its own norm.
+    """
     f_tilde = _noisy_profile(cell, cfg, np.random.default_rng(seed))
     reports = []
     for p in NORMS:
@@ -289,19 +293,6 @@ def _run_cell_trial(
             )
         )
     return reports
-
-
-def run_trial(
-    spec: SynthSpec, cfg: ReconstructionConfig, seed: int, trial: int = 0
-) -> list[ErrorReport]:
-    """One pipeline run per norm on a fresh noisy profile; returns three reports.
-
-    The noisy profile f~ is drawn once, by the route the module docstring
-    describes, and reconstructed three times, once with each norm
-    objective; the error of each reconstruction is measured in its own norm
-    against the true profile.
-    """
-    return _run_cell_trial(_prepare_cell(spec, cfg), cfg, seed, trial)
 
 
 def thread_budget() -> int:

@@ -33,7 +33,6 @@ __all__ = [
     "empirical_profile",
     "read_int_lines",
     "read_histogram",
-    "write_histogram",
     "read_sketch",
     "write_sketch",
 ]
@@ -132,8 +131,8 @@ class EmpiricalProfile:
         return len(self.values)
 
 
-def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
-    """Geometric variable G >= 0 with P[G = t] = (1 - e^{-eps}) e^{-eps t}.
+def sample_geometric(epsilon: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` geometric draws G >= 0, P[G = t] = (1 - e^{-eps}) e^{-eps t}, as int64.
 
     Drawn as floor(-ln(U) / eps) with U uniform on (0, 1], a single uniform
     per sample.  This matches the pmf only up to floating point: U lies on a
@@ -143,8 +142,6 @@ def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
     """
     _check_epsilon(epsilon)
     u = rng.random(size)
-    if size is None:
-        return int(np.floor(-np.log(1.0 - u) / epsilon))
     # In place, in the buffer of the uniforms.  log(x) / -eps equals
     # -log(x) / eps bit for bit: IEEE division is symmetric in sign.
     np.subtract(1.0, u, out=u)  # in (0, 1]: keeps the logarithm finite
@@ -154,18 +151,15 @@ def sample_geometric(epsilon: float, rng: np.random.Generator, size=None):
     return u.astype(np.int64)
 
 
-def sample_dlap(epsilon: float, rng: np.random.Generator, size=None):
-    """Two-sided integer noise with P[Z = t] proportional to e^{-eps |t|}.
+def sample_dlap(epsilon: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` two-sided integer draws, P[Z = t] proportional to e^{-eps |t|}.
 
     Realized as the difference of two independent geometric draws, which has
     exactly the target pmf ((1 - e^{-eps}) / (1 + e^{-eps})) e^{-eps |t|}
     when the draws are exact; sample_geometric says where they are not.
     """
     g1 = sample_geometric(epsilon, rng, size)
-    g2 = sample_geometric(epsilon, rng, size)
-    if size is None:
-        return g1 - g2
-    g1 -= g2
+    g1 -= sample_geometric(epsilon, rng, size)
     return g1
 
 
@@ -369,12 +363,6 @@ def read_histogram(path: str, n: int) -> Histogram:
     if not len(counts):
         raise ValueError(f"{path}: no counts found")
     return Histogram(counts=counts, n=n)
-
-
-def write_histogram(path: str, h: Histogram) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in h.counts:
-            fh.write(f"{int(c)}\n")
 
 
 _SKETCH_KEYS = frozenset(("version", "epsilon", "n", "d", "clipped", "counts"))

@@ -48,7 +48,6 @@ from .params import ReconstructionConfig
 __all__ = [
     "Profile",
     "RelaxedSolution",
-    "direction_vector",
     "fast_inversion",
     "threshold_tau",
     "rounding",
@@ -128,28 +127,6 @@ class RelaxedSolution:
         return self.values[self.B : self.B + self.n + 1]
 
 
-def direction_vector(c: np.ndarray, p: str) -> np.ndarray:
-    """Unit-p-norm vector a maximizing <c, a>.
-
-    l1: a signed standard basis vector at the largest |c_t| (lowest index on
-    ties); l2: c normalized; linf: the coordinate-wise sign vector, with
-    sign(0) taken as +1.  All three choices are exact maximizers.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    if not np.any(c):
-        raise ValueError("cannot build a direction for an all-zero vector")
-    if p == "l1":
-        t = int(np.argmax(np.abs(c)))  # argmax returns the first maximizer
-        a = np.zeros_like(c)
-        a[t] = 1.0 if c[t] >= 0 else -1.0
-        return a
-    if p == "l2":
-        return c / np.sqrt(np.sum(np.square(c)))
-    if p == "linf":
-        return np.where(c >= 0, 1.0, -1.0)
-    raise ValueError(f"unknown norm selector {p!r}")
-
-
 class _Correction:
     """A vector on the ring of length m: alpha everywhere, plus local[j] at
     ring index (start + j) mod m.  Shared through the cache, so read-only.
@@ -162,11 +139,6 @@ class _Correction:
         self.m, self.alpha, self.local = m, alpha, local
         self.indices = _ring_indices(m, start, len(local))
         local.flags.writeable = self.indices.flags.writeable = False
-
-    def __array__(self, dtype=None, copy=None):
-        dense = np.full(self.m, self.alpha)
-        dense[self.indices] += self.local
-        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def _ring_indices(m: int, start: int, length: int) -> np.ndarray:
@@ -224,19 +196,19 @@ def _correction_direction(op: CirculantOperator, p: str) -> tuple[_Correction, f
     """The unit-sum correction for (operator, norm): (A^{-1} a, <1_window, A^{-1} a>).
 
     The window image c = 1_window^T A^{-1} (= A^{-1} 1_window, as A is
-    symmetric) and the optimal direction a = direction_vector(c, p) depend
-    only on the operator and the norm, never on the data, so they are
-    computed once per pair and memoized.  Every row of A sums to one, so
-    A^{-1} 1 = 1: c is constant away from the pad, and a and A^{-1} a are
-    each a constant plus a part local to the pad (l2: c / ||c||; linf:
-    sign(c) = 1 - 2 [c < 0]) or local alone (l1: e_t at the largest |c_t|).
-    So each is built as its constant and its local part, in work that does
-    not grow with n.  The stored taps sum to 1 up to the tap floor, and
-    their sum stands for A^{-1} 1, so the correction is the stored
-    operator's own image.  The local parts of c and of the l2 and linf
-    images are exactly mirror-symmetric, so the l1 direction's tie between
-    the two window edges resolves by ring index (the lowest) instead of by
-    roundoff.
+    symmetric) and the optimal direction a, the unit-p-norm vector that
+    maximizes <c, a>, depend only on the operator and the norm, never on
+    the data, so they are computed once per pair and memoized.  Every row
+    of A sums to one, so A^{-1} 1 = 1: c is constant away from the pad, and
+    a and A^{-1} a are each a constant plus a part local to the pad (l2:
+    c / ||c||; linf: sign(c) = 1 - 2 [c < 0], sign(0) taken as +1) or local
+    alone (l1: e_t at the largest |c_t|).  So each is built as its constant
+    and its local part, in work that does not grow with n.  The stored taps
+    sum to 1 up to the tap floor, and their sum stands for A^{-1} 1, so the
+    correction is the stored operator's own image.  The local parts of c
+    and of the l2 and linf images are exactly mirror-symmetric, so the l1
+    direction's tie between the two window edges resolves by ring index
+    (the lowest) instead of by roundoff.
     """
     m, taps = op.m, op._inv_taps
     unit = float(taps.sum())

@@ -7,12 +7,13 @@ and publishes d * (r[4] + r[0] - r[2]) plus calibrated Laplace noise.  On the
 noiseless histogram that combination equals <x, y> exactly, because matching
 coordinates land on counts 0 or 4 and mismatches land on 2.
 
-alice_message and bob_estimate are the per-party API and work item by item.
-run_protocol simulates the protocol on random sign vectors from its
-sufficient statistic instead.  Bob's output depends on (x, y) only through
-the class sizes of x + y + 2, and given them the binned noisy profile he
-reconstructs from is one multinomial per class over mechanism.window_pmf,
-so a trial costs O(m) whatever d is.
+The protocol is the paper's lower-bound reduction, so the package only
+simulates it: run_protocol draws each trial on random sign vectors from its
+sufficient statistic.  Bob's output depends on (x, y) only through the class
+sizes of x + y + 2, and given them the binned noisy profile he reconstructs
+from is one multinomial per class over mechanism.window_pmf, so a trial
+costs O(m) whatever d is.  The item-by-item form of the two parties is the
+test suite's reference for that law, not package API.
 """
 
 from __future__ import annotations
@@ -23,33 +24,23 @@ import numpy as np
 
 from ._util import derive_seed
 from .circulant import CirculantOperator, norm_bounds
-from .mechanism import (
-    Histogram,
-    PrivateSketch,
-    int64_array,
-    privatize,
-    update,
-    window_pmf,
-)
+from .mechanism import window_pmf
 from .params import ReconstructionConfig, check_trials
-from .reconstruct import cached_operator, fast_inversion, reconstruct_profile, rounding
+from .reconstruct import cached_operator, fast_inversion, rounding
 
 __all__ = [
-    "PartyVector",
     "ProtocolResult",
     "PROTOCOL_N",
     "PROTOCOL_ETA",
     "protocol_config",
     "sensitivity_bound",
-    "alice_message",
-    "bob_estimate",
     "run_protocol",
     "results_to_csv",
 ]
 
 # Counts of (x + 1) + (y + 1) lie in {0, 2, 4}, so the histogram cap is 4.
 PROTOCOL_N = 4
-# The failure probability of Bob's noise bound unless a caller sets another.
+# The failure probability of Bob's noise bound.
 PROTOCOL_ETA = 0.05
 
 # The combined counts and their law when x and y are uniform sign vectors:
@@ -58,26 +49,6 @@ _COMBINED_COUNTS = np.array([0, 2, 4])
 _COMBINED_LAW = np.array([0.25, 0.5, 0.25])
 
 PROTOCOL_CSV_HEADER = "d,trial,true_ip,m_b,abs_error,delta"
-
-
-@dataclass(frozen=True)
-class PartyVector:
-    """A party's input: a vector with every entry -1 or +1."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = int64_array(self.bits, "party vector entries")
-        object.__setattr__(self, "bits", bits)
-        if bits.ndim != 1 or len(bits) < 1:
-            raise ValueError("party vector must be a non-empty 1-d vector")
-        if not np.all(np.abs(bits) == 1):
-            raise ValueError("party vector entries must be -1 or +1")
-        bits.flags.writeable = False
-
-    @property
-    def d(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -92,9 +63,7 @@ class ProtocolResult:
             raise ValueError("abs_error does not match |m_b - true_ip|")
 
 
-def protocol_config(
-    epsilon: float, d: int, eta: float = PROTOCOL_ETA, p: str = "l2"
-) -> ReconstructionConfig:
+def protocol_config(epsilon: float, d: int, p: str = "l2") -> ReconstructionConfig:
     """Reconstruction configuration used by Bob.
 
     The n >= B requirement is waived here: the protocol pins n = 4 while B
@@ -102,7 +71,7 @@ def protocol_config(
     (only the high-probability error guarantee stops applying).
     """
     return ReconstructionConfig(
-        epsilon=epsilon, eta=eta, n=PROTOCOL_N, d=d, p_norm=p, allow_small_n=True
+        epsilon=epsilon, eta=PROTOCOL_ETA, n=PROTOCOL_N, d=d, p_norm=p, allow_small_n=True
     )
 
 
@@ -143,49 +112,8 @@ def _publish(r: np.ndarray, d: int, delta: float, epsilon: float, rng) -> float:
     return float(d * (r[4] + r[0] - r[2] + 3.0 * delta * noise))
 
 
-def alice_message(
-    x: PartyVector, epsilon: float, rng: np.random.Generator
-) -> PrivateSketch:
-    """Alice's single message: a privatized, unclipped sketch of x + 1."""
-    h = Histogram(counts=x.bits + 1, n=PROTOCOL_N)
-    return privatize(h, epsilon, clip=False, rng=rng)
-
-
-def bob_estimate(
-    m_a: PrivateSketch,
-    y: PartyVector,
-    epsilon: float,
-    delta: float,
-    rng: np.random.Generator,
-    x_for_truth: PartyVector | None = None,
-    eta: float = PROTOCOL_ETA,
-    p: str = "l2",
-) -> ProtocolResult:
-    """Bob's turn: update the sketch with y + 1, reconstruct, publish.
-
-    The published value is the one _publish states.  Providing x_for_truth
-    fills in the exact inner product for error accounting (it is not used by
-    the estimate itself).
-    """
-    if y.d != m_a.d:
-        raise ValueError(f"y has length {y.d}, sketch has length {m_a.d}")
-    updated = update(m_a, y.bits + 1)
-    cfg = protocol_config(epsilon, m_a.d, eta=eta, p=p)
-    r = reconstruct_profile(updated, cfg)
-    m_b = _publish(r.values, m_a.d, delta, epsilon, rng)
-    true_ip = int(x_for_truth.bits @ y.bits) if x_for_truth is not None else 0
-    return ProtocolResult(
-        m_b=m_b, true_ip=true_ip, delta_used=delta, abs_error=abs(m_b - true_ip)
-    )
-
-
 def run_protocol(
-    d: int,
-    epsilon: float,
-    trials: int,
-    master_seed: int,
-    eta: float = PROTOCOL_ETA,
-    p: str = "l2",
+    d: int, epsilon: float, trials: int, master_seed: int
 ) -> list[ProtocolResult]:
     """End-to-end protocol on fresh uniform random (x, y) pairs, one per trial.
 
@@ -193,14 +121,14 @@ def run_protocol(
     forming x or y: the class sizes (k0, k2, k4) of x + y + 2 as
     Multinomial(d; 1/4, 1/2, 1/4), then the binned noisy profile of Bob's
     updated sketch as the sum over classes of Multinomial(k_c, window_pmf
-    row of c) / d.  Bob reconstructs and publishes as in bob_estimate, and
-    the exact inner product is k0 + k4 - k2.  A trial costs O(m), with
+    row of c) / d.  Bob reconstructs that profile (l2 objective) and
+    publishes as _publish states, and the exact inner product is k0 + k4 - k2.  A trial costs O(m), with
     m = 4 + 2B + 1, so d may be any integer that int64 holds.
     """
     if not 16 <= d < 2**63:
         raise ValueError(f"d must lie in [16, 2**63 - 1], got {d}")
     check_trials(trials)
-    cfg = protocol_config(epsilon, d, eta=eta, p=p)
+    cfg = protocol_config(epsilon, d)
     op = cached_operator(cfg)
     delta = sensitivity_bound(op, d)
     pmf = window_pmf(_COMBINED_COUNTS, epsilon, PROTOCOL_N, cfg.B)
@@ -209,7 +137,7 @@ def run_protocol(
         rng = np.random.default_rng(derive_seed(master_seed, trial))
         k0, k2, k4 = rng.multinomial(d, _COMBINED_LAW).tolist()
         f_tilde = rng.multinomial([k0, k2, k4], pmf).sum(axis=0) / d
-        r = rounding(fast_inversion(op, f_tilde, p), PROTOCOL_N)
+        r = rounding(fast_inversion(op, f_tilde, cfg.p_norm), PROTOCOL_N)
         m_b = _publish(r.values, d, delta, epsilon, rng)
         true_ip = k0 + k4 - k2
         results.append(ProtocolResult(

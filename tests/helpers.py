@@ -3,6 +3,8 @@
 import numpy as np
 from scipy import stats
 
+from dpprofile import evaluation
+
 
 def pool_counts(counts_a: np.ndarray, counts_b: np.ndarray, floor: float = 20.0):
     """Merge adjacent bins until each pooled cell holds at least `floor` total."""
@@ -71,6 +73,11 @@ def random_profile(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     weights = rng.dirichlet(np.ones(n + 1))
     counts = rng.multinomial(d, weights)
     return counts / d
+
+
+def run_trial(spec, cfg, seed: int, trial: int = 0):
+    """One sweep trial of (spec, cfg) on its own: its three ErrorReports."""
+    return evaluation._run_cell_trial(evaluation._prepare_cell(spec, cfg), cfg, seed, trial)
 
 
 def random_feasible(m: int, n: int, B: int, rng: np.random.Generator) -> np.ndarray:

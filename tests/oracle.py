@@ -1,23 +1,29 @@
 """Brute-force reference implementations used only by the test suite.
 
-Everything here is quadratic or worse and exists to cross-check the fast
-paths: dense realizations of the circulant operator, exact constrained least
-squares via the stationarity system, Monte-Carlo simulation of the
-mass-smearing process, bisection for the drain threshold, and the iterative
-form of the rounding adjustment.  The package itself never imports this module.
+Everything here is quadratic or worse, or works item by item, and exists to
+cross-check the fast paths: the operator's generator row from its closed
+form and dense realizations of the operator, the optimal correction
+direction on a whole vector, exact constrained least squares via the
+stationarity system, Monte-Carlo simulation of the mass-smearing process,
+bisection for the drain threshold, the iterative form of the rounding
+adjustment, and the two-party protocol run party by party.  The package
+itself never imports this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dpprofile.circulant import generator_vector
+from dpprofile.mechanism import Histogram, PrivateSketch, int64_array, privatize, update
 from dpprofile.params import ReconstructionConfig
-from dpprofile.reconstruct import Profile
+from dpprofile.reconstruct import Profile, reconstruct_profile
+from dpprofile.twoparty import PROTOCOL_N, ProtocolResult, _publish, protocol_config
 
 __all__ = [
+    "generator_vector",
     "DenseOperator",
     "dense_operator",
     "dense_solve",
@@ -26,11 +32,27 @@ __all__ = [
     "monte_carlo_generator",
     "bisection_tau",
     "iterated_adjustment",
+    "direction_vector",
+    "PartyVector",
+    "alice_message",
+    "bob_estimate",
 ]
 
 # Guard against accidentally materializing production-sized matrices.
 _MAX_DENSE = 4096
 _MAX_KKT = 1024
+
+
+def generator_vector(epsilon: float, n: int, B: int) -> np.ndarray:
+    """First row of the operator on the window of length m = n + 2B + 1.
+
+    Entry l is e^{-eps * ring_distance(0, l)} / P for ring distances up to B
+    and zero beyond, where P, the sum of the row, normalizes it to one.
+    """
+    m = n + 2 * B + 1
+    dist = np.minimum(np.arange(m), m - np.arange(m))
+    row = np.where(dist <= B, np.exp(-epsilon * dist), 0.0)
+    return row / math.fsum(row)
 
 
 @dataclass(frozen=True)
@@ -216,3 +238,80 @@ def iterated_adjustment(r: np.ndarray, s: float) -> np.ndarray:
     out = np.empty_like(work)
     out[order] = work
     return out
+
+
+def direction_vector(c: np.ndarray, p: str) -> np.ndarray:
+    """Unit-p-norm vector a maximizing <c, a>.
+
+    l1: a signed standard basis vector at the largest |c_t| (lowest index on
+    ties); l2: c normalized; linf: the coordinate-wise sign vector, with
+    sign(0) taken as +1.  All three choices are exact maximizers.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if not np.any(c):
+        raise ValueError("cannot build a direction for an all-zero vector")
+    if p == "l1":
+        t = int(np.argmax(np.abs(c)))  # argmax returns the first maximizer
+        a = np.zeros_like(c)
+        a[t] = 1.0 if c[t] >= 0 else -1.0
+        return a
+    if p == "l2":
+        return c / np.sqrt(np.sum(np.square(c)))
+    if p == "linf":
+        return np.where(c >= 0, 1.0, -1.0)
+    raise ValueError(f"unknown norm selector {p!r}")
+
+
+# --- the two-party protocol, party by party ----------------------------------
+
+@dataclass(frozen=True)
+class PartyVector:
+    """A party's input: a vector with every entry -1 or +1."""
+
+    bits: np.ndarray
+
+    def __post_init__(self):
+        bits = int64_array(self.bits, "party vector entries")
+        object.__setattr__(self, "bits", bits)
+        if bits.ndim != 1 or len(bits) < 1:
+            raise ValueError("party vector must be a non-empty 1-d vector")
+        if not np.all(np.abs(bits) == 1):
+            raise ValueError("party vector entries must be -1 or +1")
+        bits.flags.writeable = False
+
+    @property
+    def d(self) -> int:
+        return len(self.bits)
+
+
+def alice_message(
+    x: PartyVector, epsilon: float, rng: np.random.Generator
+) -> PrivateSketch:
+    """Alice's single message: a privatized, unclipped sketch of x + 1."""
+    h = Histogram(counts=x.bits + 1, n=PROTOCOL_N)
+    return privatize(h, epsilon, clip=False, rng=rng)
+
+
+def bob_estimate(
+    m_a: PrivateSketch,
+    y: PartyVector,
+    epsilon: float,
+    delta: float,
+    rng: np.random.Generator,
+    x_for_truth: PartyVector | None = None,
+) -> ProtocolResult:
+    """Bob's turn: update the sketch with y + 1, reconstruct, publish.
+
+    The published value is the one twoparty._publish states.  Providing
+    x_for_truth fills in the exact inner product for error accounting (it
+    is not used by the estimate itself).
+    """
+    if y.d != m_a.d:
+        raise ValueError(f"y has length {y.d}, sketch has length {m_a.d}")
+    updated = update(m_a, y.bits + 1)
+    r = reconstruct_profile(updated, protocol_config(epsilon, m_a.d))
+    m_b = _publish(r.values, m_a.d, delta, epsilon, rng)
+    true_ip = int(x_for_truth.bits @ y.bits) if x_for_truth is not None else 0
+    return ProtocolResult(
+        m_b=m_b, true_ip=true_ip, delta_used=delta, abs_error=abs(m_b - true_ip)
+    )

@@ -8,7 +8,6 @@ import pytest
 from dpprofile import circulant
 from dpprofile.circulant import (
     build_operator,
-    generator_vector,
     kernel_normalizer,
     norm_bounds,
     spectrum_floor,
@@ -21,7 +20,7 @@ from dpprofile.params import (
 from dpprofile.reconstruct import cached_operator
 from dpprofile.twoparty import protocol_config
 
-from oracle import dense_operator, dense_solve
+from oracle import dense_operator, dense_solve, generator_vector
 
 CONFIGS = [(32, 4, 1.0), (64, 6, 0.5), (128, 8, 2.0)]
 
@@ -73,7 +72,7 @@ def test_generator_structure(cfg):
 @pytest.mark.parametrize("cfg", SPECTRUM_CFGS)
 def test_eigenvalues_match_dft_of_generator(cfg):
     op = build_operator(cfg)
-    dft = np.fft.fft(op.generator)
+    dft = np.fft.fft(generator_vector(cfg.epsilon, cfg.n, cfg.B))
     rel = np.max(np.abs(op.eigenvalues - dft) / np.abs(dft))
     assert rel <= 1e-10
 
@@ -96,7 +95,8 @@ def test_degenerate_radius_gives_identity():
     assert cfg0.B == 0
     op = build_operator(cfg0)
     np.testing.assert_allclose(op.eigenvalues, np.ones(op.m), atol=1e-12)
-    np.testing.assert_array_equal(op.generator, np.eye(op.m)[0])
+    gen = generator_vector(cfg0.epsilon, cfg0.n, cfg0.B)
+    np.testing.assert_array_equal(gen, np.eye(op.m)[0])
     x = np.arange(op.m, dtype=float)
     np.testing.assert_allclose(circulant.apply(op, x), x, atol=1e-12)
 
@@ -104,7 +104,7 @@ def test_degenerate_radius_gives_identity():
 def test_wide_operator_holds_nothing_of_window_length():
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=10**6, d=10**6)
     op = cached_operator(cfg)
-    assert len(op.generator) == len(op.eigenvalues) == op.m  # computed, not kept
+    assert len(op.eigenvalues) == op.m  # computed, not kept
     for name, value in vars(op).items():
         while isinstance(value, np.ndarray):  # the array and any view's base
             assert value.size < op.m, name

@@ -4,11 +4,12 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from dpprofile import params
 from dpprofile.cli import main
+
+from helpers import run_trial
 
 
 def run_cli(*args):
@@ -462,7 +463,7 @@ def test_eval_fit_equals_independent_trials(tmp_path, monkeypatch):
         cfg = evaluation.ReconstructionConfig(epsilon=2.0, eta=0.2, n=8, d=d)
         for trial in range(20):
             seed = evaluation.derive_seed(11, cell, trial)
-            reports += evaluation.run_trial(spec, cfg, seed, trial=trial)
+            reports += run_trial(spec, cfg, seed, trial=trial)
     slopes = {p: evaluation.fit_scaling(reports, p) for p in evaluation.NORMS}
     assert out.read_text() == evaluation.rows_to_csv(reports, slopes)
 

@@ -11,7 +11,8 @@ with an output that parses, or 2 with no output and no `.tmp` file; never 1.
 A flag value refused with exit 2 is named in the message: the command's own
 `error: --<flag>...` line, or argparse's `error: argument --<flag>` for a
 value it cannot parse.  The examples are derandomized, so every run draws
-the same ones.
+the same ones.  `--seed` is checked by every command, at the ends of and
+just past the 64-bit range.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpprofile.cli import main
@@ -206,6 +208,58 @@ def test_innerprod_flag_values_fail_closed(data, replaced):
             true_ip, m_b = int(row.split(",")[2]), float(row.split(",")[3])
             assert (true_ip - d) % 2 == 0 and abs(true_ip) <= d
             assert math.isfinite(m_b)
+
+
+# --seed: one check in `main`, before any command reads its input.  Paths in
+# these argvs name files of the test's folder.
+SEED_COMMANDS = {
+    "sketch": ["sketch", "--input", "hist.txt", "--output", "out",
+               "--epsilon", "1", "--n", "50", "--clip"],
+    "reconstruct": ["reconstruct", "--input", "clipped.json", "--output", "out",
+                    "--eta", "0.05"],
+    "update": ["update", "--sketch", "sketch.json", "--delta", "delta.txt",
+               "--output", "out"],
+    "eval": ["eval", "--dist", "zipf:1.1", "--d-list", "200", "--n", "8",
+             "--epsilon", "2", "--eta", "0.2", "--trials", "1", "--output", "out"],
+    "innerprod": ["innerprod", "--d", "1000", "--epsilon", "1", "--trials", "1",
+                  "--output", "out"],
+}
+SEED_INPUTS = {
+    "hist.txt": HIST,
+    "clipped.json": json.dumps({"version": 1, "epsilon": 1.0, "n": 50, "d": 4,
+                                "clipped": True, "counts": [3, 0, 7, 50]}),
+    "sketch.json": json.dumps({"version": 1, "epsilon": 1.0, "n": 50, "d": 5,
+                               "clipped": False, "counts": SKETCH_COUNTS}),
+    "delta.txt": "1\n-1\n0\n2\n-2\n",
+}
+
+
+def seed_argv(command, folder, seed) -> list[str]:
+    paths = {*SEED_INPUTS, "out"}
+    argv = [os.path.join(folder, a) if a in paths else a for a in SEED_COMMANDS[command]]
+    return [*argv, "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_seed_outside_64_bits_is_refused_before_any_input(command):
+    for seed in (-1, 2**64, -3, 10**23):
+        with tempfile.TemporaryDirectory() as folder:  # no input file exists
+            code, err = run(seed_argv(command, folder, seed))
+            assert code == 2, err
+            assert err.startswith(f"error: --seed {seed}: "), err
+            assert os.listdir(folder) == []
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_seed_at_the_ends_of_64_bits_is_accepted(command):
+    for seed in (0, 2**64 - 1):
+        with tempfile.TemporaryDirectory() as folder:
+            for name, text in SEED_INPUTS.items():
+                with open(os.path.join(folder, name), "w") as fh:
+                    fh.write(text)
+            code, err = run(seed_argv(command, folder, seed))
+            assert code == 0, err
+            assert outputs(folder, SEED_INPUTS) == ["out"]
 
 
 # --- file contents ------------------------------------------------------------

@@ -13,7 +13,6 @@ from dpprofile.evaluation import (
     fit_scaling,
     pad_profile,
     rows_to_csv,
-    run_trial,
     sweep,
     synth_histogram,
     theoretical_bounds,
@@ -29,6 +28,8 @@ from dpprofile.mechanism import (
 from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import cached_operator, fast_inversion, rounding
 from dpprofile._util import lp_norm
+
+from helpers import run_trial
 
 
 # --- synthetic histograms -----------------------------------------------------

@@ -16,6 +16,7 @@ from oracle import (
     dense_operator,
     dense_solve,
     equality_constrained_ls,
+    generator_vector,
     iterated_adjustment,
     monte_carlo_generator,
     sample_truncated_dlap,
@@ -37,7 +38,7 @@ def test_dense_identity_at_zero_radius():
 def test_dense_first_row_is_generator():
     cfg = make_cfg(16, 3, 0.9)
     dense = dense_operator(cfg)
-    gen = circulant.generator_vector(cfg.epsilon, cfg.n, cfg.B)
+    gen = generator_vector(cfg.epsilon, cfg.n, cfg.B)
     np.testing.assert_array_equal(dense.entries[0], gen)
 
 

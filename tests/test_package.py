@@ -8,23 +8,32 @@ import pytest
 
 import dpprofile
 
-# The public names of the package, as dir(dpprofile) listed them when
-# dpprofile/__init__.py imported every layer module eagerly, and the
-# numpy-free parameter module that now owns ReconstructionConfig and
-# truncation_radius.
+# The public names of the package: the layer modules and the names they
+# re-export.
 PUBLIC = [
     "CirculantOperator", "EmpiricalProfile", "ErrorReport", "Histogram",
-    "NormBounds", "PartyVector", "PrivateSketch", "Profile", "ProtocolResult",
-    "ReconstructionConfig", "RelaxedSolution", "SynthSpec", "alice_message",
-    "apply", "apply_inverse", "bob_estimate", "build_operator", "circulant",
-    "direction_vector", "empirical_profile", "evaluation", "fast_inversion",
+    "NormBounds", "PrivateSketch", "Profile", "ProtocolResult",
+    "ReconstructionConfig", "RelaxedSolution", "SynthSpec",
+    "apply", "apply_inverse", "build_operator", "circulant",
+    "empirical_profile", "evaluation", "fast_inversion",
     "fit_scaling", "mechanism", "norm_bounds", "params", "privatize", "read_histogram",
     "read_sketch", "reconstruct", "reconstruct_profile", "rounding",
-    "run_protocol", "run_trial", "sample_dlap", "sample_geometric",
+    "run_protocol", "sample_dlap", "sample_geometric",
     "sensitivity_bound", "sweep", "synth_histogram", "theoretical_bounds",
     "threshold_tau", "true_profile", "truncation_radius", "twoparty", "unfold",
-    "update", "write_histogram", "write_sketch",
+    "update", "write_sketch",
 ]
+
+# Names the package no longer has, each with the layer that defined it.
+REMOVED = {
+    "direction_vector": "reconstruct",
+    "write_histogram": "mechanism",
+    "run_trial": "evaluation",
+    "PartyVector": "twoparty",
+    "alice_message": "twoparty",
+    "bob_estimate": "twoparty",
+    "generator_vector": "circulant",
+}
 
 LAYERS = ("circulant", "params", "mechanism", "reconstruct", "evaluation", "twoparty")
 
@@ -50,6 +59,11 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         dpprofile.no_such_name
     assert not hasattr(dpprofile, "left_apply_inverse")
+    for name, layer in REMOVED.items():
+        assert not hasattr(dpprofile, name), name
+        module = getattr(dpprofile, layer)
+        assert not hasattr(module, name) and name not in module.__all__, name
+    assert not hasattr(dpprofile.CirculantOperator, "generator")
     with pytest.raises(ImportError):
         from dpprofile import no_such_name  # noqa: F401
 

@@ -22,7 +22,6 @@ from dpprofile.reconstruct import (
     Profile,
     RelaxedSolution,
     cached_operator,
-    direction_vector,
     fast_inversion,
     reconstruct_profile,
     rounding,
@@ -37,6 +36,7 @@ from oracle import (
     bisection_tau,
     dense_operator,
     dense_solve,
+    direction_vector,
     equality_constrained_ls,
     iterated_adjustment,
 )
@@ -483,7 +483,8 @@ def test_operator_cache_is_bounded():
     assert reconstruct._operator.cache_info().currsize == size
     rebuilt = cached_operator(cfgs[0])
     assert rebuilt is not first
-    np.testing.assert_array_equal(rebuilt.generator, first.generator)
+    np.testing.assert_array_equal(rebuilt._fwd_taps, first._fwd_taps)
+    np.testing.assert_array_equal(rebuilt._inv_taps, first._inv_taps)
 
 
 def test_operator_cache_shared_by_threads():
@@ -520,7 +521,7 @@ def test_l1_correction_takes_lower_window_edge(cfg):
     # the roundoff of the product
     op = cached_operator(cfg)
     correction, _ = reconstruct._correction_direction(op, "l1")
-    basis = circulant.apply(op, correction)
+    basis = circulant.apply(op, densify(correction))
     t = int(np.argmax(np.abs(basis)))
     assert abs(abs(basis[t]) - 1.0) < 1e-9
     assert t < op.m - 1 - t
@@ -547,6 +548,13 @@ def test_window_image_is_exactly_mirror_symmetric(cfg):
     c = circulant.apply_inverse(op, ones)
     assert op.m % 2 == (cfg.n + 1) % 2
     assert np.array_equal(c, c[::-1])
+
+
+def densify(correction):
+    """The correction's vector of the window's length."""
+    dense = np.full(correction.m, correction.alpha)
+    dense[correction.indices] += correction.local
+    return dense
 
 
 def dense_correction(op, p):
@@ -578,7 +586,7 @@ def test_correction_equals_its_dense_construction(cfg):
     for p in ("l1", "l2", "linf"):
         a, dense = dense_correction(op, p)
         correction, denom = reconstruct._correction_direction(op, p)
-        built = np.asarray(correction)
+        built = densify(correction)
         assert np.max(np.abs(built - dense)) <= 1e-15 * np.max(np.abs(dense))
         assert denom == pytest.approx(float(dense[op.B : op.B + op.n + 1].sum()), rel=1e-12)
         if p == "l1":  # the same index and sign: the same taps
@@ -609,7 +617,7 @@ def test_products_and_corrections_match_dense_construction(eps, n, log_d):
     )
     for p in ("l1", "l2", "linf"):
         _, dense = dense_correction(op, p)
-        built = np.asarray(reconstruct._correction_direction(op, p)[0])
+        built = densify(reconstruct._correction_direction(op, p)[0])
         assert np.max(np.abs(built - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 

@@ -10,15 +10,14 @@ from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import cached_operator, reconstruct_profile
 from dpprofile.twoparty import (
     PROTOCOL_N,
-    PartyVector,
-    alice_message,
-    bob_estimate,
     protocol_config,
     results_to_csv,
     run_protocol,
     sample_laplace,
     sensitivity_bound,
 )
+
+from oracle import PartyVector, alice_message, bob_estimate
 
 
 def random_party(d, rng):
@@ -231,14 +230,13 @@ def test_run_protocol_does_no_work_of_length_d():
 
 
 def test_run_protocol_forms_no_party_message(monkeypatch):
-    import dpprofile.twoparty as twoparty
+    from dpprofile import mechanism
 
     def refuse(*args, **kwargs):
         raise AssertionError("run_protocol went item by item")
 
-    monkeypatch.setattr(twoparty, "alice_message", refuse)
-    monkeypatch.setattr(twoparty, "privatize", refuse)
-    monkeypatch.setattr(twoparty, "update", refuse)
+    monkeypatch.setattr(mechanism, "privatize", refuse)
+    monkeypatch.setattr(mechanism, "update", refuse)
     assert len(run_protocol(d=1000, epsilon=1.0, trials=3, master_seed=2)) == 3
 
 
