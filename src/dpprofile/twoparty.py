@@ -63,7 +63,7 @@ class ProtocolResult:
             raise ValueError("abs_error does not match |m_b - true_ip|")
 
 
-def protocol_config(epsilon: float, d: int, p: str = "l2") -> ReconstructionConfig:
+def protocol_config(epsilon: float, d: int) -> ReconstructionConfig:
     """Reconstruction configuration used by Bob.
 
     The n >= B requirement is waived here: the protocol pins n = 4 while B
@@ -71,7 +71,7 @@ def protocol_config(epsilon: float, d: int, p: str = "l2") -> ReconstructionConf
     (only the high-probability error guarantee stops applying).
     """
     return ReconstructionConfig(
-        epsilon=epsilon, eta=PROTOCOL_ETA, n=PROTOCOL_N, d=d, p_norm=p, allow_small_n=True
+        epsilon=epsilon, eta=PROTOCOL_ETA, n=PROTOCOL_N, d=d, p_norm="l2", allow_small_n=True
     )
 
 

@@ -54,19 +54,21 @@ SPECTRUM_CFGS = [
 # --- generator and spectrum -------------------------------------------------
 
 def test_generator_structure(cfg):
-    gen = generator_vector(cfg.epsilon, cfg.n, cfg.B)
+    op = build_operator(cfg)
     m, B = cfg.m, cfg.B
     p_norm = kernel_normalizer(cfg.epsilon, B)
-    assert len(gen) == m
-    assert np.count_nonzero(gen) == 2 * B + 1
+    taps = op._fwd_taps  # the taps apply multiplies by, at offsets -B..B
+    assert len(taps) == 2 * B + 1
+    assert np.count_nonzero(taps) == 2 * B + 1
     np.testing.assert_allclose(
-        gen[: B + 1] * p_norm, np.exp(-cfg.epsilon * np.arange(B + 1)), rtol=1e-15
+        taps * p_norm, np.exp(-cfg.epsilon * np.abs(np.arange(-B, B + 1))), rtol=1e-15
     )
+    assert taps.sum() == pytest.approx(1.0, abs=1e-12)
+    # laid on the ring, the taps are the closed-form first row of the operator
+    first_row = np.roll(np.pad(taps, (0, m - len(taps))), -B)
     np.testing.assert_allclose(
-        gen[m - B :] * p_norm, np.exp(-cfg.epsilon * np.arange(B, 0, -1)), rtol=1e-15
+        first_row, generator_vector(cfg.epsilon, cfg.n, B), rtol=1e-15, atol=0
     )
-    assert np.all(gen[B + 1 : m - B] == 0)
-    assert gen.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("cfg", SPECTRUM_CFGS)
@@ -95,8 +97,7 @@ def test_degenerate_radius_gives_identity():
     assert cfg0.B == 0
     op = build_operator(cfg0)
     np.testing.assert_allclose(op.eigenvalues, np.ones(op.m), atol=1e-12)
-    gen = generator_vector(cfg0.epsilon, cfg0.n, cfg0.B)
-    np.testing.assert_array_equal(gen, np.eye(op.m)[0])
+    np.testing.assert_array_equal(op._fwd_taps, [1.0])
     x = np.arange(op.m, dtype=float)
     np.testing.assert_allclose(circulant.apply(op, x), x, atol=1e-12)
 

@@ -508,8 +508,8 @@ def test_operator_cache_shared_by_threads():
 @pytest.mark.parametrize(
     "cfg",
     [
-        protocol_config(0.3, 1000, p="l1"),
-        protocol_config(1.0, 1000, p="l1"),
+        protocol_config(0.3, 1000),
+        protocol_config(1.0, 1000),
         ReconstructionConfig(epsilon=2.0, eta=0.05, n=32, d=10**4, p_norm="l1"),
         ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=10**6, p_norm="l1"),
     ],

@@ -230,13 +230,17 @@ def test_run_protocol_does_no_work_of_length_d():
 
 
 def test_run_protocol_forms_no_party_message(monkeypatch):
-    from dpprofile import mechanism
+    from dpprofile import mechanism, twoparty
 
     def refuse(*args, **kwargs):
         raise AssertionError("run_protocol went item by item")
 
-    monkeypatch.setattr(mechanism, "privatize", refuse)
-    monkeypatch.setattr(mechanism, "update", refuse)
+    # privatize draws through sample_dlap, and every histogram or sketch is
+    # checked through int64_array; both are looked up in mechanism at call
+    # time, so the patch holds however twoparty imports the per-item steps
+    monkeypatch.setattr(mechanism, "sample_dlap", refuse)
+    monkeypatch.setattr(mechanism, "int64_array", refuse)
+    assert not hasattr(twoparty, "privatize") and not hasattr(twoparty, "update")
     assert len(run_protocol(d=1000, epsilon=1.0, trials=3, master_seed=2)) == 3
 
 
