@@ -1,8 +1,9 @@
 """Command-line front end for sketching, reconstructing, and evaluating.
 
-Every command is deterministic under --seed: rerunning with identical flags
-produces byte-identical output files.  Output is written to a temporary file
-and renamed into place on success, so failures never leave partial files.
+Every command is deterministic: rerunning with identical flags (--seed, for
+every command that draws randomness) produces byte-identical output files.
+Output is written to a temporary file and renamed into place on success, so
+failures never leave partial files.
 Diagnostics (parameters, timing) go to standard error.
 
 Exit codes: 0 on success, 2 on user error (bad flags or inputs), 1 on
@@ -264,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=["l1", "l2", "linf"], default="l2")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("update", parents=[seed_parent], help="shift an unclipped sketch")
+    # update draws no randomness, so it takes no --seed
+    p = sub.add_parser("update", help="shift an unclipped sketch")
     p.add_argument("--sketch", required=True)
     p.add_argument("--delta", required=True, help="integer deltas, one per line")
     p.add_argument("--output", required=True)
@@ -297,9 +299,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # checked once for every command: numpy refuses a negative seed
-        # without naming the flag, and derive_seed's 64-bit mask wraps one
-        if not 0 <= args.seed < 2**64:
+        # checked once for every command with --seed: numpy refuses a negative
+        # seed without naming the flag, and derive_seed's 64-bit mask wraps one
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
             raise ValueError(f"--seed {args.seed}: must lie in [0, 2**64 - 1]")
         args.func(args)
     except (ValueError, OSError) as exc:

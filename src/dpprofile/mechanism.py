@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -283,32 +282,76 @@ def empirical_profile(
 #
 # Integer file (histograms, update deltas): plain text, one integer per line,
 # blank lines and lines beginning with '#' ignored.  Sketch file: a flat JSON
-# object with exactly the keys in _SKETCH_KEYS.
+# object with exactly the keys in _SKETCH_KEYS.  Both read their integers by
+# one vectorised parse, _parse_ints, of the layouts written here; it declines
+# everything else, which the line loop or json then decides.
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# codec block sizes, in counts and in bytes: no codec temporary grows with d
+_FORMAT_BLOCK = 2**15
+_PARSE_PIECE = 2**17
 
-def _load_int_column(path: str) -> np.ndarray | None:
-    """Parse a plain one-integer-per-line file with a single numpy call.
+# 1, 10 .. 10**18: the value of each digit place of an int64
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
 
-    Returns None for anything else (comment lines, underscores, several
-    values on a line, no values at all), so that the caller's line loop
-    decides.  The file is decoded as ASCII because numpy's integer parser
-    reads some non-ASCII letters as digits.
+_JSON_SEP = b", "
+
+
+def _parse_ints(data: bytes, pos: int, end: int, out: np.ndarray, sep: bytes) -> int | None:
+    """Parse the integers of data[pos:end] into out: their number, or None.
+
+    With sep ", " the text must be json.dumps's of int64 values joined by ", ";
+    with another, tokens -?[0-9]+ split by runs of "\n" and "\r".  Each piece,
+    cut at the first sep past _PARSE_PIECE bytes, is checked by counts of its
+    allowed bytes and bounded by the edges of its runs of token bytes; out,
+    viewed as uint64, takes the magnitudes by one gather per digit place.
+    Anything else, or more values than out holds, returns None.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # "input contained no data"
-            values = np.loadtxt(
-                path, dtype=np.int64, comments=None, ndmin=2, encoding="ascii"
-            )
-    except (ValueError, OverflowError):
-        return None
-    # whitespace inside a line splits it into columns; the loop rejects it
-    if values.shape[1] != 1 or not values.size:
-        return None
-    return values.ravel()
+    text, filled = np.frombuffer(data, dtype=np.uint8), 0
+    canonical = sep == _JSON_SEP
+    counted = b"-" + (sep if canonical else b"\n\r")  # the allowed bytes besides digits
+    while True:
+        cut = data.find(sep, pos + _PARSE_PIECE, end)
+        cut = end if cut < 0 else cut
+        piece = text[pos:cut]
+        minus, *gaps = (np.count_nonzero(piece == c) for c in counted)
+        # "-" and the digits make the tokens: every separator byte sorts below
+        token = np.diff(piece >= ord("-"), prepend=False, append=False)
+        starts, ends = np.flatnonzero(token).reshape(-1, 2).T  # the edges of each token
+        neg = piece[starts] == ord("-")
+        ndig = ends - starts - neg
+        top = int(ndig.max(initial=0))
+        if (
+            np.count_nonzero(piece - ord("0") < 10) + minus + sum(gaps) != len(piece)
+            or np.count_nonzero(neg) != minus  # a "-" inside a token
+            or filled + len(starts) > len(out)
+            or ndig.min(initial=1) < 1 or top > 19
+        ) or canonical and (
+            len(starts) != gaps[0] + 1 or starts[0]  # one "," between two tokens, none first
+            # each "," is followed by a " ", and each " " past the first byte follows a ","
+            or not ((piece[:-1] == ord(",")) == (piece[1:] == ord(" "))).all()
+            or ((piece[starts + neg] == ord("0")) & (ends - starts > 1)).any()  # 01, -0
+        ):
+            return None
+        values = out[filled : filled + len(starts)]
+        magnitude, at = values.view(np.uint64), ends - 1
+        magnitude[:] = piece[at] - ord("0")
+        for place in range(1, top):
+            at -= 1
+            digit = piece[at] - ord("0")
+            digit *= ndig > place  # a place that a shorter token lacks adds 0
+            magnitude += np.multiply(digit, _POW10[place], dtype=np.uint64)
+        # 19 digits fit in a uint64, so one comparison bounds them to int64
+        if top == 19 and (magnitude > np.uint64(_INT64_MAX) + neg).any():
+            return None
+        if minus:
+            values *= 1 - 2 * neg.view(np.int8)  # 2**63 is its own negative
+        filled += len(starts)
+        if cut == end:
+            return filled
+        pos = cut + len(sep)
 
 
 def read_int_lines(
@@ -322,32 +365,35 @@ def read_int_lines(
     Blank lines and lines starting with '#' are skipped.  Every value must lie
     in [lo, hi] (by default the int64 range); out_of_range(value) gives the
     message for one that does not.  Errors name the line as path:lineno.
+    Bare integers with LF, CRLF or CR line ends take one vectorised parse.
     """
-    values = _load_int_column(path)
-    if values is not None and lo <= values.min() and values.max() <= hi:
-        return values
-    # Whatever the single-call parse did not accept is decided line by line,
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lf, cr = (np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == c) for c in b"\n\r")
+    # a slot per line when all lines end alike (LF, CRLF or CR); a file that
+    # mixes them may overflow the slots, and then the loop decides
+    values = np.empty(max(lf, cr) + 1, dtype=np.int64)
+    filled = _parse_ints(data, 0, len(data), values, b"\n" if lf else b"\r")
+    if filled is not None:
+        values = values[:filled]
+        if not filled or lo <= values.min() and values.max() <= hi:
+            return values
+    # Whatever the one-pass parse did not accept is decided line by line,
     # so accepted inputs and error messages do not depend on the fast path.
     parsed = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected an integer, got {text!r}"
-                ) from None
-            if not lo <= value <= hi:
-                reason = (
-                    out_of_range(value)
-                    if out_of_range is not None
-                    else f"{value} does not fit in a 64-bit integer"
-                )
-                raise ValueError(f"{path}:{lineno}: {reason}")
-            parsed.append(value)
+    out_of_range = out_of_range or (lambda value: f"{value} does not fit in a 64-bit integer")
+    # decoded as open(path, encoding="utf-8") does, newlines included
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected an integer, got {text!r}") from None
+        if not lo <= value <= hi:
+            raise ValueError(f"{path}:{lineno}: {out_of_range(value)}")
+        parsed.append(value)
     return np.array(parsed, dtype=np.int64)
 
 
@@ -371,13 +417,6 @@ _SKETCH_KEYS = frozenset(("version", "epsilon", "n", "d", "clipped", "counts"))
 _COUNTS_KEY = b'"counts": '
 _SKETCH_END = b"}\n"
 
-# codec block sizes, in counts and in bytes: no codec temporary grows with d
-_FORMAT_BLOCK = 2**15
-_PARSE_PIECE = 2**17
-
-# 10 .. 10**18: a magnitude at or above k of them has k + 1 digits
-_POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
-
 
 def _format_counts(counts: np.ndarray) -> Iterator[bytes]:
     """json.dumps(counts.tolist())[1:-1] of an int64 vector, in chunks.
@@ -392,7 +431,7 @@ def _format_counts(counts: np.ndarray) -> Iterator[bytes]:
         rest = np.abs(values).view(np.uint64)  # |INT64_MIN| wraps to 2**63
         width = (values < 0) + np.uint8(3)  # the ", ", a sign and one digit
         ndigits = 1
-        for power in _POW10:
+        for power in _POW10[1:]:  # k + 1 digits from the k-th power of 10 up
             longer = rest >= power
             if not longer.any():
                 break
@@ -420,21 +459,18 @@ def _format_counts(counts: np.ndarray) -> Iterator[bytes]:
 def _parse_canonical(data: bytes) -> dict | None:
     """The sketch object of a file in write_sketch's exact layout, else None.
 
-    The head is parsed by json with an empty list in place of the counts.
-    If that gives an object with exactly the sketch keys, the empty list is
-    the value of "counts" (no sketch key holds a quote, so the match was not
-    inside a string) and the object's last entry, so json.loads of the whole
-    file gives the same object with the counts in that list.  The counts are
-    parsed by numpy into one array of the head's d, a piece at a time: each
-    piece ends at the first ", " past _PARSE_PIECE bytes and is taken only
-    if its counts format back to the same bytes, which proves them JSON
-    integers within int64.  The text is the counts' texts joined by ", ", so
-    this accepts what a check of the whole text would.  Anything else, a
-    valid sketch in another layout or a d that is not the number of counts
-    included, returns None.
+    The counts key must close with the file's last quote, so that it is not
+    inside a string.  If json parses the head before it, with an empty list
+    for the counts, to an object with exactly the sketch keys, that list is
+    the object's last entry, and json.loads of the whole file gives the same
+    object with the counts in it.  _parse_ints takes the counts into one
+    array of the head's d only as JSON integers within int64 joined by ", ".
+    Anything else, a sketch in another layout or a d that is not the number
+    of counts included, returns None.
     """
-    start = data.rfind(_COUNTS_KEY + b"[")
-    if start < 0 or not data.endswith(b"]" + _SKETCH_END):
+    start = data.rfind(b'"') - len(b'"counts')  # a one-byte search is fast
+    at_key = start >= 0 and data.startswith(_COUNTS_KEY + b"[", start)
+    if not at_key or not data.endswith(b"]" + _SKETCH_END):
         return None
     pos = start + len(_COUNTS_KEY)
     try:
@@ -446,31 +482,12 @@ def _parse_canonical(data: bytes) -> dict | None:
     d, pos, end = obj["d"], pos + 1, len(data) - len(b"]" + _SKETCH_END)
     # every count but the last takes a digit and a ", " at least, so the text
     # bounds the array before it is allocated
-    if not _is_json_int(d) or not 0 <= 3 * d <= end - pos + 2:
+    if type(d) is not int or not 0 <= 3 * d <= end - pos + 2:
         return None
-    counts, filled, cut = np.empty(d, dtype=np.int64), 0, pos
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # older numpy warns on a stray byte
-        while filled < d:
-            cut = data.find(b", ", pos + _PARSE_PIECE, end)
-            cut = end if cut < 0 else cut
-            piece = data[pos:cut]
-            try:
-                values = np.fromstring(piece, dtype=np.int64, sep=",")
-            except (ValueError, DeprecationWarning):
-                return None
-            if not 0 < len(values) <= d - filled or b"".join(_format_counts(values)) != piece:
-                return None
-            counts[filled : filled + len(values)] = values
-            filled, pos = filled + len(values), cut + 2
-    if cut != end:  # text past the d-th count
+    obj["counts"] = np.empty(d, dtype=np.int64)
+    if pos < end and _parse_ints(data, pos, end, obj["counts"], _JSON_SEP) != d:
         return None
-    obj["counts"] = counts
     return obj
-
-
-def _is_json_int(value) -> bool:
-    return type(value) is int  # json gives bool for true/false, a subclass of int
 
 
 def read_sketch(path: str) -> PrivateSketch:
@@ -492,21 +509,20 @@ def read_sketch(path: str) -> PrivateSketch:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict) or obj.keys() != _SKETCH_KEYS:
         found = sorted(obj) if isinstance(obj, dict) else f"a JSON {type(obj).__name__}"
-        raise ValueError(
-            f"{path}: a sketch is a JSON object with the keys "
-            f"{sorted(_SKETCH_KEYS)}, got {found}"
-        )
+        keys = sorted(_SKETCH_KEYS)
+        raise ValueError(f"{path}: a sketch is a JSON object with the keys {keys}, got {found}")
     version, epsilon, n, d = obj["version"], obj["epsilon"], obj["n"], obj["d"]
     clipped, counts = obj["clipped"], obj["counts"]
-    if not _is_json_int(version) or version != 1:
+    # type(x) is int: json gives bool, a subclass of int, for true and false
+    if type(version) is not int or version != 1:
         raise ValueError(f"{path}: unsupported sketch version {version!r}")
-    if not _is_json_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"{path}: n must be an integer >= 1, got {n!r}")
     try:
         check_window(n)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not _is_json_int(d):
+    if type(d) is not int:
         raise ValueError(f"{path}: d must be an integer, got {d!r}")
     if type(clipped) is not bool:
         raise ValueError(f"{path}: clipped must be true or false, got {clipped!r}")
@@ -522,11 +538,8 @@ def read_sketch(path: str) -> PrivateSketch:
     if len(counts) != d:
         raise ValueError(f"{path}: d={d} but {len(counts)} counts present")
     try:
-        # every count is a JSON integer, so the cast keeps it or overflows
-        return PrivateSketch(
-            counts=np.asarray(counts, dtype=np.int64),
-            epsilon=float(epsilon), n=n, clipped=clipped,
-        )
+        counts = np.asarray(counts, dtype=np.int64)  # JSON integers: kept, or it overflows
+        return PrivateSketch(counts=counts, epsilon=float(epsilon), n=n, clipped=clipped)
     except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
         raise ValueError(f"{path}: {exc}") from None
 
@@ -536,16 +549,9 @@ def write_sketch(path: str, s: PrivateSketch) -> None:
 
     Each block of counts is written as soon as it is formatted.
     """
-    head = json.dumps({
-        "version": 1,
-        "epsilon": float(s.epsilon),
-        "n": int(s.n),
-        "d": int(s.d),
-        "clipped": bool(s.clipped),
-        "counts": [],
-    })
+    head = json.dumps({"version": 1, "epsilon": float(s.epsilon), "n": int(s.n),
+                       "d": int(s.d), "clipped": bool(s.clipped), "counts": []})
     with open(path, "wb") as fh:
         fh.write(head[: -len("]}")].encode())  # up to '"counts": ['
-        for chunk in _format_counts(s.counts):
-            fh.write(chunk)
+        fh.writelines(_format_counts(s.counts))
         fh.write(b"]" + _SKETCH_END)

@@ -11,8 +11,9 @@ with an output that parses, or 2 with no output and no `.tmp` file; never 1.
 A flag value refused with exit 2 is named in the message: the command's own
 `error: --<flag>...` line, or argparse's `error: argument --<flag>` for a
 value it cannot parse.  The examples are derandomized, so every run draws
-the same ones.  `--seed` is checked by every command, at the ends of and
-just past the 64-bit range.
+the same ones.  `--seed` is checked by every command that takes it, at the
+ends of and just past the 64-bit range; `update` draws no randomness and
+refuses the flag.
 """
 
 import contextlib
@@ -217,8 +218,6 @@ SEED_COMMANDS = {
                "--epsilon", "1", "--n", "50", "--clip"],
     "reconstruct": ["reconstruct", "--input", "clipped.json", "--output", "out",
                     "--eta", "0.05"],
-    "update": ["update", "--sketch", "sketch.json", "--delta", "delta.txt",
-               "--output", "out"],
     "eval": ["eval", "--dist", "zipf:1.1", "--d-list", "200", "--n", "8",
              "--epsilon", "2", "--eta", "0.2", "--trials", "1", "--output", "out"],
     "innerprod": ["innerprod", "--d", "1000", "--epsilon", "1", "--trials", "1",
@@ -228,9 +227,6 @@ SEED_INPUTS = {
     "hist.txt": HIST,
     "clipped.json": json.dumps({"version": 1, "epsilon": 1.0, "n": 50, "d": 4,
                                 "clipped": True, "counts": [3, 0, 7, 50]}),
-    "sketch.json": json.dumps({"version": 1, "epsilon": 1.0, "n": 50, "d": 5,
-                               "clipped": False, "counts": SKETCH_COUNTS}),
-    "delta.txt": "1\n-1\n0\n2\n-2\n",
 }
 
 
@@ -260,6 +256,16 @@ def test_seed_at_the_ends_of_64_bits_is_accepted(command):
             code, err = run(seed_argv(command, folder, seed))
             assert code == 0, err
             assert outputs(folder, SEED_INPUTS) == ["out"]
+
+
+def test_update_refuses_a_seed_as_a_usage_error():
+    with tempfile.TemporaryDirectory() as folder:  # no input file exists
+        code, err = run(["update", "--sketch", os.path.join(folder, "s.json"), "--delta",
+                         os.path.join(folder, "d.txt"), "--output",
+                         os.path.join(folder, "out"), "--seed", "5"])
+        assert os.listdir(folder) == []
+    assert code == 2, err
+    assert "error: unrecognized arguments: --seed 5" in err, err
 
 
 # --- file contents ------------------------------------------------------------

@@ -1053,3 +1053,141 @@ def test_read_sketch_undecodable_file_names_the_path(tmp_path, data):
     with pytest.raises(ValueError) as err:
         read_sketch(str(path))
     assert str(err.value).startswith(f"{path}: ")
+
+
+# --- the one-pass parse of integer files: cuts, the layouts it takes, peak memory ---
+
+# line bodies for pieces of 1 to 8 bytes, so that some cut lands on each defect
+LINE_CUT_BODIES = {
+    "plain": b"1111\n22\n-3\n0\n",
+    "a minus inside a line": b"1111\n2-2\n3\n",
+    "a lone minus": b"1111\n-\n3\n",
+    "two minus signs": b"11\n--3\n",
+    "cr": b"1111\r22\r-3\r4",
+    "crlf": b"1111\r\n22\r\n-3\r\n",
+    "mixed line ends": b"1111\n22\r-3\r\n4\n",
+    "blank lines": b"\n1111\n\n\n22\n\n",
+    "19 digits": b"1\n9223372036854775807\n-9223372036854775808\n3\n",
+    "19 digits past int64": b"1\n9223372036854775808\n3\n",
+    "19 digits below int64": b"1\n-9223372036854775809\n3\n",
+    "20 digits": b"1\n12345678901234567890\n",
+    "a comment line": b"1111\n# 22\n3\n",
+    "a hash inside a line": b"1111\n2#2\n3\n",
+}
+
+# bodies the one-pass parse must take; it may decline a file that mixes line ends
+ONE_PASS_LINE_BODIES = {"plain", "cr", "crlf", "blank lines", "19 digits"}
+
+
+def one_pass_spy(monkeypatch) -> list:
+    """The output arrays of the _parse_ints calls that took their text, as made."""
+    taken, parse = [], mechanism._parse_ints
+
+    def spy(data, pos, end, out, sep):
+        filled = parse(data, pos, end, out, sep)
+        if filled is not None:
+            taken.append(out)
+        return filled
+
+    monkeypatch.setattr(mechanism, "_parse_ints", spy)
+    return taken
+
+
+def from_one_pass(taken: list, result: np.ndarray) -> bool:
+    """Whether result lies in an array that the one-pass parse filled: the line
+    loop and json build new arrays, so equal values alone would not tell."""
+    return any(np.shares_memory(result, out) for out in taken)
+
+
+@pytest.mark.parametrize("piece", range(1, 9))
+@pytest.mark.parametrize("name", LINE_CUT_BODIES)
+def test_read_int_lines_decides_a_defect_on_a_cut_as_the_line_loop_does(
+    tmp_path, monkeypatch, name, piece
+):
+    monkeypatch.setattr(mechanism, "_PARSE_PIECE", piece)
+    path = tmp_path / "ints.txt"
+    path.write_bytes(LINE_CUT_BODIES[name])
+    expected = outcome(reference_int_lines, str(path))
+    taken = one_pass_spy(monkeypatch)
+    assert outcome(read_int_lines, str(path)) == expected
+    if name in ONE_PASS_LINE_BODIES:
+        assert from_one_pass(taken, read_int_lines(str(path)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(list("0123456789 -+_#\n\r\t\x0b\x0c.e٣")),
+                    max_size=60),
+       piece=st.integers(1, 8))
+def test_read_int_lines_in_small_pieces_matches_line_loop_on_random_text(
+    tmp_path_factory, text, piece
+):
+    path = tmp_path_factory.mktemp("ints") / "ints.txt"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mechanism, "_PARSE_PIECE", piece)
+        assert outcome(read_int_lines, str(path)) == outcome(reference_int_lines, str(path))
+
+
+@pytest.mark.parametrize("name", ["plain", "crlf", "no trailing newline", "negative",
+                                  "int64 edges"])
+def test_one_pass_parse_takes_the_common_int_files(tmp_path, monkeypatch, name):
+    path = tmp_path / "ints.txt"
+    path.write_bytes(INT_FILE_CASES[name])
+    taken = one_pass_spy(monkeypatch)
+    values = read_int_lines(str(path))
+    assert values.tolist() == reference_int_lines(str(path)).tolist()
+    assert from_one_pass(taken, values)
+
+
+@pytest.mark.parametrize("name", CODEC_CASES)
+def test_one_pass_parse_takes_every_written_sketch(tmp_path, monkeypatch, name):
+    counts = CODEC_CASES[name]
+    path = tmp_path / "sketch.json"
+    write_sketch(str(path), PrivateSketch(counts=np.array(counts, dtype=np.int64),
+                                          epsilon=0.25, n=3, clipped=False))
+    taken = one_pass_spy(monkeypatch)
+    back = read_sketch(str(path))
+    assert back.counts.tolist() == counts
+    assert from_one_pass(taken, back.counts)
+
+
+# counts texts off write_sketch's layout by a separator: json refuses the first
+# five (each "," in them is followed by a " ") and reads the others' spaces
+SEPARATOR_BODIES = [b"1, , 2", b", 1, 2", b"1, 2, ", b"1, 2, , ", b", , 1",
+                    b" 1, 2", b"1,  2", b"1 , 2", b"1, 2 "]
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 2**17])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("body", SEPARATOR_BODIES)
+def test_read_sketch_decides_stray_separators_as_json_does(tmp_path, monkeypatch, body, d, piece):
+    monkeypatch.setattr(mechanism, "_PARSE_PIECE", piece)
+    data = GOOD_HEAD.replace(b'"d": 2', b'"d": %d' % d) + b'"counts": [' + body + b"]}\n"
+    path = tmp_path / "sketch.json"
+    path.write_bytes(data)
+    assert _parse_canonical(data) is None
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+def test_read_histogram_peak_allocation_is_the_file_and_the_counts(tmp_path):
+    counts = np.random.default_rng(9001).integers(0, 33, 10**6)
+    path = tmp_path / "hist.txt"
+    path.write_text("\n".join(map(str, counts.tolist())) + "\n")
+    tracemalloc.start()
+    try:
+        h = read_histogram(str(path), n=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(h.counts, counts)
+    assert peak <= path.stat().st_size + 8 * len(counts) + 4_000_000
+
+
+@pytest.mark.parametrize("reader", [lambda path: read_histogram(path, n=4), read_int_lines,
+                                    read_sketch], ids=["histogram", "int lines", "sketch"])
+def test_every_reader_names_a_missing_file_as_open_does(tmp_path, reader):
+    path = str(tmp_path / "missing")
+    with pytest.raises(FileNotFoundError) as err:
+        reader(path)
+    assert str(err.value) == f"[Errno 2] No such file or directory: {path!r}"
