@@ -95,7 +95,7 @@ def cmd_reconstruct(args) -> None:
         params.check_eta(args.eta)
     import numpy as np
 
-    from . import mechanism, reconstruct
+    from . import mechanism
 
     sketch = mechanism.read_sketch(args.input)
     # the sketch is valid, so a configuration error comes from --eta and
@@ -108,6 +108,10 @@ def cmd_reconstruct(args) -> None:
             d=sketch.d,
             p_norm=args.norm,
         )
+    # the reconstruction and its operator load only for a sketch and a
+    # configuration that passed
+    from . import reconstruct
+
     # only unfolding a clipped sketch draws randomness
     rng = np.random.default_rng(args.seed) if sketch.clipped else None
     start = time.perf_counter()
@@ -296,6 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a worker thread per CPU at import, which spin
+    # for no BLAS work of this package (the largest is a 3-point polyfit);
+    # a value the user set is kept, and an in-process caller that has
+    # already loaded numpy keeps its environment
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,13 +295,16 @@ def _run_cell_trial(
 
 
 def thread_budget() -> int:
-    """Worker cap for embarrassingly parallel trials.
+    """Worker cap for the per-item trials of a sweep.
 
     Controlled by the DP_PROFILE_THREADS environment variable; defaults to
-    the number of available cores.
+    the number of CPUs this process may run on (its affinity mask where the
+    platform reports one, else os.cpu_count()).
     """
     raw = os.environ.get("DP_PROFILE_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)
@@ -323,12 +325,19 @@ def sweep(
     The per-trial seed is a stable 64-bit mix of (master_seed, cell index,
     trial index), so the report set is reproducible regardless of scheduling;
     rows come back in (cell, trial, norm) order.  The histogram, its profile
-    and the bounds are fixed per cell, so they are built once per cell.
+    and the bounds are fixed per cell, so they are built once per cell, on
+    the calling thread.
+
+    A class-route trial is Python dispatch over m-entry arrays that holds
+    the GIL throughout, so threads would only pass it back and forth: those
+    trials run on the calling thread.  Per-item trials spend their time in
+    O(d) numpy passes that release the GIL; they go to a pool of up to
+    thread_budget() workers when that and their number both exceed 1.
     """
     if not grid:
         raise ValueError("sweep grid is empty")
     check_trials(trials)
-    specs, cfgs = zip(*grid)
+    cells = [_prepare_cell(spec, cfg) for spec, cfg in grid]
     tasks = [
         (ci, ti, derive_seed(master_seed, ci, ti))
         for ci in range(len(grid))
@@ -337,18 +346,20 @@ def sweep(
 
     def _run(task):
         ci, ti, seed = task
-        return ci, ti, _run_cell_trial(cells[ci], cfgs[ci], seed, ti)
+        return _run_cell_trial(cells[ci], grid[ci][1], seed, ti)
 
-    workers = min(thread_budget(), len(tasks))
+    per_item = [task for task in tasks if cells[task[0]].pmf is None]
+    workers = min(thread_budget(), len(per_item))
+    pooled = {}
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_prepare_cell, specs, cfgs))
-            finished = list(pool.map(_run, tasks))
-    else:
-        cells = list(map(_prepare_cell, specs, cfgs))
-        finished = [_run(t) for t in tasks]
-    finished.sort(key=lambda item: (item[0], item[1]))
-    return [report for _, _, triple in finished for report in triple]
+            pooled = dict(zip(per_item, pool.map(_run, per_item)))
+    reports = []
+    for task in tasks:
+        reports += pooled[task] if task in pooled else _run(task)
+    return reports
 
 
 def rows_to_csv(reports: list[ErrorReport], slopes: dict[str, float] | None = None) -> str:

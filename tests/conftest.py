@@ -1,6 +1,7 @@
 """Shared pytest set-up."""
 
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,3 +17,13 @@ def source_tree_on_child_path():
         paths = [SRC, os.environ.get("PYTHONPATH")]
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
         yield
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a Python thread alive, such as a pool that was
+    never shut down."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left running: {leaked}"

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -673,3 +674,84 @@ def test_import_dpprofile_loads_no_layer_module():
     modules = imported_modules("-c", "import dpprofile")
     assert "dpprofile" in modules
     assert not {m for m in modules if m.startswith("dpprofile.")}
+
+
+def test_refused_reconstruct_loads_neither_reconstruct_nor_circulant(tmp_path):
+    # a sketch that read_sketch refuses, then a valid sketch whose noise
+    # bound leaves no window: both stop before the reconstruction loads
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_SKETCHES["fractional counts"])
+    no_window = write_sketch_file(tmp_path, [1] * 200, 2.7e-17, 50)
+    for sketch in (str(bad), no_window):
+        modules = imported_modules("-m", "dpprofile", "reconstruct", "--input", sketch,
+                                   "--output", str(tmp_path / "p.csv"), "--eta", "0.05",
+                                   returncode=2)
+        assert "dpprofile.mechanism" in modules  # the report lists layers
+        assert not modules & {"dpprofile.reconstruct", "dpprofile.circulant"}, sketch
+
+
+def test_class_route_eval_starts_no_thread(tmp_path, monkeypatch):
+    # every cell of a point-mass grid takes the class route, whose trials
+    # hold the GIL, so no pool is started or even imported at any budget
+    monkeypatch.setenv("DP_PROFILE_THREADS", "2")
+    script = (
+        "import sys, threading\n"
+        "from dpprofile.cli import main\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, len(started), 'concurrent.futures' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, "eval", "--dist", "point_mass:1",
+         "--d-list", "1000,2000", "--n", "8", "--epsilon", "2", "--eta", "0.1",
+         "--trials", "4", "--output", str(tmp_path / "e.csv")],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "0", "False"]
+
+
+# --- BLAS threads -------------------------------------------------------------------
+
+BLAS_PROBE = (
+    "import os, sys\n"
+    "from dpprofile.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
+    "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+)
+
+
+def run_blas_probe(hist_file, tmp_path, **env):
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    res = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, "sketch", "--input", hist_file,
+         "--output", str(tmp_path / "s.json"), "--epsilon", "1", "--n", "5"],
+        capture_output=True, text=True, env={**base, **env},
+    )
+    assert res.returncode == 0, res.stderr
+    code, value, tasks = res.stdout.split()
+    assert code == "0"
+    return value, int(tasks)
+
+
+def test_cli_pins_openblas_to_one_thread(hist_file, tmp_path):
+    value, tasks = run_blas_probe(hist_file, tmp_path)
+    assert value == "1"
+    if tasks < 0:
+        pytest.skip("no /proc/self/task to count the process's threads")
+    assert tasks == 1  # numpy is loaded, and OpenBLAS started no worker
+
+
+def test_cli_keeps_a_preset_openblas_thread_count(hist_file, tmp_path):
+    assert run_blas_probe(hist_file, tmp_path, OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_cli_leaves_an_in_process_callers_environment_alone(hist_file, tmp_path, monkeypatch):
+    # numpy is loaded in this process, so its BLAS threads are already set
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["sketch", "--input", hist_file, "--output", str(tmp_path / "s.json"),
+                 "--epsilon", "1", "--n", "5"]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ

@@ -1,6 +1,9 @@
 """Tests for the synthetic-data and error-measurement harness."""
 
 import math
+import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,13 +243,55 @@ def test_thread_budget_env(monkeypatch):
     assert thread_budget() >= 1
 
 
+def test_thread_budget_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("DP_PROFILE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert thread_budget() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_budget() == 64
+
+
+def mixed_grid():
+    """A class-route cell, then a per-item cell: uniform counts up to
+    n = 1000 need a table of some 1e6 entries against d = 1e4 items."""
+    d = 10**4
+    return [
+        (SynthSpec(dist, d=d, n=n, seed=3, param=param),
+         ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d))
+        for dist, n, param in (("zipf", 32, 1.1), ("uniform_counts", 1000, 0.0))
+    ]
+
+
+def spy_trial_threads(monkeypatch):
+    """(cell takes the class route, trial ran on the calling thread) per trial."""
+    seen = []
+    run = evaluation._run_cell_trial
+
+    def spy(cell, cfg, seed, trial):
+        seen.append((cell.pmf is not None, threading.current_thread() is threading.main_thread()))
+        return run(cell, cfg, seed, trial)
+
+    monkeypatch.setattr(evaluation, "_run_cell_trial", spy)
+    return seen
+
+
 def test_sweep_threaded_matches_serial(monkeypatch):
+    # only the per-item trials go to the pool; the rows, seeds and order do
+    # not depend on where a trial ran
+    seen = spy_trial_threads(monkeypatch)
     monkeypatch.setenv("DP_PROFILE_THREADS", "4")
-    threaded = sweep(small_grid(), trials=8, master_seed=3)
+    threaded = sweep(mixed_grid(), trials=4, master_seed=3)
+    assert sorted(seen) == [(False, False)] * 4 + [(True, True)] * 4
+    seen.clear()
     monkeypatch.setenv("DP_PROFILE_THREADS", "1")
-    serial = sweep(small_grid(), trials=8, master_seed=3)
-    assert [(r.trial, r.p, r.err) for r in threaded] == [
-        (r.trial, r.p, r.err) for r in serial
+    serial = sweep(mixed_grid(), trials=4, master_seed=3)
+    assert sorted(seen) == [(False, True)] * 4 + [(True, True)] * 4
+    assert [(r.n, r.trial, r.p) for r in threaded] == [
+        (n, trial, p) for n in (32, 1000) for trial in range(4) for p in ("l1", "l2", "linf")
+    ]
+    assert [replace(r, seconds=0.0) for r in threaded] == [
+        replace(r, seconds=0.0) for r in serial
     ]
 
 
