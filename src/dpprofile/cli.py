@@ -2,8 +2,8 @@
 
 Every command is deterministic: rerunning with identical flags (--seed, for
 every command that draws randomness) produces byte-identical output files.
-Output is written to a temporary file and renamed into place on success, so
-failures never leave partial files.
+Output is written to a temporary file of the command's own and renamed into
+place on success, so failures never leave partial files.
 Diagnostics (parameters, timing) go to standard error.
 
 Exit codes: 0 on success, 2 on user error (bad flags or inputs), 1 on
@@ -17,6 +17,7 @@ import contextlib
 import os
 import sys
 import time
+from collections import Counter
 
 # No layer is imported here.  Each command imports the layers it runs, and
 # checks its flag values with `params`, which needs no numpy, before it reads
@@ -30,12 +31,17 @@ __all__ = ["main"]
 
 
 def _write_atomic_via(path: str, writer) -> None:
-    tmp = f"{path}.tmp"
+    # a fresh temp per call, so no file already there is taken over and two
+    # writers to one output each rename a complete file into place; made as
+    # open() makes a file, so the umask sets the output's mode (mkstemp's
+    # files are 0600)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
@@ -191,6 +197,9 @@ def cmd_eval(args) -> None:
         )
     with _naming("--trials"):
         params.check_trials(args.trials)
+    if args.fit:  # every listing of a d is one cell of --trials rows
+        with _naming("--fit"):
+            params.check_fit({d: k * args.trials for d, k in Counter(d_list).items()})
     distribution, param = _parse_dist(args.dist)
     # the flags are valid one by one; the noise bound they set together may
     # still give no window

@@ -13,6 +13,9 @@ present, at O(classes * m) per trial.  The per-item route privatizes all d
 counts and bins them, at O(d).  A cell takes the class route when its pmf
 table, classes * m entries, is no larger than d, which also bounds the
 table's memory by the histogram's.
+
+A sweep runs class-route trials on the calling thread and per-item trials
+on a thread pool as large as the number of CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .mechanism import (
     privatize,
     window_pmf,
 )
-from .params import ReconstructionConfig, check_trials
+from .params import ReconstructionConfig, check_fit, check_trials
 from .reconstruct import Profile, cached_operator, fast_inversion, rounding
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "sweep",
     "rows_to_csv",
     "fit_scaling",
-    "thread_budget",
 ]
 
 EVAL_CSV_HEADER = "d,n,epsilon,eta,trial,p,err,bound,seconds"
@@ -294,27 +296,6 @@ def _run_cell_trial(
     return reports
 
 
-def thread_budget() -> int:
-    """Worker cap for the per-item trials of a sweep.
-
-    Controlled by the DP_PROFILE_THREADS environment variable; defaults to
-    the number of CPUs this process may run on (its affinity mask where the
-    platform reports one, else os.cpu_count()).
-    """
-    raw = os.environ.get("DP_PROFILE_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"DP_PROFILE_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"DP_PROFILE_THREADS must be positive, got {value}")
-    return value
-
-
 def sweep(
     grid: list[tuple[SynthSpec, ReconstructionConfig]],
     trials: int,
@@ -331,35 +312,32 @@ def sweep(
     A class-route trial is Python dispatch over m-entry arrays that holds
     the GIL throughout, so threads would only pass it back and forth: those
     trials run on the calling thread.  Per-item trials spend their time in
-    O(d) numpy passes that release the GIL; they go to a pool of up to
-    thread_budget() workers when that and their number both exceed 1.
+    O(d) numpy passes that release the GIL; they go to a pool with one
+    worker per CPU in this process's affinity mask (os.cpu_count() where
+    the platform reports no mask), capped at their number, when that pool
+    has more than one worker.
     """
     if not grid:
         raise ValueError("sweep grid is empty")
     check_trials(trials)
     cells = [_prepare_cell(spec, cfg) for spec, cfg in grid]
-    tasks = [
-        (ci, ti, derive_seed(master_seed, ci, ti))
-        for ci in range(len(grid))
-        for ti in range(trials)
-    ]
+    tasks = [(ci, ti) for ci in range(len(grid)) for ti in range(trials)]
 
     def _run(task):
-        ci, ti, seed = task
-        return _run_cell_trial(cells[ci], grid[ci][1], seed, ti)
+        ci, ti = task
+        return _run_cell_trial(cells[ci], grid[ci][1], derive_seed(master_seed, ci, ti), ti)
 
     per_item = [task for task in tasks if cells[task[0]].pmf is None]
-    workers = min(thread_budget(), len(per_item))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(per_item))
     pooled = {}
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pooled = dict(zip(per_item, pool.map(_run, per_item)))
-    reports = []
-    for task in tasks:
-        reports += pooled[task] if task in pooled else _run(task)
-    return reports
+    return [row for task in tasks for row in (pooled[task] if task in pooled else _run(task))]
 
 
 def rows_to_csv(reports: list[ErrorReport], slopes: dict[str, float] | None = None) -> str:
@@ -384,8 +362,8 @@ def rows_to_csv(reports: list[ErrorReport], slopes: dict[str, float] | None = No
 def fit_scaling(reports: list[ErrorReport], p: str) -> float:
     """Least-squares slope of log(mean error) versus log(domain size).
 
-    Requires at least three distinct domain sizes with at least twenty
-    trials each; a slope near -1/2 indicates the expected error decay.
+    Requires the rows that params.check_fit asks for; a slope near -1/2
+    indicates the expected error decay.
     """
     if p not in NORMS:
         raise ValueError(f"unknown norm selector {p!r}")
@@ -393,11 +371,7 @@ def fit_scaling(reports: list[ErrorReport], p: str) -> float:
     for r in reports:
         if r.p == p:
             by_d.setdefault(r.d, []).append(r.err)
-    if len(by_d) < 3:
-        raise ValueError(f"need >= 3 distinct d values, got {len(by_d)}")
-    for d, errs in by_d.items():
-        if len(errs) < 20:
-            raise ValueError(f"need >= 20 trials per d, got {len(errs)} at d={d}")
+    check_fit({d: len(errs) for d, errs in by_d.items()})
     ds = np.array(sorted(by_d))
     means = np.array([np.mean(by_d[d]) for d in ds])
     slope, _ = np.polyfit(np.log(ds), np.log(means), 1)

@@ -17,6 +17,7 @@ __all__ = [
     "MAX_WINDOW",
     "MIN_EIGENVALUE",
     "check_eta",
+    "check_fit",
     "check_max_count",
     "check_trials",
     "check_window",
@@ -60,6 +61,18 @@ def check_trials(trials: int) -> None:
     """Reject a number of trials below 1."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def check_fit(trials_per_d: dict[int, int]) -> None:
+    """Reject a sweep too thin to fit the error scaling law: the fit needs
+    at least three distinct domain sizes d, with at least twenty trials at
+    each.  trials_per_d maps each d to its number of trials.
+    """
+    if len(trials_per_d) < 3:
+        raise ValueError(f"need >= 3 distinct d values, got {len(trials_per_d)}")
+    for d, trials in trials_per_d.items():
+        if trials < 20:
+            raise ValueError(f"need >= 20 trials per d, got {trials} at d={d}")
 
 
 # Largest reconstruction window m = n + 2B + 1.  A first reconstruction at a

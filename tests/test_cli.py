@@ -2,13 +2,16 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from dpprofile import params
-from dpprofile.cli import main
+from dpprofile.cli import _write_atomic, _write_atomic_via, main
 
 from helpers import run_trial
 
@@ -19,6 +22,11 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def left_behind(out):
+    """The output path and any temp file of it left in its folder."""
+    return sorted(out.parent.glob(out.name + "*"))
 
 
 @pytest.fixture
@@ -35,7 +43,7 @@ def test_sketch_noiseless(hist_file, tmp_path):
     res = run_cli("sketch", "--input", hist_file, "--output", out,
                   "--epsilon", "50", "--n", "5", "--seed", "1")
     assert res.returncode == 0, res.stderr
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert obj["counts"] == [1, 1, 1]
     assert obj["version"] == 1 and obj["d"] == 3 and not obj["clipped"]
 
@@ -65,7 +73,7 @@ def test_sketch_unusable_epsilon_exits_2_no_output(hist_file, tmp_path, epsilon)
                   "--epsilon", epsilon, "--n", "5")
     assert res.returncode == 2
     assert "epsilon" in res.stderr
-    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+    assert not left_behind(out)
 
 
 def test_sketch_n_above_cap_exits_2_naming_n(hist_file, tmp_path, capsys):
@@ -74,7 +82,7 @@ def test_sketch_n_above_cap_exits_2_naming_n(hist_file, tmp_path, capsys):
                  "--epsilon", "1", "--n", "100000000000000000000"])
     assert code == 2
     assert "error: --n: n=100000000000000000000 is above" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+    assert not left_behind(out)
 
 
 @pytest.mark.parametrize("epsilon", ["1e-17", "3e-07"])
@@ -89,7 +97,7 @@ def test_sketch_epsilon_with_no_window_exits_2_naming_epsilon(hist_file, tmp_pat
     assert err.startswith(f"error: --epsilon {float(epsilon)!r} (least B at any eta): noise bound B=")
     # sketch has no --eta, and no eta would narrow the window anyway
     assert err.endswith("(raise epsilon)\n")
-    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+    assert not left_behind(out)
 
 
 @pytest.mark.parametrize("epsilon", ["1e-06", "1.9e-06"])
@@ -104,7 +112,7 @@ def test_sketch_epsilon_with_no_invertible_operator_exits_2_naming_epsilon(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --epsilon {float(epsilon)!r}: every operator is ill-conditioned")
-    assert not out.exists() and not (tmp_path / "s.json.tmp").exists()
+    assert not left_behind(out)
 
 
 def test_sketch_epsilon_just_above_the_spectrum_bound_is_written(hist_file, tmp_path):
@@ -120,7 +128,7 @@ def test_sketch_deterministic(hist_file, tmp_path):
         res = run_cli("sketch", "--input", hist_file, "--output", out,
                       "--epsilon", "0.5", "--n", "5", "--seed", "42")
         assert res.returncode == 0
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+    assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
 
 # --- reconstruct ---------------------------------------------------------------
@@ -140,7 +148,7 @@ def test_reconstruct_point_mass(tmp_path):
                   "--eta", "0.05", "--norm", "l2")
     assert res.returncode == 0, res.stderr
     assert "B=0" in res.stderr and "P_norm=" in res.stderr and "seconds=" in res.stderr
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "t,value"
     values = {int(r.split(",")[0]): float(r.split(",")[1]) for r in lines[1:]}
     assert values[1] == pytest.approx(1.0, abs=1e-6)
@@ -155,8 +163,8 @@ def test_reconstruct_clipped_sketch_uses_seed(tmp_path):
         res = run_cli("reconstruct", "--input", sketch, "--output", out,
                       "--eta", "0.3", "--norm", "l1", "--seed", "7")
         assert res.returncode == 0, res.stderr
-    assert open(out_a).read() == open(out_b).read()
-    total = sum(float(r.split(",")[1]) for r in open(out_a).read().splitlines()[1:])
+    assert Path(out_a).read_text() == Path(out_b).read_text()
+    total = sum(float(r.split(",")[1]) for r in Path(out_a).read_text().splitlines()[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -176,7 +184,7 @@ def test_reconstruct_subnormal_eta_exits_2_naming_eta(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --eta 1e-320: ") and "64-bit integer" in err
-    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 def test_reconstruct_tiny_epsilon_exits_2_naming_the_window(tmp_path, capsys):
@@ -188,7 +196,7 @@ def test_reconstruct_tiny_epsilon_exits_2_naming_the_window(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --eta 0.05: noise bound B=") and "raise epsilon or eta" in err
-    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 def test_reconstruct_ill_conditioned_window_fails_before_binning(tmp_path, capsys, monkeypatch):
@@ -205,7 +213,7 @@ def test_reconstruct_ill_conditioned_window_fails_before_binning(tmp_path, capsy
     code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"])
     assert code == 2
     assert "operator is ill-conditioned" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 def test_reconstruct_n_above_cap_exits_2_naming_n(tmp_path, capsys):
@@ -214,7 +222,7 @@ def test_reconstruct_n_above_cap_exits_2_naming_n(tmp_path, capsys):
     code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"])
     assert code == 2
     assert f"error: {sketch}: n=1000000000000 is above" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 MALFORMED_SKETCHES = {
@@ -238,7 +246,7 @@ def test_reconstruct_malformed_sketch_exits_2_no_output(tmp_path, capsys, name):
     code = main(["reconstruct", "--input", str(sketch), "--output", str(out), "--eta", "0.05"])
     assert code == 2
     assert "sketch.json" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "p.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "update"])
@@ -257,7 +265,7 @@ def test_undecodable_sketch_exits_2_naming_the_file(tmp_path, capsys, command, d
     code = main([command, *args, "--output", str(out)])
     assert code == 2
     assert f"error: {sketch}: " in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "out.tmp").exists()
+    assert not left_behind(out)
 
 
 # --- update ---------------------------------------------------------------------
@@ -269,12 +277,12 @@ def test_update_round_trip(tmp_path):
     mid, back = str(tmp_path / "mid.json"), str(tmp_path / "back.json")
     res = run_cli("update", "--sketch", sketch, "--delta", str(delta), "--output", mid)
     assert res.returncode == 0, res.stderr
-    assert json.loads(open(mid).read())["counts"] == [5, -3, 5]
+    assert json.loads(Path(mid).read_text())["counts"] == [5, -3, 5]
     neg = tmp_path / "neg.txt"
     neg.write_text("-1\n2\n-3\n")
     res = run_cli("update", "--sketch", mid, "--delta", str(neg), "--output", back)
     assert res.returncode == 0
-    assert json.loads(open(back).read())["counts"] == [4, -1, 2]
+    assert json.loads(Path(back).read_text())["counts"] == [4, -1, 2]
 
 
 def test_update_zero_delta_identity(tmp_path):
@@ -284,7 +292,7 @@ def test_update_zero_delta_identity(tmp_path):
     out = str(tmp_path / "out.json")
     assert run_cli("update", "--sketch", sketch, "--delta", str(delta),
                    "--output", out).returncode == 0
-    assert json.loads(open(out).read())["counts"] == [3, 1, 2]
+    assert json.loads(Path(out).read_text())["counts"] == [3, 1, 2]
 
 
 @pytest.mark.parametrize("bad", ["oops", "2.5", "12345678901234567890"])
@@ -307,7 +315,7 @@ def test_update_overflow_exits_2_no_output(tmp_path, capsys):
     code = main(["update", "--sketch", sketch, "--delta", str(delta), "--output", str(out)])
     assert code == 2
     assert "64-bit" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "o.json.tmp").exists()
+    assert not left_behind(out)
 
 
 def test_update_rejects_clipped(tmp_path):
@@ -337,7 +345,7 @@ def test_eval_row_cardinality(tmp_path):
                   "--n", "8", "--epsilon", "2", "--eta", "0.1",
                   "--trials", "2", "--output", out)
     assert res.returncode == 0, res.stderr
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "d,n,epsilon,eta,trial,p,err,bound,seconds"
     assert len(lines) == 1 + 6  # 1 cell x 2 trials x 3 norms
 
@@ -349,7 +357,7 @@ def test_eval_deterministic(tmp_path):
     out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run_cli(*args, "--output", out_a).returncode == 0
     assert run_cli(*args, "--output", out_b).returncode == 0
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+    assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
 
 def test_eval_empty_d_list_exits_2(tmp_path):
@@ -375,7 +383,7 @@ def test_eval_d_list_above_cap_exits_2_before_any_histogram(tmp_path, capsys, mo
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "error: --d-list: domain size 1000000000000 is above the largest supported 100000000")
-    assert not out.exists() and not (tmp_path / "e.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 @pytest.mark.filterwarnings("error")
@@ -438,11 +446,105 @@ def test_eval_fit_appends_slopes(tmp_path):
                   "--epsilon", "1.5", "--eta", "0.1", "--trials", "20",
                   "--output", out, "--fit")
     assert res.returncode == 0, res.stderr
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     slopes = [l for l in lines if l.startswith("#")]
     assert [s.split("=")[0] for s in slopes] == [
         "# slope_l1", "# slope_l2", "# slope_linf"
     ]
+
+
+@pytest.mark.parametrize(
+    "d_list, trials, message",
+    [
+        ("1000,10000,100000", "5", "--fit: need >= 20 trials per d, got 5 at d=1000"),
+        ("1000,1000", "20", "--fit: need >= 3 distinct d values, got 1"),
+    ],
+)
+def test_eval_fit_too_thin_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch,
+                                                    d_list, trials, message):
+    from dpprofile import evaluation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the sweep")
+
+    monkeypatch.setattr(evaluation, "sweep", refuse)
+    out = tmp_path / "e.csv"
+    code = main(["eval", "--dist", "point_mass:1", "--d-list", d_list, "--n", "8",
+                 "--epsilon", "2", "--eta", "0.1", "--trials", trials, "--fit",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not left_behind(out)
+
+
+def test_eval_fit_counts_the_trials_of_a_repeated_d(tmp_path):
+    # each d is listed twice, so it has 2 x 10 rows
+    out = tmp_path / "e.csv"
+    assert main(["eval", "--dist", "point_mass:1", "--d-list", "1000,1000,2000,2000,3000,3000",
+                 "--n", "8", "--epsilon", "2", "--eta", "0.1", "--trials", "10", "--fit",
+                 "--output", str(out)]) == 0
+    assert out.read_text().count("# slope_") == 3
+
+
+# --- atomic output ------------------------------------------------------------------
+
+def test_a_file_named_like_the_old_temp_survives(hist_file, tmp_path):
+    sketch = ["sketch", "--input", hist_file, "--epsilon", "1", "--n", "5"]
+    mine = tmp_path / "s.json.tmp"
+    mine.write_text("mine\n")
+    assert main([*sketch, "--output", str(tmp_path / "s.json")]) == 0
+    # an output that is a folder fails at the rename, after the temp is written
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    theirs = tmp_path / "dir.tmp"
+    theirs.write_text("mine\n")
+    assert main([*sketch, "--output", str(folder)]) == 2
+    assert mine.read_text() == theirs.read_text() == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dir", "dir.tmp", "hist.txt", "s.json", "s.json.tmp"
+    ]
+
+
+def test_concurrent_writers_each_leave_a_complete_file(tmp_path):
+    out = tmp_path / "e.csv"
+    texts = ["".join(f"{who},{i}\n" for i in range(20)) for who in "ab"]
+    halfway = threading.Barrier(2, timeout=30)  # both writers are mid-file at once
+    errors = []
+
+    def write(text):
+        def writer(tmp):
+            with open(tmp, "w") as fh:
+                fh.write(text[:50])
+                fh.flush()
+                halfway.wait()
+                fh.write(text[50:])
+
+        try:
+            _write_atomic_via(str(out), writer)
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert errors == []
+    assert out.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["e.csv"]
+
+
+def test_output_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        _write_atomic(str(tmp_path / "atomic"), "x\n")
+        with open(tmp_path / "plain", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {0o640}
 
 
 # --- innerprod ----------------------------------------------------------------------
@@ -452,7 +554,7 @@ def test_eval_fit_equals_independent_trials(tmp_path, monkeypatch):
     # must be exactly those of running every trial on its own
     from dpprofile import evaluation
 
-    monkeypatch.setenv("DP_PROFILE_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = tmp_path / "eval.csv"
     assert main(["eval", "--dist", "zipf:1.1", "--d-list", "200,400,800", "--n", "8",
                  "--epsilon", "2", "--eta", "0.2", "--trials", "20", "--fit",
@@ -475,8 +577,8 @@ def test_innerprod_csv_and_determinism(tmp_path):
     out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run_cli(*args, "--output", out_a).returncode == 0
     assert run_cli(*args, "--output", out_b).returncode == 0
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
-    lines = open(out_a).read().splitlines()
+    assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
+    lines = Path(out_a).read_text().splitlines()
     assert lines[0] == "d,trial,true_ip,m_b,abs_error,delta"
     for line in lines[1:]:
         d, trial, true_ip, m_b, abs_err, delta = line.split(",")
@@ -498,7 +600,7 @@ def test_innerprod_d_past_int64_exits_2_naming_d(tmp_path, capsys):
                  "--output", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: --d must lie in [16, 2**63 - 1]")
-    assert not out.exists() and not (tmp_path / "x.csv.tmp").exists()
+    assert not left_behind(out)
 
 
 # --- flag values refused before any input ---------------------------------------
@@ -690,12 +792,13 @@ def test_refused_reconstruct_loads_neither_reconstruct_nor_circulant(tmp_path):
         assert not modules & {"dpprofile.reconstruct", "dpprofile.circulant"}, sketch
 
 
-def test_class_route_eval_starts_no_thread(tmp_path, monkeypatch):
+def test_class_route_eval_starts_no_thread(tmp_path):
     # every cell of a point-mass grid takes the class route, whose trials
-    # hold the GIL, so no pool is started or even imported at any budget
-    monkeypatch.setenv("DP_PROFILE_THREADS", "2")
+    # hold the GIL, so no pool is started or even imported however many
+    # CPUs the process may run on
     script = (
-        "import sys, threading\n"
+        "import os, sys, threading\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
         "from dpprofile.cli import main\n"
         "started = []\n"
         "start = threading.Thread.start\n"

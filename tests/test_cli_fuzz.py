@@ -7,7 +7,7 @@ one the sampler supports and past the largest whose exponential is finite,
 integers up to 1e20, and domain sizes past the supported cap or past int64.
 Histogram and delta files, and sketch JSON mutated from a valid sketch, are
 drawn as described further down.  Whatever the input, a command must exit 0
-with an output that parses, or 2 with no output and no `.tmp` file; never 1.
+with an output that parses, or 2 with no output and no temporary file; never 1.
 A flag value refused with exit 2 is named in the message: the command's own
 `error: --<flag>...` line, or argparse's `error: argument --<flag>` for a
 value it cannot parse.  The examples are derandomized, so every run draws

@@ -19,7 +19,6 @@ from dpprofile.evaluation import (
     sweep,
     synth_histogram,
     theoretical_bounds,
-    thread_budget,
     true_profile,
 )
 from dpprofile.mechanism import (
@@ -230,28 +229,6 @@ def test_sweep_rejects_empty_grid():
         sweep([], trials=2, master_seed=0)
 
 
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("DP_PROFILE_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("DP_PROFILE_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_budget()
-    monkeypatch.setenv("DP_PROFILE_THREADS", "many")
-    with pytest.raises(ValueError):
-        thread_budget()
-    monkeypatch.delenv("DP_PROFILE_THREADS")
-    assert thread_budget() >= 1
-
-
-def test_thread_budget_defaults_to_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.delenv("DP_PROFILE_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert thread_budget() == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert thread_budget() == 64
-
-
 def mixed_grid():
     """A class-route cell, then a per-item cell: uniform counts up to
     n = 1000 need a table of some 1e6 entries against d = 1e4 items."""
@@ -276,16 +253,38 @@ def spy_trial_threads(monkeypatch):
     return seen
 
 
+def spy_pool_sizes(monkeypatch):
+    """max_workers of every thread pool a sweep starts."""
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    return sizes
+
+
 def test_sweep_threaded_matches_serial(monkeypatch):
-    # only the per-item trials go to the pool; the rows, seeds and order do
-    # not depend on where a trial ran
+    # only the per-item trials go to the pool, one worker per CPU of the
+    # affinity mask; the rows, seeds and order do not depend on where a
+    # trial ran
     seen = spy_trial_threads(monkeypatch)
-    monkeypatch.setenv("DP_PROFILE_THREADS", "4")
+    sizes = spy_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    sweep(mixed_grid(), trials=3, master_seed=3)
+    assert sizes == [3]  # capped at the 3 per-item trials
+    seen.clear()
     threaded = sweep(mixed_grid(), trials=4, master_seed=3)
+    assert sizes == [3, 4]
     assert sorted(seen) == [(False, False)] * 4 + [(True, True)] * 4
     seen.clear()
-    monkeypatch.setenv("DP_PROFILE_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     serial = sweep(mixed_grid(), trials=4, master_seed=3)
+    assert sizes == [3, 4]
     assert sorted(seen) == [(False, True)] * 4 + [(True, True)] * 4
     assert [(r.n, r.trial, r.p) for r in threaded] == [
         (n, trial, p) for n in (32, 1000) for trial in range(4) for p in ("l1", "l2", "linf")
@@ -293,6 +292,18 @@ def test_sweep_threaded_matches_serial(monkeypatch):
     assert [replace(r, seconds=0.0) for r in threaded] == [
         replace(r, seconds=0.0) for r in serial
     ]
+
+
+def test_sweep_pool_falls_back_to_cpu_count_without_an_affinity_mask(monkeypatch):
+    sizes = spy_pool_sizes(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    sweep(mixed_grid(), trials=2, master_seed=3)
+    assert sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread
+    seen = spy_trial_threads(monkeypatch)
+    sweep(mixed_grid(), trials=2, master_seed=3)
+    assert sizes == [2] and all(main for _, main in seen)
 
 
 # --- noise routes -----------------------------------------------------------------
