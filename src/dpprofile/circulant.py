@@ -33,12 +33,11 @@ exactly and its own inverse column used whole, which is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .params import MIN_EIGENVALUE, ReconstructionConfig
+from .params import MIN_EIGENVALUE, ReconstructionConfig, _Frozen
 
 __all__ = [
     "CirculantOperator",
@@ -67,22 +66,31 @@ _FIRST_RING = 64
 _BLOCK = 1 << 15
 
 
-@dataclass(eq=False)
-class CirculantOperator:
-    """The operator as its taps; the spectrum is computed on read."""
+class CirculantOperator(_Frozen):
+    """The operator as its taps; the spectrum is computed on read.
 
-    m: int
-    n: int
-    B: int
-    epsilon: float
-    p_norm_const: float
-    _fwd_taps: np.ndarray = field(repr=False)  # centred taps of A (2B+1)
-    _inv_taps: np.ndarray = field(repr=False)  # centred taps of A^{-1}
+    Compared and hashed by identity: the correction cache is keyed by it.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("m", "n", "B", "epsilon", "p_norm_const", "_fwd_taps", "_inv_taps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        B: int,
+        epsilon: float,
+        p_norm_const: float,
+        _fwd_taps: np.ndarray,  # centred taps of A (2B+1)
+        _inv_taps: np.ndarray,  # centred taps of A^{-1}
+    ):
         # operators are shared through the cache, so nothing may edit them
-        self._fwd_taps.flags.writeable = False
-        self._inv_taps.flags.writeable = False
+        _fwd_taps.flags.writeable = False
+        _inv_taps.flags.writeable = False
+        self._set(m=m, n=n, B=B, epsilon=epsilon, p_norm_const=p_norm_const,
+                  _fwd_taps=_fwd_taps, _inv_taps=_inv_taps)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -10,14 +10,18 @@ reconstruction pipeline, and the exact law of one binned noisy count.
 from __future__ import annotations
 
 import io
-import json
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ReconstructionConfig, _check_epsilon, check_max_count, check_window
+from .params import (
+    ReconstructionConfig,
+    _check_epsilon,
+    _Frozen,
+    check_max_count,
+    check_window,
+)
 
 __all__ = [
     "Histogram",
@@ -59,71 +63,61 @@ def int64_array(values, what: str) -> np.ndarray:
     return cast
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(_Frozen):
     """Per-item occurrence counts over a domain of size d, each in [0, n]."""
 
-    counts: np.ndarray
-    n: int
+    __slots__ = ("counts", "n")
 
-    def __post_init__(self):
-        counts = int64_array(self.counts, "histogram counts")
-        object.__setattr__(self, "counts", counts)
+    def __init__(self, counts: np.ndarray, n: int):
+        counts = int64_array(counts, "histogram counts")
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("histogram must be a non-empty 1-d integer vector")
-        check_max_count(self.n)
-        if counts.min() < 0 or counts.max() > self.n:
-            raise ValueError(f"histogram counts must lie in [0, {self.n}]")
+        check_max_count(n)
+        if counts.min() < 0 or counts.max() > n:
+            raise ValueError(f"histogram counts must lie in [0, {n}]")
         counts.flags.writeable = False
+        self._set(counts=counts, n=n)
 
     @property
     def d(self) -> int:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class PrivateSketch:
+class PrivateSketch(_Frozen):
     """Noise-perturbed counts together with the mechanism metadata."""
 
-    counts: np.ndarray
-    epsilon: float
-    n: int
-    clipped: bool
+    __slots__ = ("counts", "epsilon", "n", "clipped")
 
-    def __post_init__(self):
-        counts = int64_array(self.counts, "sketch counts")
-        object.__setattr__(self, "counts", counts)
+    def __init__(self, counts: np.ndarray, epsilon: float, n: int, clipped: bool):
+        counts = int64_array(counts, "sketch counts")
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("sketch counts must be a non-empty 1-d integer vector")
-        _check_epsilon(self.epsilon)
-        if self.clipped and (counts.min() < 0 or counts.max() > self.n):
+        _check_epsilon(epsilon)
+        if clipped and (counts.min() < 0 or counts.max() > n):
             raise ValueError("clipped sketch has counts outside [0, n]")
         counts.flags.writeable = False
+        self._set(counts=counts, epsilon=epsilon, n=n, clipped=clipped)
 
     @property
     def d(self) -> int:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class EmpiricalProfile:
+class EmpiricalProfile(_Frozen):
     """Frequency-of-frequencies of a noisy histogram, indexed t = -B .. n+B.
 
     values[t + B] is the fraction of domain items whose noisy count equals t;
     every entry is an integer multiple of 1/d and the entries sum to one.
     """
 
-    values: np.ndarray
-    n: int
-    B: int
-    d: int
+    __slots__ = ("values", "n", "B", "d")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.n + 2 * self.B + 1:
+    def __init__(self, values: np.ndarray, n: int, B: int, d: int):
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != n + 2 * B + 1:
             raise ValueError("empirical profile has wrong length for (n, B)")
         values.flags.writeable = False
+        self._set(values=values, n=n, B=B, d=d)
 
     @property
     def m(self) -> int:
@@ -253,8 +247,15 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
 
 
+# Entries binned per block of a clipped sketch: a block's counts, uniforms
+# and draws take 256 KB each, whatever d is.
+_BIN_BLOCK = 2**15
+
+
 def empirical_profile(
-    s: PrivateSketch, cfg: ReconstructionConfig
+    s: PrivateSketch,
+    cfg: ReconstructionConfig,
+    rng: np.random.Generator | None = None,
 ) -> EmpiricalProfile:
     """Bin the noisy counts into the window [-B, n+B] and normalize by d.
 
@@ -263,19 +264,59 @@ def empirical_profile(
     endpoint so that the result always sums to exactly one.  The shifted
     copy of the counts is freed before the division, so binning holds at
     most two arrays of its inputs' lengths at a time.
+
+    A clipped sketch is binned as its unfolding, without forming it: rng
+    draws the geometric pushes of the entries at 0 and at n as unfold draws
+    them, a block at a time, and each block is binned as it is drawn.  The
+    binned multiset is unfold's, so the result equals
+    empirical_profile(unfold(s, rng), cfg) bit for bit, and no temporary
+    grows with d.
     """
-    if s.clipped:
+    if s.clipped and rng is None:
         raise ValueError("unfold the sketch before taking its profile")
     if s.n != cfg.n or s.d != cfg.d:
         raise ValueError("config (n, d) does not match the sketch")
     if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
         raise ValueError("config epsilon does not match the sketch")
-    shifted = np.clip(s.counts, -cfg.B, cfg.n + cfg.B)
-    shifted += cfg.B
-    binned = np.bincount(shifted, minlength=cfg.m)
-    del shifted
+    if s.clipped:
+        binned = _unfolded_bins(s, cfg.B, rng)
+    else:
+        shifted = np.clip(s.counts, -cfg.B, cfg.n + cfg.B)
+        shifted += cfg.B
+        binned = np.bincount(shifted, minlength=cfg.m)
+        del shifted
     values = binned / s.d
     return EmpiricalProfile(values=values, n=cfg.n, B=cfg.B, d=s.d)
+
+
+def _unfolded_bins(s: PrivateSketch, B: int, rng: np.random.Generator) -> np.ndarray:
+    """np.bincount of unfold(s, rng)'s counts clamped to [-B, n+B], shifted by B.
+
+    The counts lie in [0, n], so they are binned as they are; bincount
+    copies a read-only input whole, so they go a block at a time.  unfold
+    moves the k entries at 0 to -G and then those at n to n + G, with G from
+    sample_geometric of size k; G clamps to B.  Blocks of uniforms
+    concatenate to the uniforms of one draw, so drawing the k pushes a block
+    at a time moves the same entries to the same bins.  A block is at least
+    the window's length, so that binning one costs no more than its length.
+    """
+    n, m = s.n, s.n + 2 * B + 1
+    block = max(_BIN_BLOCK, m)
+    binned = np.zeros(m, dtype=np.int64)
+    core = binned[B : B + n + 1]
+    for lo in range(0, s.d, block):
+        core += np.bincount(s.counts[lo : lo + block], minlength=n + 1)
+    for edge in (B, B + n):  # the bins of 0 and of n, in unfold's order
+        k = int(binned[edge])
+        binned[edge] = 0
+        for lo in range(0, k, block):
+            g = sample_geometric(s.epsilon, rng, size=min(block, k - lo))
+            moved = np.bincount(np.minimum(g, B, out=g), minlength=B + 1)
+            if edge == B:  # 0 - G: bins B, B - 1, .., 0
+                binned[: B + 1] += moved[::-1]
+            else:  # n + G: bins B + n, .., n + 2B
+                binned[edge:] += moved
+    return binned
 
 
 # --- file formats ---------------------------------------------------------
@@ -284,7 +325,9 @@ def empirical_profile(
 # blank lines and lines beginning with '#' ignored.  Sketch file: a flat JSON
 # object with exactly the keys in _SKETCH_KEYS.  Both read their integers by
 # one vectorised parse, _parse_ints, of the layouts written here; it declines
-# everything else, which the line loop or json then decides.
+# everything else, which the line loop or json then decides.  The sketch
+# codec imports json in each function that uses it, so that the processes
+# that read no sketch file (eval, innerprod) do not load it.
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -468,6 +511,8 @@ def _parse_canonical(data: bytes) -> dict | None:
     Anything else, a sketch in another layout or a d that is not the number
     of counts included, returns None.
     """
+    import json
+
     start = data.rfind(b'"') - len(b'"counts')  # a one-byte search is fast
     at_key = start >= 0 and data.startswith(_COUNTS_KEY + b"[", start)
     if not at_key or not data.endswith(b"]" + _SKETCH_END):
@@ -497,6 +542,8 @@ def read_sketch(path: str) -> PrivateSketch:
     any other JSON is parsed whole.  Both go through the same checks, so the
     outcome, value or message, does not depend on the path taken.
     """
+    import json
+
     with open(path, "rb") as fh:
         data = fh.read()
     obj = _parse_canonical(data)
@@ -549,6 +596,8 @@ def write_sketch(path: str, s: PrivateSketch) -> None:
 
     Each block of counts is written as soon as it is formatted.
     """
+    import json
+
     head = json.dumps({"version": 1, "epsilon": float(s.epsilon), "n": int(s.n),
                        "d": int(s.d), "clipped": bool(s.clipped), "counts": []})
     with open(path, "wb") as fh:

@@ -4,13 +4,13 @@ The privacy budget epsilon, the failure probability eta, the maximum count
 n, the noise bound B that they give and the window m = n + 2B + 1 it sets
 are plain numbers, so their maths needs the standard library alone.  The
 command line checks its flags here before it loads numpy, and every layer
-imports these names from here.
+imports these names from here, along with _Frozen, the base of the
+package's value classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
     "ReconstructionConfig",
@@ -159,8 +159,56 @@ def min_truncation_radius(epsilon: float) -> int:
     return max(0, math.ceil(_log_conditioning(epsilon) / epsilon))
 
 
-@dataclass(frozen=True)
-class ReconstructionConfig:
+class _Frozen:
+    """Base of the package's value classes, whose attributes are read-only.
+
+    A value class lists its attributes in __slots__ and sets each once, in
+    __init__, through _set; assigning or deleting one afterwards raises
+    AttributeError.  Values are shared (an operator through its cache, the
+    arrays a sketch holds), so no caller may edit one under another.  Two
+    values of one class compare equal, and hash, by their attributes, and
+    copy and pickle keep them.
+
+    A plain class, not a dataclass: a dataclass generates and execs its
+    methods when its module is imported, about 1 ms per class, and loading
+    `dataclasses` loads `inspect`, `ast` and `dis` as well.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **attributes) -> None:
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    # copy and pickle restore a value through these, not through __setattr__
+    __getstate__ = _values
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(**dict(zip(self.__slots__, state)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ReconstructionConfig(_Frozen):
     """Parameters of one sketch-to-profile reconstruction.
 
     B defaults to truncation_radius(epsilon, eta, d). Construction fails when
@@ -168,34 +216,37 @@ class ReconstructionConfig:
     pipeline assumes n >= B.
     """
 
-    epsilon: float
-    eta: float
-    n: int
-    d: int
-    p_norm: str = "l2"
-    B: int = field(default=-1)  # -1: derive from (epsilon, eta, d)
-    allow_small_n: bool = False
+    __slots__ = ("epsilon", "eta", "n", "d", "p_norm", "B", "allow_small_n")
 
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        check_eta(self.eta)
-        if self.n < 1 or self.d < 1:
+    def __init__(
+        self,
+        epsilon: float,
+        eta: float,
+        n: int,
+        d: int,
+        p_norm: str = "l2",
+        B: int = -1,  # -1: derive from (epsilon, eta, d)
+        allow_small_n: bool = False,
+    ):
+        _check_epsilon(epsilon)
+        check_eta(eta)
+        if n < 1 or d < 1:
             raise ValueError("n and d must be >= 1")
-        if self.p_norm not in ("l1", "l2", "linf"):
-            raise ValueError(f"unknown norm selector {self.p_norm!r}")
-        if self.B == -1:
-            object.__setattr__(
-                self, "B", truncation_radius(self.epsilon, self.eta, self.d)
-            )
-        if self.B < 0:
+        if p_norm not in ("l1", "l2", "linf"):
+            raise ValueError(f"unknown norm selector {p_norm!r}")
+        if B == -1:
+            B = truncation_radius(epsilon, eta, d)
+        if B < 0:
             raise ValueError("noise bound B must be non-negative")
-        check_window(self.n, self.B)
-        if self.n < self.B and not self.allow_small_n:
+        check_window(n, B)
+        if n < B and not allow_small_n:
             raise ValueError(
-                f"maximum count n={self.n} is below the noise bound B={self.B}; "
+                f"maximum count n={n} is below the noise bound B={B}; "
                 "the error guarantee requires n >= B "
                 "(raise n, raise epsilon, or relax eta)"
             )
+        self._set(epsilon=epsilon, eta=eta, n=n, d=d, p_norm=p_norm, B=B,
+                  allow_small_n=allow_small_n)
 
     @property
     def m(self) -> int:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +40,8 @@ from .mechanism import (
     EmpiricalProfile,
     PrivateSketch,
     empirical_profile,
-    unfold,
 )
-from .params import ReconstructionConfig
+from .params import ReconstructionConfig, _Frozen
 
 __all__ = [
     "Profile",
@@ -72,15 +70,13 @@ _SAMPLE_STRIDE = 64
 _BRACKET_SPREAD = 2
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Frozen):
     """A valid frequency-of-frequencies vector over counts 0..n."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("profile must be a non-empty 1-d vector")
         # written so that NaN fails every check
@@ -89,56 +85,50 @@ class Profile:
         if not abs(float(values.sum()) - 1.0) <= _SUM_TOL:
             raise ValueError("profile entries must sum to 1")
         values.flags.writeable = False
+        self._set(values=values)
 
     @property
     def n(self) -> int:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
-class RelaxedSolution:
+class RelaxedSolution(_Frozen):
     """Optimum of the sum-constrained relaxation, indexed t = -B .. n+B.
 
     Entries may stray outside [0, 1]; only the unit sum over the count
-    window 0..n is guaranteed.
+    window 0..n is guaranteed.  core_sum is that sum, as the check took it.
     """
 
-    values: np.ndarray
-    n: int
-    B: int
-    objective_norm: str
-    core_sum: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "n", "B", "objective_norm", "core_sum")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.n + 2 * self.B + 1:
+    def __init__(self, values: np.ndarray, n: int, B: int, objective_norm: str):
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != n + 2 * B + 1:
             raise ValueError("relaxed solution has wrong length for (n, B)")
-        core_sum = float(values[self.B : self.B + self.n + 1].sum())
+        core_sum = float(values[B : B + n + 1].sum())
         if not abs(core_sum - 1.0) <= _SUM_TOL:  # NaN or inf in the core fails it
             raise ValueError(
                 f"relaxed solution core sums to {core_sum}, must be 1"
             )
         values.flags.writeable = False
-        object.__setattr__(self, "core_sum", core_sum)
+        self._set(values=values, n=n, B=B, objective_norm=objective_norm, core_sum=core_sum)
 
     def core(self) -> np.ndarray:
         """The slice covering counts 0..n."""
         return self.values[self.B : self.B + self.n + 1]
 
 
-class _Correction:
+class _Correction(_Frozen):
     """A vector on the ring of length m: alpha everywhere, plus local[j] at
-    ring index (start + j) mod m.  Shared through the cache, so read-only.
-
-    A plain class, not a dataclass: a dataclass costs about 2 ms to create,
-    and every process that reconstructs imports this module once.
+    ring index (start + j) mod m.
     """
 
+    __slots__ = ("m", "alpha", "local", "indices")
+
     def __init__(self, m: int, alpha: float, start: int, local: np.ndarray):
-        self.m, self.alpha, self.local = m, alpha, local
-        self.indices = _ring_indices(m, start, len(local))
-        local.flags.writeable = self.indices.flags.writeable = False
+        indices = _ring_indices(m, start, len(local))
+        local.flags.writeable = indices.flags.writeable = False
+        self._set(m=m, alpha=alpha, local=local, indices=indices)
 
 
 def _ring_indices(m: int, start: int, length: int) -> np.ndarray:
@@ -250,7 +240,15 @@ def fast_inversion(
     as the two.
     """
     f = f_tilde.values if isinstance(f_tilde, EmpiricalProfile) else f_tilde
-    u = circulant.apply_inverse(op, f)  # rejects a vector of the wrong shape
+    # rejects a vector of the wrong shape
+    return _restore_sum(op, circulant.apply_inverse(op, f), p)
+
+
+def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> RelaxedSolution:
+    """fast_inversion's solution from its product u = A^{-1} f, which it
+    corrects in place: callers that solve one f~ in several norms make the
+    product once and pass each norm a copy.
+    """
     correction, denom = _correction_direction(op, p)
     window_sum = float(u[op.B : op.B + op.n + 1].sum())
     step = (window_sum - 1.0) / denom
@@ -398,18 +396,16 @@ def reconstruct_profile(
     cfg: ReconstructionConfig,
     rng: np.random.Generator | None = None,
 ) -> Profile:
-    """Full pipeline: (unfold if clipped) -> bin -> invert -> round.
+    """Full pipeline: bin -> invert -> round.
 
-    Deterministic given the sketch, except that clipped sketches consume
-    randomness from rng for the boundary unfolding.
+    Deterministic given the sketch, except that a clipped sketch consumes
+    randomness from rng: it is binned as its unfolding (empirical_profile).
     """
-    if s.clipped:
-        if rng is None:
-            raise ValueError("a clipped sketch needs an rng for unfolding")
-        s = unfold(s, rng)
+    if s.clipped and rng is None:
+        raise ValueError("a clipped sketch needs an rng for unfolding")
     op = cached_operator(cfg)  # before binning: it refuses an ill-conditioned window
     # f~ is a temporary: it is freed before rounding makes its window copy
-    relaxed = fast_inversion(op, empirical_profile(s, cfg), cfg.p_norm)
+    relaxed = fast_inversion(op, empirical_profile(s, cfg, rng), cfg.p_norm)
     return rounding(relaxed, cfg.n)
 
 

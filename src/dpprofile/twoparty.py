@@ -18,14 +18,12 @@ test suite's reference for that law, not package API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._util import derive_seed
 from .circulant import CirculantOperator, norm_bounds
 from .mechanism import window_pmf
-from .params import ReconstructionConfig, check_trials
+from .params import ReconstructionConfig, _Frozen, check_trials
 from .reconstruct import cached_operator, fast_inversion, rounding
 
 __all__ = [
@@ -51,16 +49,19 @@ _COMBINED_LAW = np.array([0.25, 0.5, 0.25])
 PROTOCOL_CSV_HEADER = "d,trial,true_ip,m_b,abs_error,delta"
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
-    m_b: float        # Bob's published estimate
-    true_ip: int      # exact <x, y>
-    delta_used: float # sensitivity bound that calibrated the output noise
-    abs_error: float
+class ProtocolResult(_Frozen):
+    __slots__ = ("m_b", "true_ip", "delta_used", "abs_error")
 
-    def __post_init__(self):
-        if abs(self.abs_error - abs(self.m_b - self.true_ip)) > 1e-6:
+    def __init__(
+        self,
+        m_b: float,         # Bob's published estimate
+        true_ip: int,       # exact <x, y>
+        delta_used: float,  # sensitivity bound that calibrated the output noise
+        abs_error: float,
+    ):
+        if abs(abs_error - abs(m_b - true_ip)) > 1e-6:
             raise ValueError("abs_error does not match |m_b - true_ip|")
+        self._set(m_b=m_b, true_ip=true_ip, delta_used=delta_used, abs_error=abs_error)
 
 
 def protocol_config(epsilon: float, d: int) -> ReconstructionConfig:

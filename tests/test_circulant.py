@@ -106,7 +106,8 @@ def test_wide_operator_holds_nothing_of_window_length():
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=10**6, d=10**6)
     op = cached_operator(cfg)
     assert len(op.eigenvalues) == op.m  # computed, not kept
-    for name, value in vars(op).items():
+    for name in op.__slots__:
+        value = getattr(op, name)
         while isinstance(value, np.ndarray):  # the array and any view's base
             assert value.size < op.m, name
             value = value.base

@@ -747,10 +747,11 @@ def test_sketch_and_update_load_only_the_mechanism(hist_file, sketch_files, tmp_
 )
 def test_help_usage_errors_and_flag_refusals_load_no_numpy(tmp_path, args, code):
     # the interpreter's start is the whole cost of a process that only
-    # prints help or refuses a flag value
+    # prints help or refuses a flag value: no numpy, and no code generator
     modules = imported_modules("-m", "dpprofile", *args, returncode=code, cwd=tmp_path)
     assert "dpprofile.cli" in modules  # the report lists the package's modules
     assert not {m for m in modules if m.partition(".")[0] == "numpy"}
+    assert not modules & {"dataclasses", "inspect"}
     assert "dpprofile.mechanism" not in modules
     assert list(tmp_path.iterdir()) == []
 

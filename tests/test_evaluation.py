@@ -3,7 +3,6 @@
 import math
 import os
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +162,19 @@ def test_run_trial_noiseless():
         assert r.bound >= 0.0
 
 
+def test_run_trial_makes_one_inverse_product(monkeypatch):
+    # the three norms share A^{-1} f~, each correcting its own copy; the
+    # per-item replay below pins the rows to fast_inversion's, norm by norm
+    calls = []
+    apply_inverse = circulant.apply_inverse
+    monkeypatch.setattr(circulant, "apply_inverse",
+                        lambda op, x: calls.append(op.m) or apply_inverse(op, x))
+    for spec, cfg in mixed_grid():  # a class-route cell and a per-item cell
+        calls.clear()
+        assert [r.p for r in run_trial(spec, cfg, seed=5)] == ["l1", "l2", "linf"]
+        assert calls == [cfg.m]
+
+
 def test_error_invariant_under_joint_permutation():
     # permuting histogram and noise together leaves the noisy profile, and
     # hence every norm of the reconstruction error, unchanged
@@ -289,8 +301,8 @@ def test_sweep_threaded_matches_serial(monkeypatch):
     assert [(r.n, r.trial, r.p) for r in threaded] == [
         (n, trial, p) for n in (32, 1000) for trial in range(4) for p in ("l1", "l2", "linf")
     ]
-    assert [replace(r, seconds=0.0) for r in threaded] == [
-        replace(r, seconds=0.0) for r in serial
+    assert [r.replace(seconds=0.0) for r in threaded] == [
+        r.replace(seconds=0.0) for r in serial
     ]
 
 

@@ -330,6 +330,54 @@ def test_empirical_profile_multiples_of_inverse_d():
     assert abs(prof.values.sum() - 1.0) < 1e-12
 
 
+# --- a clipped sketch, binned as its unfolding --------------------------------
+
+def clipped_sketches(epsilon, n, d, rng):
+    """Clipped sketches with entries at both ends, at neither, and at n alone."""
+    h = Histogram(counts=rng.integers(0, n + 1, size=d), n=n)
+    return {
+        "privatized": privatize(h, epsilon, clip=True, rng=rng),
+        "interior": PrivateSketch(counts=rng.integers(1, n, size=d), epsilon=epsilon, n=n,
+                                  clipped=True),
+        "all at n": PrivateSketch(counts=np.full(d, n), epsilon=epsilon, n=n, clipped=True),
+    }
+
+
+@pytest.mark.parametrize("block", [1, mechanism._BIN_BLOCK])
+@pytest.mark.parametrize("epsilon, n, B", [(0.3, 8, 12), (1.0, 32, 20), (2.0, 4, 3), (50.0, 4, 0)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_clipped_binning_equals_binning_the_unfolded_sketch(monkeypatch, block, epsilon, n, B, seed):
+    # counts and pushes are binned a block at a time (the window's length at
+    # least): the same bins, bit for bit, and the same draws used
+    monkeypatch.setattr(mechanism, "_BIN_BLOCK", block)
+    d = 3000
+    cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=d, B=B, allow_small_n=True)
+    for name, s in clipped_sketches(epsilon, n, d, np.random.default_rng(seed)).items():
+        with pytest.raises(ValueError, match="unfold the sketch"):
+            empirical_profile(s, cfg)
+        rng_a, rng_b = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        got = empirical_profile(s, cfg, rng_a)
+        want = empirical_profile(unfold(s, rng_b), cfg)
+        assert got.values.tobytes() == want.values.tobytes(), name
+        assert rng_a.random() == rng_b.random(), name
+
+
+def test_clipped_binning_holds_no_array_of_the_sketch_length():
+    # numpy reports its buffers to tracemalloc: neither the 8d bytes of
+    # counts nor the pushes are copied or drawn whole
+    n, d = 32, 2**20
+    rng = np.random.default_rng(6)
+    s = privatize(Histogram(counts=rng.integers(0, n + 1, size=d), n=n), 1.0, clip=True, rng=rng)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
+    tracemalloc.start()
+    try:
+        empirical_profile(s, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d
+
+
 # --- the binned noise law --------------------------------------------------
 
 # (epsilon, n, B): B is set small, so the endpoint tails carry real mass

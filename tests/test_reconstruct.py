@@ -16,6 +16,7 @@ from dpprofile.mechanism import (
     PrivateSketch,
     empirical_profile,
     privatize,
+    unfold,
 )
 from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import (
@@ -453,6 +454,9 @@ def test_reconstruct_clipped_sketch_requires_rng():
     prof_a = reconstruct_profile(s, cfg, rng=np.random.default_rng(9))
     prof_b = reconstruct_profile(s, cfg, rng=np.random.default_rng(9))
     np.testing.assert_array_equal(prof_a.values, prof_b.values)
+    # binned as unfold would unfold it, with the same draws
+    unfolded = reconstruct_profile(unfold(s, np.random.default_rng(9)), cfg)
+    assert prof_a.values.tobytes() == unfolded.values.tobytes()
 
 
 def test_reconstruct_deterministic_for_unclipped():
