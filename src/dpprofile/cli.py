@@ -135,6 +135,9 @@ def cmd_update(args) -> None:
     from . import mechanism
 
     sketch = mechanism.read_sketch(args.sketch)
+    if sketch.clipped:  # before the delta file is read
+        raise ValueError(f"--sketch {args.sketch}: a clipped sketch cannot be updated; "
+                         "sketch the histogram again without --clip")
     # Delta entries may be any integers: no [0, n] check.
     deltas = mechanism.read_int_lines(args.delta)
     updated = mechanism.update(sketch, deltas)

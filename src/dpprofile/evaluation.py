@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from ._util import NORMS, derive_seed, lp_norm
 from .circulant import CirculantOperator
 from .mechanism import (
     Histogram,
+    _bins,
     empirical_profile,
     privatize,
     window_pmf,
@@ -54,28 +54,13 @@ EVAL_CSV_HEADER = "d,n,epsilon,eta,trial,p,err,bound,seconds"
 
 
 class ErrorReport(_Frozen):
-    """One (trial, norm) outcome: measured error, analytic bound, wall time."""
+    """One (trial, norm) outcome: measured error and analytic bound."""
 
-    __slots__ = ("d", "n", "epsilon", "eta", "p", "trial", "err", "bound", "seconds")
+    __slots__ = ("d", "n", "epsilon", "eta", "p", "trial", "err", "bound")
 
-    def __init__(
-        self,
-        d: int,
-        n: int,
-        epsilon: float,
-        eta: float,
-        p: str,
-        trial: int,
-        err: float,
-        bound: float,
-        seconds: float,
-    ):
-        self._set(d=d, n=n, epsilon=epsilon, eta=eta, p=p, trial=trial, err=err,
-                  bound=bound, seconds=seconds)
-
-    def replace(self, **changes) -> ErrorReport:
-        """A copy with the named fields changed."""
-        return ErrorReport(**{name: getattr(self, name) for name in self.__slots__} | changes)
+    def __init__(self, d: int, n: int, epsilon: float, eta: float, p: str, trial: int,
+                 err: float, bound: float):
+        self._set(d=d, n=n, epsilon=epsilon, eta=eta, p=p, trial=trial, err=err, bound=bound)
 
 
 class SynthSpec(_Frozen):
@@ -167,8 +152,7 @@ def _shuffle(spec: SynthSpec, counts: np.ndarray) -> None:
 
 def true_profile(h: Histogram) -> Profile:
     """Exact frequency-of-frequencies of a histogram."""
-    binned = np.bincount(h.counts, minlength=h.n + 1)
-    return Profile(values=binned / h.d)
+    return Profile(values=_bins(h.counts, 0, h.n) / h.d)
 
 
 def pad_profile(profile: Profile, B: int) -> np.ndarray:
@@ -280,32 +264,17 @@ def _run_cell_trial(
     f~ is drawn once, by the cell's route, and reconstructed once with each
     norm objective; each error is measured in its own norm.  The norms share
     the product A^{-1} f~, and each corrects a copy of it, as fast_inversion
-    would; a report's time counts the product and its own norm's work.
+    would.
     """
     f_tilde = _noisy_profile(cell, cfg, np.random.default_rng(seed))
-    start = time.perf_counter()
     u = circulant.apply_inverse(cell.op, f_tilde)
-    product = time.perf_counter() - start
     reports = []
     for p in NORMS:
-        start = time.perf_counter()
         relaxed = _restore_sum(cell.op, u.copy(), p)
         rounded = rounding(relaxed, cfg.n)
-        elapsed = product + time.perf_counter() - start
         err = lp_norm(rounded.values - cell.f.values, p)
-        reports.append(
-            ErrorReport(
-                d=cfg.d,
-                n=cfg.n,
-                epsilon=cfg.epsilon,
-                eta=cfg.eta,
-                p=p,
-                trial=trial,
-                err=err,
-                bound=cell.bounds.for_norm(p),
-                seconds=elapsed,
-            )
-        )
+        reports.append(ErrorReport(d=cfg.d, n=cfg.n, epsilon=cfg.epsilon, eta=cfg.eta, p=p,
+                                   trial=trial, err=err, bound=cell.bounds.for_norm(p)))
     return reports
 
 
@@ -333,6 +302,10 @@ def sweep(
     if not grid:
         raise ValueError("sweep grid is empty")
     check_trials(trials)
+    for ci, (spec, cfg) in enumerate(grid):  # before any cell is built
+        if (spec.d, spec.n) != (cfg.d, cfg.n):
+            raise ValueError(f"grid cell {ci}: the spec has (d, n) = ({spec.d}, {spec.n}), "
+                             f"the config ({cfg.d}, {cfg.n})")
     cells = [_prepare_cell(spec, cfg) for spec, cfg in grid]
     tasks = [(ci, ti) for ci in range(len(grid)) for ti in range(trials)]
 
@@ -357,8 +330,8 @@ def rows_to_csv(reports: list[ErrorReport], slopes: dict[str, float] | None = No
     """Render reports as CSV text.
 
     The seconds column is written as 0.0: output files must be byte-identical
-    across reruns with the same seed, and wall-clock is not.  Measured times
-    stay available on the in-memory reports.
+    across reruns with the same seed, and wall-clock is not, so no trial is
+    timed.
     """
     lines = [EVAL_CSV_HEADER]
     for r in reports:

@@ -72,7 +72,7 @@ class Histogram(_Frozen):
         counts = int64_array(counts, "histogram counts")
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("histogram must be a non-empty 1-d integer vector")
-        check_max_count(n)
+        n = check_max_count(n)
         if counts.min() < 0 or counts.max() > n:
             raise ValueError(f"histogram counts must lie in [0, {n}]")
         counts.flags.writeable = False
@@ -84,7 +84,11 @@ class Histogram(_Frozen):
 
 
 class PrivateSketch(_Frozen):
-    """Noise-perturbed counts together with the mechanism metadata."""
+    """Noise-perturbed counts together with the mechanism metadata.
+
+    n and clipped are checked as read_sketch checks a file's, so that every
+    sketch write_sketch writes reads back.
+    """
 
     __slots__ = ("counts", "epsilon", "n", "clipped")
 
@@ -93,6 +97,10 @@ class PrivateSketch(_Frozen):
         if counts.ndim != 1 or len(counts) < 1:
             raise ValueError("sketch counts must be a non-empty 1-d integer vector")
         _check_epsilon(epsilon)
+        n = check_max_count(n)
+        check_window(n)
+        if type(clipped) is not bool:
+            raise ValueError(f"clipped must be a bool, got {clipped!r}")
         if clipped and (counts.min() < 0 or counts.max() > n):
             raise ValueError("clipped sketch has counts outside [0, n]")
         counts.flags.writeable = False
@@ -247,9 +255,29 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
 
 
-# Entries binned per block of a clipped sketch: a block's counts, uniforms
-# and draws take 256 KB each, whatever d is.
+# Entries binned per block: a block's counts, uniforms and draws take
+# 256 KB each, whatever d is.
 _BIN_BLOCK = 2**15
+
+
+def _bins(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1).
+
+    Clipping copies its input, and bincount copies a read-only one whole, so
+    the counts go a block at a time and no temporary grows with their
+    number.  A block is at least the window's length, so that binning one
+    costs no more than its length.
+    """
+    m = hi - lo + 1
+    block = max(_BIN_BLOCK, m)
+
+    def bins_from(start: int) -> np.ndarray:
+        return np.bincount(np.clip(counts[start : start + block], lo, hi) - lo, minlength=m)
+
+    binned = bins_from(0)  # the sum: zeros beside it would be one more window
+    for start in range(block, len(counts), block):
+        binned += bins_from(start)
+    return binned
 
 
 def empirical_profile(
@@ -261,16 +289,15 @@ def empirical_profile(
 
     Counts outside the window (noise larger than B, which happens with
     probability at most eta by the choice of B) are clamped to the nearest
-    endpoint so that the result always sums to exactly one.  The shifted
-    copy of the counts is freed before the division, so binning holds at
-    most two arrays of its inputs' lengths at a time.
+    endpoint so that the result always sums to exactly one.  _bins takes
+    the counts a block at a time, so no temporary grows with d.
 
-    A clipped sketch is binned as its unfolding, without forming it: rng
-    draws the geometric pushes of the entries at 0 and at n as unfold draws
-    them, a block at a time, and each block is binned as it is drawn.  The
-    binned multiset is unfold's, so the result equals
-    empirical_profile(unfold(s, rng), cfg) bit for bit, and no temporary
-    grows with d.
+    A clipped sketch is binned as its unfolding, without forming it: unfold
+    moves the k entries at 0 to -G and then those at n to n + G, with G from
+    sample_geometric of size k, and rng draws these pushes a block at a time
+    (G clamps to B).  Blocks of uniforms concatenate to the uniforms of one
+    draw, so the result equals empirical_profile(unfold(s, rng), cfg) bit
+    for bit.
     """
     if s.clipped and rng is None:
         raise ValueError("unfold the sketch before taking its profile")
@@ -278,45 +305,21 @@ def empirical_profile(
         raise ValueError("config (n, d) does not match the sketch")
     if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
         raise ValueError("config epsilon does not match the sketch")
+    n, B = cfg.n, cfg.B
+    binned = _bins(s.counts, -B, n + B)
     if s.clipped:
-        binned = _unfolded_bins(s, cfg.B, rng)
-    else:
-        shifted = np.clip(s.counts, -cfg.B, cfg.n + cfg.B)
-        shifted += cfg.B
-        binned = np.bincount(shifted, minlength=cfg.m)
-        del shifted
-    values = binned / s.d
-    return EmpiricalProfile(values=values, n=cfg.n, B=cfg.B, d=s.d)
-
-
-def _unfolded_bins(s: PrivateSketch, B: int, rng: np.random.Generator) -> np.ndarray:
-    """np.bincount of unfold(s, rng)'s counts clamped to [-B, n+B], shifted by B.
-
-    The counts lie in [0, n], so they are binned as they are; bincount
-    copies a read-only input whole, so they go a block at a time.  unfold
-    moves the k entries at 0 to -G and then those at n to n + G, with G from
-    sample_geometric of size k; G clamps to B.  Blocks of uniforms
-    concatenate to the uniforms of one draw, so drawing the k pushes a block
-    at a time moves the same entries to the same bins.  A block is at least
-    the window's length, so that binning one costs no more than its length.
-    """
-    n, m = s.n, s.n + 2 * B + 1
-    block = max(_BIN_BLOCK, m)
-    binned = np.zeros(m, dtype=np.int64)
-    core = binned[B : B + n + 1]
-    for lo in range(0, s.d, block):
-        core += np.bincount(s.counts[lo : lo + block], minlength=n + 1)
-    for edge in (B, B + n):  # the bins of 0 and of n, in unfold's order
-        k = int(binned[edge])
-        binned[edge] = 0
-        for lo in range(0, k, block):
-            g = sample_geometric(s.epsilon, rng, size=min(block, k - lo))
-            moved = np.bincount(np.minimum(g, B, out=g), minlength=B + 1)
-            if edge == B:  # 0 - G: bins B, B - 1, .., 0
-                binned[: B + 1] += moved[::-1]
-            else:  # n + G: bins B + n, .., n + 2B
-                binned[edge:] += moved
-    return binned
+        block = max(_BIN_BLOCK, cfg.m)
+        for edge in (B, B + n):  # the bins of 0 and of n, in unfold's order
+            k = int(binned[edge])
+            binned[edge] = 0
+            for lo in range(0, k, block):
+                g = sample_geometric(s.epsilon, rng, size=min(block, k - lo))
+                moved = np.bincount(np.minimum(g, B, out=g), minlength=B + 1)
+                if edge == B:  # 0 - G: bins B, B - 1, .., 0
+                    binned[: B + 1] += moved[::-1]
+                else:  # n + G: bins B + n, .., n + 2B
+                    binned[edge:] += moved
+    return EmpiricalProfile(values=binned / s.d, n=n, B=B, d=s.d)
 
 
 # --- file formats ---------------------------------------------------------
@@ -441,7 +444,7 @@ def read_int_lines(
 
 
 def read_histogram(path: str, n: int) -> Histogram:
-    check_max_count(n)  # before the file is read
+    n = check_max_count(n)  # before the file is read
 
     def out_of_range(value: int) -> str:
         if value < 0:
@@ -598,8 +601,8 @@ def write_sketch(path: str, s: PrivateSketch) -> None:
     """
     import json
 
-    head = json.dumps({"version": 1, "epsilon": float(s.epsilon), "n": int(s.n),
-                       "d": int(s.d), "clipped": bool(s.clipped), "counts": []})
+    head = json.dumps({"version": 1, "epsilon": float(s.epsilon), "n": s.n, "d": s.d,
+                       "clipped": s.clipped, "counts": []})
     with open(path, "wb") as fh:
         fh.write(head[: -len("]}")].encode())  # up to '"counts": ['
         fh.writelines(_format_counts(s.counts))

@@ -51,10 +51,15 @@ def check_eta(eta: float) -> None:
         raise ValueError("eta must lie in (0, 1)")
 
 
-def check_max_count(n: int) -> None:
-    """Reject a maximum count n below 1."""
+def check_max_count(n: int) -> int:
+    """n as an int, rejecting anything but an integer >= 1: a numpy integer
+    is one; a bool, a float (whole or not) and a string are not.
+    """
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"maximum count n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"maximum count n must be >= 1, got {n}")
+    return int(n)
 
 
 def check_trials(trials: int) -> None:

@@ -16,15 +16,17 @@ one pass over the window leaves only the entries inside the bracket to
 solve exactly.  A window too short to bracket, or one whose threshold the
 bracket misses, is solved by sorting it whole.
 
-Memory: besides its result, a reconstruction keeps at most two arrays of the
-window's length alive at once: the shifted counts (d of them) and their
-bins, then the bins and f~, then f~ and A^{-1} f~, then the relaxed solution
-and the clipped window that becomes the result (f~ is freed before
-rounding).  The bracket's pass runs over the window in cache-sized blocks
-(circulant._BLOCK entries) with block-sized scratch, and the drain runs in
-place, so rounding makes no temporary of the window's length beyond the
-clipped window.  At n = d = 1e6 a warm reconstruction's peak allocation
-(tracemalloc) fell from 4.3 to 2.25 times 8m bytes.
+Memory: binning (mechanism._bins) holds the bins, one block of clamped
+counts and that block's bins, where a block is max(2^15, m) counts whatever
+d is; d counts at most m go in one block, whose bins are the bins.  Past
+that, a reconstruction keeps at most two arrays of the window's length alive
+at once besides its result: the bins and f~, then f~ and A^{-1} f~, then the
+relaxed solution and the clipped window that becomes the result (f~ is
+freed before rounding).  The bracket's pass runs over the window in
+cache-sized blocks (circulant._BLOCK entries) with block-sized scratch, and
+the drain runs in place, so rounding makes no temporary of the window's
+length beyond the clipped window.  At n = d = 1e6 a warm reconstruction's
+peak allocation (tracemalloc) fell from 4.3 to 2.25 times 8m bytes.
 """
 
 from __future__ import annotations

@@ -328,6 +328,19 @@ def test_update_rejects_clipped(tmp_path):
     assert "clipped" in res.stderr
 
 
+def test_update_refuses_a_clipped_sketch_before_reading_the_delta(tmp_path, capsys):
+    sketch = write_sketch_file(tmp_path, [1, 2, 3], 1.0, 5, clipped=True)
+    out = tmp_path / "o.json"
+    code = main(["update", "--sketch", sketch, "--delta", str(tmp_path / "missing.txt"),
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --sketch {sketch}: a clipped sketch cannot be updated; "
+        "sketch the histogram again without --clip\n"
+    )
+    assert not left_behind(out)
+
+
 def test_update_rejects_dimension_mismatch(tmp_path):
     sketch = write_sketch_file(tmp_path, [1, 2, 3], 1.0, 5)
     delta = tmp_path / "d.txt"

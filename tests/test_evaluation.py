@@ -158,7 +158,6 @@ def test_run_trial_noiseless():
     assert [r.p for r in reports] == ["l1", "l2", "linf"]
     for r in reports:
         assert r.err <= 1e-6
-        assert r.seconds >= 0.0
         assert r.bound >= 0.0
 
 
@@ -241,6 +240,20 @@ def test_sweep_rejects_empty_grid():
         sweep([], trials=2, master_seed=0)
 
 
+@pytest.mark.parametrize("d, n", [(20000, 16), (40000, 8)])
+def test_sweep_refuses_a_cell_whose_spec_and_config_disagree(monkeypatch, d, n):
+    # refused before any cell is built, naming the cell and both (d, n)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=16, d=40000)
+    matched = SynthSpec("point_mass", d=40000, n=16, seed=1, param=3)
+    built = []
+    monkeypatch.setattr(evaluation, "_prepare_cell", lambda *cell: built.append(cell))
+    with pytest.raises(ValueError, match=rf"^grid cell 1: the spec has \(d, n\) = "
+                                         rf"\({d}, {n}\), the config \(40000, 16\)$"):
+        sweep([(matched, cfg), (SynthSpec("point_mass", d=d, n=n, seed=1, param=3), cfg)],
+              trials=2, master_seed=0)
+    assert built == []
+
+
 def mixed_grid():
     """A class-route cell, then a per-item cell: uniform counts up to
     n = 1000 need a table of some 1e6 entries against d = 1e4 items."""
@@ -301,9 +314,7 @@ def test_sweep_threaded_matches_serial(monkeypatch):
     assert [(r.n, r.trial, r.p) for r in threaded] == [
         (n, trial, p) for n in (32, 1000) for trial in range(4) for p in ("l1", "l2", "linf")
     ]
-    assert [r.replace(seconds=0.0) for r in threaded] == [
-        r.replace(seconds=0.0) for r in serial
-    ]
+    assert threaded == serial
 
 
 def test_sweep_pool_falls_back_to_cpu_count_without_an_affinity_mask(monkeypatch):
@@ -395,7 +406,7 @@ def test_per_item_route_replays_the_per_item_pipeline():
         for p in ("l1", "l2", "linf"):
             err = lp_norm(rounding(fast_inversion(op, f_tilde, p), n).values - f.values, p)
             want.append(ErrorReport(d=d, n=n, epsilon=1.0, eta=0.05, p=p, trial=trial,
-                                    err=err, bound=bounds.for_norm(p), seconds=0.0))
+                                    err=err, bound=bounds.for_norm(p)))
     assert got == rows_to_csv(want)
 
 
@@ -428,7 +439,7 @@ def synthetic_reports(err_of_d):
                 reports.append(
                     ErrorReport(
                         d=d, n=8, epsilon=1.0, eta=0.05, p=p, trial=trial,
-                        err=err_of_d(d), bound=1.0, seconds=0.0,
+                        err=err_of_d(d), bound=1.0,
                     )
                 )
     return reports

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpprofile import mechanism
+from dpprofile.evaluation import true_profile
 from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
@@ -343,8 +344,11 @@ def clipped_sketches(epsilon, n, d, rng):
     }
 
 
+BINNING_CASES = [(0.3, 8, 12), (1.0, 32, 20), (2.0, 4, 3), (50.0, 4, 0)]
+
+
 @pytest.mark.parametrize("block", [1, mechanism._BIN_BLOCK])
-@pytest.mark.parametrize("epsilon, n, B", [(0.3, 8, 12), (1.0, 32, 20), (2.0, 4, 3), (50.0, 4, 0)])
+@pytest.mark.parametrize("epsilon, n, B", BINNING_CASES)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_clipped_binning_equals_binning_the_unfolded_sketch(monkeypatch, block, epsilon, n, B, seed):
     # counts and pushes are binned a block at a time (the window's length at
@@ -362,16 +366,43 @@ def test_clipped_binning_equals_binning_the_unfolded_sketch(monkeypatch, block, 
         assert rng_a.random() == rng_b.random(), name
 
 
-def test_clipped_binning_holds_no_array_of_the_sketch_length():
+@pytest.mark.parametrize("block", [1, mechanism._BIN_BLOCK])
+@pytest.mark.parametrize("epsilon, n, B", BINNING_CASES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unclipped_binning_equals_clamping_and_binning_whole(monkeypatch, block, epsilon, n, B,
+                                                             seed):
+    # blocks of counts past both ends of the window clamp and bin as the
+    # whole vector does, bit for bit
+    monkeypatch.setattr(mechanism, "_BIN_BLOCK", block)
+    d = 3000
+    cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=d, B=B, allow_small_n=True)
+    rng = np.random.default_rng(seed)
+    wide = rng.integers(-3 * B - 3, n + 3 * B + 4, size=d)
+    wide[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    h = Histogram(counts=rng.integers(0, n + 1, size=d), n=n)
+    for s in (privatize(h, epsilon, clip=False, rng=rng),
+              PrivateSketch(counts=wide, epsilon=epsilon, n=n, clipped=False)):
+        want = np.bincount(np.clip(s.counts, -B, n + B) + B, minlength=cfg.m) / d
+        assert empirical_profile(s, cfg).values.tobytes() == want.tobytes()
+    assert (wide < -B).any() and (wide > n + B).any()
+
+
+@pytest.mark.parametrize("binning", ["clipped", "unclipped", "true_profile"])
+def test_binning_holds_no_array_of_the_sketch_length(binning):
     # numpy reports its buffers to tracemalloc: neither the 8d bytes of
-    # counts nor the pushes are copied or drawn whole
+    # counts nor the pushes are copied or drawn whole, not even for the
+    # read-only counts of a histogram
     n, d = 32, 2**20
     rng = np.random.default_rng(6)
-    s = privatize(Histogram(counts=rng.integers(0, n + 1, size=d), n=n), 1.0, clip=True, rng=rng)
+    h = Histogram(counts=rng.integers(0, n + 1, size=d), n=n)
+    s = privatize(h, 1.0, clip=binning == "clipped", rng=rng)
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
     tracemalloc.start()
     try:
-        empirical_profile(s, cfg, rng)
+        if binning == "true_profile":
+            true_profile(h)
+        else:
+            empirical_profile(s, cfg, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -547,6 +578,42 @@ def test_histogram_validation():
         Histogram(counts=np.array([], dtype=np.int64), n=5)
     with pytest.raises(ValueError, match="maximum count n must be >= 1, got 0"):
         Histogram(counts=np.array([0]), n=0)
+
+
+# n and clipped as read_sketch takes them from a file: an integer >= 1, a bool
+@pytest.mark.parametrize("n", [0, -3, 2.5, 2.0, np.float64(3.0), True, np.True_, "3", None],
+                         ids=repr)
+def test_value_classes_refuse_an_n_that_is_not_an_integer_from_1(n):
+    with pytest.raises(ValueError, match="^maximum count n must be"):
+        Histogram(counts=[0], n=n)
+    with pytest.raises(ValueError, match="^maximum count n must be"):
+        PrivateSketch(counts=[0], epsilon=1.0, n=n, clipped=False)
+
+
+def test_private_sketch_refuses_an_n_past_the_window_and_a_clipped_that_is_not_a_bool():
+    with pytest.raises(ValueError, match=f"^n={MAX_WINDOW} is above the largest supported"):
+        PrivateSketch(counts=[0], epsilon=1.0, n=MAX_WINDOW, clipped=False)
+    for clipped in (1, 0, np.True_, None, "true"):
+        with pytest.raises(ValueError, match="^clipped must be a bool, got "):
+            PrivateSketch(counts=[0], epsilon=1.0, n=4, clipped=clipped)
+
+
+@pytest.mark.parametrize("n", [1, 7, np.int64(7), np.uint8(7), MAX_WINDOW - 1], ids=repr)
+@pytest.mark.parametrize("clipped", [False, True])
+def test_every_sketch_the_class_accepts_writes_and_reads_back(tmp_path, n, clipped):
+    h = Histogram(counts=[0, n], n=n)
+    assert type(h.n) is int and h.n == n
+    extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    counts = [0, n, n] if clipped else [0, n, *extremes]
+    s = PrivateSketch(counts=counts, epsilon=0.5, n=n, clipped=clipped)
+    assert type(s.n) is int and s.n == n
+    path = str(tmp_path / "sketch.json")
+    write_sketch(path, s)
+    back = read_sketch(path)
+    assert (back.counts.tolist(), back.epsilon, back.n, back.clipped) == (
+        s.counts.tolist(), s.epsilon, s.n, s.clipped)
+    # a numpy n is a count, so a sketch of the histogram clips as any other
+    assert privatize(h, 1.0, clip=True, rng=np.random.default_rng(1)).n == n
 
 
 # --- file formats ----------------------------------------------------------
