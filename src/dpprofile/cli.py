@@ -224,7 +224,8 @@ def cmd_eval(args) -> None:
     reports = evaluation.sweep(grid, trials=args.trials, master_seed=args.seed)
     slopes = None
     if args.fit:
-        slopes = {p: evaluation.fit_scaling(reports, p) for p in evaluation.NORMS}
+        with _naming("--fit"):  # before any slope is printed or a file written
+            slopes = {p: evaluation.fit_scaling(reports, p) for p in evaluation.NORMS}
         for p in evaluation.NORMS:
             print(f"slope_{p}={slopes[p]!r}", file=sys.stderr)
     _write_atomic(args.output, evaluation.rows_to_csv(reports, slopes))
@@ -312,10 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # numpy's OpenBLAS starts a worker thread per CPU at import, which spin
-    # for no BLAS work of this package (the largest is a 3-point polyfit);
-    # a value the user set is kept, and an in-process caller that has
-    # already loaded numpy keeps its environment
+    # numpy's OpenBLAS starts a worker thread per CPU at import, although
+    # this package makes no BLAS or LAPACK call; the pin must be set before
+    # that import, a value the user set is kept, and an in-process caller
+    # that has already loaded numpy keeps its environment
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()

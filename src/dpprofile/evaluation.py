@@ -35,7 +35,7 @@ from .mechanism import (
     privatize,
     window_pmf,
 )
-from .params import ReconstructionConfig, _Frozen, check_fit, check_trials
+from .params import ReconstructionConfig, _Frozen, check_fit, check_integer, check_trials
 from .reconstruct import Profile, _restore_sum, cached_operator, rounding
 
 __all__ = [
@@ -76,6 +76,7 @@ class SynthSpec(_Frozen):
     def __init__(self, distribution: str, d: int, n: int, seed: int, param: float = 0.0):
         if distribution not in ("point_mass", "uniform_counts", "zipf"):
             raise ValueError(f"unknown distribution {distribution!r}")
+        d, n = check_integer(d, "d"), check_integer(n, "n")
         if d < 1 or n < 1:
             raise ValueError("d and n must be >= 1")
         # written so that NaN fails both checks
@@ -301,7 +302,7 @@ def sweep(
     """
     if not grid:
         raise ValueError("sweep grid is empty")
-    check_trials(trials)
+    trials = check_trials(trials)
     for ci, (spec, cfg) in enumerate(grid):  # before any cell is built
         if (spec.d, spec.n) != (cfg.d, cfg.n):
             raise ValueError(f"grid cell {ci}: the spec has (d, n) = ({spec.d}, {spec.n}), "
@@ -348,8 +349,12 @@ def rows_to_csv(reports: list[ErrorReport], slopes: dict[str, float] | None = No
 def fit_scaling(reports: list[ErrorReport], p: str) -> float:
     """Least-squares slope of log(mean error) versus log(domain size).
 
-    Requires the rows that params.check_fit asks for; a slope near -1/2
-    indicates the expected error decay.
+    Requires the rows that params.check_fit asks for, and a finite mean
+    error > 0 at every d, whose logarithm the fit takes; a slope near -1/2
+    indicates the expected error decay.  The slope is the centred closed
+    form sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with x = log d
+    and y = log(mean error): elementwise passes over a few points, with no
+    linear-algebra call.
     """
     if p not in NORMS:
         raise ValueError(f"unknown norm selector {p!r}")
@@ -360,5 +365,12 @@ def fit_scaling(reports: list[ErrorReport], p: str) -> float:
     check_fit({d: len(errs) for d, errs in by_d.items()})
     ds = np.array(sorted(by_d))
     means = np.array([np.mean(by_d[d]) for d in ds])
-    slope, _ = np.polyfit(np.log(ds), np.log(means), 1)
-    return float(slope)
+    for d, mean in zip(ds, means):
+        if not (math.isfinite(mean) and mean > 0):  # NaN fails both
+            raise ValueError(f"the {p} mean error at d={d} is {float(mean)!r}; "
+                             "the log-log fit needs a finite mean error > 0 at every d")
+    x = np.log(ds)
+    x -= x.mean()
+    y = np.log(means)
+    y -= y.mean()
+    return float(np.sum(x * y) / np.sum(x * x))

@@ -18,6 +18,7 @@ __all__ = [
     "MIN_EIGENVALUE",
     "check_eta",
     "check_fit",
+    "check_integer",
     "check_max_count",
     "check_trials",
     "check_window",
@@ -37,9 +38,12 @@ def _check_epsilon(epsilon: float) -> None:
     """Reject an epsilon that would not give the noise its distribution.
 
     NaN and infinity cast to the same int64 for both geometric draws, so
-    they would add no noise at all; tiny values overflow the cast.
+    they would add no noise at all; tiny values overflow the cast.  A bool
+    (Python's or numpy's, both named "bool") is a flag, not a budget.
     """
-    if not (math.isfinite(epsilon) and epsilon >= _MIN_EPSILON):
+    if type(epsilon).__name__ == "bool" or not (
+        math.isfinite(epsilon) and epsilon >= _MIN_EPSILON
+    ):
         raise ValueError(
             f"epsilon must be a finite number >= {_MIN_EPSILON:.3g}, got {epsilon!r}"
         )
@@ -51,21 +55,30 @@ def check_eta(eta: float) -> None:
         raise ValueError("eta must lie in (0, 1)")
 
 
-def check_max_count(n: int) -> int:
-    """n as an int, rejecting anything but an integer >= 1: a numpy integer
-    is one; a bool, a float (whole or not) and a string are not.
+def check_integer(value, name: str) -> int:
+    """value as an int, rejecting anything but an integer: a numpy integer
+    is one; a bool, a float (whole or not) and a string are not.  name
+    starts the message.
     """
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"maximum count n must be an integer, got {n!r}")
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_max_count(n: int) -> int:
+    """n as an int, rejecting anything but an integer >= 1."""
+    n = check_integer(n, "maximum count n")
     if n < 1:
         raise ValueError(f"maximum count n must be >= 1, got {n}")
-    return int(n)
+    return n
 
 
-def check_trials(trials: int) -> None:
-    """Reject a number of trials below 1."""
+def check_trials(trials: int) -> int:
+    """trials as an int, rejecting anything but an integer >= 1."""
+    trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
 
 
 def check_fit(trials_per_d: dict[int, int]) -> None:
@@ -235,10 +248,12 @@ class ReconstructionConfig(_Frozen):
     ):
         _check_epsilon(epsilon)
         check_eta(eta)
+        n, d = check_integer(n, "n"), check_integer(d, "d")
         if n < 1 or d < 1:
             raise ValueError("n and d must be >= 1")
         if p_norm not in ("l1", "l2", "linf"):
             raise ValueError(f"unknown norm selector {p_norm!r}")
+        B = check_integer(B, "noise bound B")
         if B == -1:
             B = truncation_radius(epsilon, eta, d)
         if B < 0:

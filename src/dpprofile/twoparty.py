@@ -23,7 +23,7 @@ import numpy as np
 from ._util import derive_seed
 from .circulant import CirculantOperator, norm_bounds
 from .mechanism import window_pmf
-from .params import ReconstructionConfig, _Frozen, check_trials
+from .params import ReconstructionConfig, _Frozen, check_integer, check_trials
 from .reconstruct import cached_operator, fast_inversion, rounding
 
 __all__ = [
@@ -126,9 +126,10 @@ def run_protocol(
     publishes as _publish states, and the exact inner product is k0 + k4 - k2.  A trial costs O(m), with
     m = 4 + 2B + 1, so d may be any integer that int64 holds.
     """
+    d = check_integer(d, "d")
     if not 16 <= d < 2**63:
         raise ValueError(f"d must lie in [16, 2**63 - 1], got {d}")
-    check_trials(trials)
+    trials = check_trials(trials)
     cfg = protocol_config(epsilon, d)
     op = cached_operator(cfg)
     delta = sensitivity_bound(op, d)

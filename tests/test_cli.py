@@ -499,6 +499,18 @@ def test_eval_fit_counts_the_trials_of_a_repeated_d(tmp_path):
     assert out.read_text().count("# slope_") == 3
 
 
+def test_eval_fit_with_a_zero_mean_error_exits_2_and_writes_nothing(tmp_path):
+    # at epsilon 1e300 the noise is 0, so every error is 0 and has no logarithm
+    out = tmp_path / "e.csv"
+    res = run_cli("eval", "--dist", "zipf:1.1", "--d-list", "100,200,300", "--n", "8",
+                  "--epsilon", "1e300", "--eta", "0.05", "--trials", "20", "--fit",
+                  "--output", str(out))
+    assert res.returncode == 2
+    assert res.stderr == ("error: --fit: the l1 mean error at d=100 is 0.0; the log-log fit "
+                          "needs a finite mean error > 0 at every d\n")
+    assert not left_behind(out)
+
+
 # --- atomic output ------------------------------------------------------------------
 
 def test_a_file_named_like_the_old_temp_survives(hist_file, tmp_path):

@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,28 @@ def test_synth_spec_rejects_a_parameter_with_no_histogram(distribution, param):
     # written so that NaN fails: it compares false with every bound
     with pytest.raises(ValueError, match="must be"):
         SynthSpec(distribution, d=10, n=5, seed=0, param=param)
+
+
+@pytest.mark.parametrize("name", ["d", "n"])
+@pytest.mark.parametrize("value", [1000.5, 1000.0, np.float64(8.0), True, np.True_, "8", None],
+                         ids=repr)
+def test_synth_spec_refuses_a_d_or_n_that_is_not_an_integer(name, value):
+    sizes = {"d": 1000, "n": 8, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        SynthSpec("uniform_counts", seed=0, **sizes)
+    with pytest.raises(ValueError, match="^d and n must be >= 1$"):
+        SynthSpec("uniform_counts", seed=0, **{**sizes, name: 0})
+    spec = SynthSpec("uniform_counts", seed=0, **{**sizes, name: np.int32(8)})
+    assert type(getattr(spec, name)) is int and synth_histogram(spec).d == spec.d
+
+
+@pytest.mark.parametrize("trials", [2.5, 2.0, True, "2", None], ids=repr)
+def test_sweep_refuses_trials_that_are_not_an_integer(trials):
+    grid = [(SynthSpec("point_mass", d=100, n=8, seed=0, param=1),
+             ReconstructionConfig(epsilon=2.0, eta=0.1, n=8, d=100))]
+    with pytest.raises(ValueError, match=f"^trials must be an integer, got {trials!r}$"):
+        sweep(grid, trials=trials, master_seed=0)
+    assert len(sweep(grid, trials=np.int64(2), master_seed=0)) == 2 * 3
 
 
 def test_zipf_class_sizes_equal_the_binned_counts():
@@ -454,6 +477,50 @@ def test_fit_scaling_scale_invariant():
     base = synthetic_reports(lambda d: 3.0 / math.sqrt(d))
     doubled = synthetic_reports(lambda d: 6.0 / math.sqrt(d))
     assert fit_scaling(base, "l1") == pytest.approx(fit_scaling(doubled, "l1"), abs=1e-9)
+
+
+def exact_slope(x, y):
+    """The least-squares slope of y on x in exact rational arithmetic."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_scaling_equals_the_exact_least_squares_slope(seed):
+    rng = np.random.default_rng(seed)
+    ds = sorted(int(d) for d in rng.choice(10**8, size=rng.integers(3, 9), replace=False) + 1)
+    slope_true = rng.uniform(-2.0, 1.0)
+    reports = [ErrorReport(d=d, n=8, epsilon=1.0, eta=0.05, p="l2", trial=t,
+                           err=float(d ** slope_true * rng.uniform(0.2, 5.0)), bound=1.0)
+               for d in ds for t in range(20)]
+    x = np.log(np.array(ds))
+    y = np.log([np.mean([r.err for r in reports if r.d == d]) for d in ds])
+    slope = fit_scaling(reports, "l2")
+    exact = exact_slope(x.tolist(), y.tolist())
+    assert abs(Fraction(slope) - exact) <= 1e-14 * max(1.0, abs(float(exact)))
+    assert slope == pytest.approx(np.polyfit(x, y, 1)[0], abs=1e-9)
+
+
+def test_fit_scaling_makes_no_linear_algebra_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit called into numpy's linear algebra")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    reports = synthetic_reports(lambda d: 3.0 / math.sqrt(d))
+    assert fit_scaling(reports, "l2") == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("err", [0.0, -1.0, math.inf, math.nan])
+def test_fit_scaling_refuses_a_mean_error_with_no_logarithm(err):
+    reports = [r if r.d != 10**4 or r.p != "linf" else
+               ErrorReport(d=r.d, n=r.n, epsilon=r.epsilon, eta=r.eta, p=r.p, trial=r.trial,
+                           err=err, bound=r.bound)
+               for r in synthetic_reports(lambda d: 1.0 / d)]
+    with pytest.raises(ValueError, match=rf"^the linf mean error at d=10000 is {err!r}; "):
+        fit_scaling(reports, "linf")
+    assert fit_scaling(reports, "l1") == pytest.approx(-1.0)
 
 
 def test_fit_scaling_requires_enough_data():

@@ -33,6 +33,7 @@ from dpprofile.params import (
     MAX_WINDOW,
     ReconstructionConfig,
     _MIN_EPSILON,
+    check_trials,
     check_window,
     min_truncation_radius,
     truncation_radius,
@@ -546,6 +547,44 @@ def test_config_validation():
         ReconstructionConfig(epsilon=1.0, eta=1.5, n=4, d=10)
     with pytest.raises(ValueError):
         ReconstructionConfig(epsilon=1.0, eta=0.05, n=8, d=10, B=2, p_norm="l3")
+
+
+@pytest.mark.parametrize("name, label", [("n", "n"), ("d", "d"), ("B", "noise bound B")])
+@pytest.mark.parametrize("value", [40.5, 2.5, 1000.0, np.float64(8.0), True, np.True_, "8", None],
+                         ids=repr)
+def test_config_refuses_an_n_d_or_b_that_is_not_an_integer(name, label, value):
+    kwargs = {"epsilon": 1.0, "eta": 0.05, "n": 40, "d": 1000, name: value}
+    with pytest.raises(ValueError, match=f"^{label} must be an integer, got "):
+        ReconstructionConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers_as_ints_and_keeps_its_range_messages():
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=np.int64(40), d=np.int32(1000),
+                               B=np.int64(3))
+    assert (cfg.n, cfg.d, cfg.B, cfg.m) == (40, 1000, 3, 47)
+    assert all(type(v) is int for v in (cfg.n, cfg.d, cfg.B, cfg.m))
+    assert cfg == ReconstructionConfig(epsilon=1.0, eta=0.05, n=40, d=1000, B=3)
+    for n, d in ((0, 1000), (40, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="^n and d must be >= 1$"):
+            ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
+    with pytest.raises(ValueError, match="^noise bound B must be non-negative$"):
+        ReconstructionConfig(epsilon=1.0, eta=0.05, n=40, d=1000, B=-2)
+
+
+@pytest.mark.parametrize("epsilon", [True, np.True_], ids=repr)
+def test_config_refuses_a_bool_epsilon(epsilon):
+    with pytest.raises(ValueError, match=r"^epsilon must be a finite number >= .*, got (np\.)?True_?$"):
+        ReconstructionConfig(epsilon=epsilon, eta=0.05, n=40, d=1000)
+    assert ReconstructionConfig(epsilon=1, eta=0.05, n=40, d=1000).epsilon == 1
+
+
+@pytest.mark.parametrize("trials", [2.5, 2.0, True, np.True_, "2", None], ids=repr)
+def test_check_trials_refuses_trials_that_are_not_an_integer(trials):
+    with pytest.raises(ValueError, match="^trials must be an integer, got "):
+        check_trials(trials)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        check_trials(0)
+    assert check_trials(np.int64(3)) == 3 and type(check_trials(np.int64(3))) is int
 
 
 def test_histogram_rejects_fractional_counts():

@@ -158,6 +158,18 @@ def test_run_protocol_rejects_small_d():
         run_protocol(d=2**63, epsilon=1.0, trials=1, master_seed=0)
 
 
+@pytest.mark.parametrize("name, value",
+                         [("d", 1e6), ("d", 256.0), ("d", True), ("d", "256"),
+                          ("trials", 2.5), ("trials", 1.0), ("trials", True)], ids=repr)
+def test_run_protocol_refuses_a_d_or_trials_that_is_not_an_integer(name, value):
+    kwargs = {"d": 256, "epsilon": 1.0, "trials": 2, "master_seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        run_protocol(**kwargs)
+    # a numpy integer is taken: 16 is the least d, and 16 trials
+    results = run_protocol(**{**kwargs, name: np.int64(16)})
+    assert len(results) == (16 if name == "trials" else 2)
+
+
 def per_party_trials(d, epsilon, trials, seed):
     """The protocol run party by party: fresh sign vectors, Alice's message,
     Bob's estimate."""
