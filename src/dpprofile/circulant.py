@@ -21,13 +21,14 @@ inverse taps, fall below the double-precision noise floor within a few
 dozen clusters at offsets near 0, +-B, +-2B, ..., each a few dozen taps
 wide.  So nnz does not grow with 1/eps, while the half-width w, which
 spans the clusters, grows like B.  Taps below the noise floor are zeroed.
-When the analytic spectrum floor proves every eigenvalue, the taps are read
-off the inverse on a small ring that is still longer than the kernel, where
-the wrapped-around tails are far below roundoff, so the build does no work
-that grows with m.  Otherwise a window longer than _SPECTRUM_CAP is refused
-on the floor alone, before any work of its length, and a shorter one (or
-one whose taps would span the whole window) has its spectrum checked
-exactly and its own inverse column used whole, which is exact.
+An operator is built only at B at least that radius, where the analytic
+spectrum floor is positive and so proves every eigenvalue nonzero; a lower,
+overridden B is refused, and so is a floor below MIN_EIGENVALUE, both
+before any work of the window's length.  The taps are read off the inverse
+on a small ring that is still longer than the kernel, where the
+wrapped-around tails are far below roundoff, so the build does no work that
+grows with m; only taps that would span a short window take its own
+inverse column whole, which is exact.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import MIN_EIGENVALUE, ReconstructionConfig, _Frozen
+from .params import MIN_EIGENVALUE, ReconstructionConfig, _Frozen, min_truncation_radius
 
 __all__ = [
     "CirculantOperator",
@@ -52,10 +53,6 @@ __all__ = [
 # the roundoff already present in an FFT-computed kernel; dropping them
 # changes products by strictly less than ordinary transform roundoff.
 _TAP_FLOOR = 1e-15
-
-# Longest window whose spectrum is formed to decide invertibility when the
-# analytic floor cannot; a longer one is refused on the floor alone.
-_SPECTRUM_CAP = 1 << 20
 
 # Smallest ring tried for the inverse taps; rings double from here, or from
 # the least power of two longer than the kernel's 2B + 1 taps.
@@ -139,9 +136,7 @@ def spectrum_floor(epsilon: float, B: int) -> float:
     """Analytic lower bound on the eigenvalue magnitudes, 1 / bound_2.
 
     It is strict: the least |eigenvalue| can sit well above it when n is
-    near B.  Negative values are possible when B is overridden below the
-    derived radius; the bound is then vacuous and only the absolute floor
-    applies.
+    near B.  At B >= the conditioning radius it is at least tanh^2(eps/2) / 2.
     """
     q = math.exp(-epsilon)
     p_norm = kernel_normalizer(epsilon, B)
@@ -151,38 +146,34 @@ def spectrum_floor(epsilon: float, B: int) -> float:
 def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
     """Centred taps of A^{-1}, exactly symmetric and zero below the tap floor.
 
-    This is the one place invertibility is decided.  On a ring longer than
-    the kernel's 2B + 1 taps, the inverse column is the line kernel summed
-    over its wrap-arounds, so once the trimmed taps fill at most a quarter
-    of such a ring, the wrapped tails are below the tap floor and the ring's
-    taps are the window's.  Rings double from the least power of two longer
-    than the kernel only when the analytic floor proves every eigenvalue.
-    Otherwise a window longer than _SPECTRUM_CAP is refused on the floor
-    alone; a shorter one, or rings that reach m, has its spectrum checked
-    and its column used whole.
+    This is the one place invertibility is decided, by the analytic floor
+    alone, and only at B >= the conditioning radius, where the floor proves
+    every eigenvalue.  On a ring longer than the kernel's 2B + 1 taps, the
+    inverse column is the line kernel summed over its wrap-arounds, so once
+    the trimmed taps fill at most a quarter of such a ring, the wrapped
+    tails are below the tap floor and the ring's taps are the window's.
+    Rings double from the least power of two longer than the kernel; one
+    that reaches m has the window's own column used whole, which is exact.
     """
     epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
+    radius = min_truncation_radius(epsilon)
+    if B < radius:
+        raise ValueError(
+            f"noise bound B={B} is below the conditioning radius {radius} for "
+            f"epsilon={epsilon}, where the operator is not proven invertible"
+        )
     floor = spectrum_floor(epsilon, B)
-    if floor >= MIN_EIGENVALUE:
-        # a ring no longer than the kernel wraps the kernel onto itself, and
-        # the inverse on it is then not the window's
-        ring = max(_FIRST_RING, 1 << (2 * B + 1).bit_length())
-    elif m > _SPECTRUM_CAP:
-        raise _ill_conditioned("spectrum floor", floor, cfg)
-    else:
-        ring = m
+    if floor < MIN_EIGENVALUE:
+        raise ValueError(
+            f"operator is ill-conditioned: spectrum floor = {floor:.3e} < "
+            f"{MIN_EIGENVALUE:g} for (n={cfg.n}, B={B}, epsilon={epsilon})"
+        )
+    # a ring no longer than the kernel wraps the kernel onto itself, and the
+    # inverse on it is then not the window's
+    ring = max(_FIRST_RING, 1 << (2 * B + 1).bit_length())
     while True:
         ring = min(ring, m)
-        half = _half_spectrum(epsilon, B, ring)
-        if ring == m:  # checked wherever the window's spectrum is formed
-            min_abs = float(np.min(np.abs(half)))
-            if min_abs < MIN_EIGENVALUE:
-                raise _ill_conditioned("|eigenvalue|", min_abs, cfg)
-            if min_abs < floor - 1e-12:
-                raise AssertionError(
-                    f"spectrum fell below its analytic floor: {min_abs} < {floor}"
-                )
-        col = np.fft.irfft(1.0 / half, ring)
+        col = np.fft.irfft(1.0 / _half_spectrum(epsilon, B, ring), ring)
         mag = np.abs(col[: ring // 2 + 1])  # col is symmetric
         w = int(np.flatnonzero(mag > _TAP_FLOOR * mag.max())[-1])
         if 4 * w < ring or ring == m:
@@ -198,15 +189,6 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
         # offsets -ring/2 and +ring/2 are the same antipodal entry; split it
         taps[0] = taps[-1] = taps[0] / 2.0
     return taps
-
-
-def _ill_conditioned(what: str, value: float, cfg: ReconstructionConfig) -> ValueError:
-    """The refusal of an operator whose least |eigenvalue|, or the floor
-    under it, is below MIN_EIGENVALUE."""
-    return ValueError(
-        f"operator is ill-conditioned: {what} = {value:.3e} < {MIN_EIGENVALUE:g} "
-        f"for (n={cfg.n}, B={cfg.B}, epsilon={cfg.epsilon})"
-    )
 
 
 def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
@@ -279,23 +261,14 @@ def norm_bounds(op: CirculantOperator) -> NormBounds:
 
     bound_1_inf covers both the column-sum and row-sum norms (they coincide
     for circulant matrices); bound_2 covers the spectral norm via the
-    eigenvalue floor.
+    eigenvalue floor.  An operator is built only at B >= the conditioning
+    radius, where q^B <= sinh(eps)/4 = (1 - q^2)/(8q), so the denominators
+    are at least (1 - q^2)/2 and (1 - q)(3 - q)/4: both are positive.
     """
     # (2 + q + e^eps) / (e^eps - q - 4 q^B), multiplied through by q so
     # that no term overflows at large epsilon
     q = math.exp(-op.epsilon)
     den_1_inf = 1.0 - q * q - 4.0 * q ** (op.B + 1)
-    if den_1_inf <= 0:
-        raise ValueError(
-            f"row-sum bound undefined: 1 - e^{{-2 eps}} - 4 e^{{-eps (B+1)}} = "
-            f"{den_1_inf:.3e} <= 0 for (B={op.B}, epsilon={op.epsilon})"
-        )
     bound_1_inf = (1.0 + 2.0 * q + q * q) / den_1_inf * op.p_norm_const
-    den_2 = 1.0 - q - 2.0 * q ** (op.B + 1)
-    if den_2 <= 0:
-        raise ValueError(
-            f"spectral bound undefined: 1 - e^-eps - 2 e^{{-eps (B+1)}} = "
-            f"{den_2:.3e} <= 0 for (B={op.B}, epsilon={op.epsilon})"
-        )
-    bound_2 = op.p_norm_const * (1.0 + q) / den_2
+    bound_2 = op.p_norm_const * (1.0 + q) / (1.0 - q - 2.0 * q ** (op.B + 1))
     return NormBounds(bound_1_inf=bound_1_inf, bound_2=bound_2)

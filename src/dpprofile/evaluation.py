@@ -35,7 +35,9 @@ from .mechanism import (
     privatize,
     window_pmf,
 )
-from .params import ReconstructionConfig, _Frozen, check_fit, check_integer, check_trials
+from .params import (
+    ReconstructionConfig, _Frozen, check_fit, check_integer, check_seed, check_trials,
+)
 from .reconstruct import Profile, _restore_sum, cached_operator, rounding
 
 __all__ = [
@@ -79,6 +81,7 @@ class SynthSpec(_Frozen):
         d, n = check_integer(d, "d"), check_integer(n, "n")
         if d < 1 or n < 1:
             raise ValueError("d and n must be >= 1")
+        seed = check_seed(seed)
         # written so that NaN fails both checks
         if distribution == "point_mass" and not (
             0 <= param <= n and float(param).is_integer()
@@ -303,6 +306,7 @@ def sweep(
     if not grid:
         raise ValueError("sweep grid is empty")
     trials = check_trials(trials)
+    master_seed = check_seed(master_seed, "master_seed")
     for ci, (spec, cfg) in enumerate(grid):  # before any cell is built
         if (spec.d, spec.n) != (cfg.d, cfg.n):
             raise ValueError(f"grid cell {ci}: the spec has (d, n) = ({spec.d}, {spec.n}), "

@@ -19,6 +19,7 @@ from .params import (
     ReconstructionConfig,
     _check_epsilon,
     _Frozen,
+    check_integer,
     check_max_count,
     check_window,
 )
@@ -175,6 +176,10 @@ def window_pmf(values, epsilon: float, n: int, B: int) -> np.ndarray:
     empirical_profile, to the sum over c of Multinomial(k_c, row of c).
     """
     _check_epsilon(epsilon)
+    n = check_max_count(n)
+    B = check_integer(B, "noise bound B")
+    if B < 0:
+        raise ValueError(f"noise bound B must be >= 0, got {B}")
     c = np.asarray(values, dtype=np.int64)
     if c.ndim != 1 or (len(c) and (c.min() < 0 or c.max() > n)):
         raise ValueError(f"true counts must be a 1-d vector in [0, {n}]")

@@ -20,6 +20,7 @@ __all__ = [
     "check_fit",
     "check_integer",
     "check_max_count",
+    "check_seed",
     "check_trials",
     "check_window",
     "max_spectrum_floor",
@@ -71,6 +72,15 @@ def check_max_count(n: int) -> int:
     if n < 1:
         raise ValueError(f"maximum count n must be >= 1, got {n}")
     return n
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """seed as an int, rejecting anything but an integer in [0, 2^64 - 1]
+    (numpy refuses a negative seed; derive_seed would wrap it)."""
+    seed = check_integer(seed, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} {seed}: must lie in [0, 2**64 - 1]")
+    return seed
 
 
 def check_trials(trials: int) -> int:
@@ -146,6 +156,7 @@ def truncation_radius(epsilon: float, eta: float, d: int) -> int:
     """
     _check_epsilon(epsilon)
     check_eta(eta)
+    d = check_integer(d, "domain size d")
     if d < 1:
         raise ValueError("domain size d must be >= 1")
     # log of 2d / (eta (e^eps + 1)), rewritten to avoid overflow at large eps
@@ -231,7 +242,9 @@ class ReconstructionConfig(_Frozen):
 
     B defaults to truncation_radius(epsilon, eta, d). Construction fails when
     n < B unless allow_small_n is set, because the error guarantee of the
-    pipeline assumes n >= B.
+    pipeline assumes n >= B.  An overridden B is accepted, since binning
+    needs no invertible operator; building the operator refuses a B below
+    min_truncation_radius(epsilon).
     """
 
     __slots__ = ("epsilon", "eta", "n", "d", "p_norm", "B", "allow_small_n")

@@ -23,7 +23,7 @@ import numpy as np
 from ._util import derive_seed
 from .circulant import CirculantOperator, norm_bounds
 from .mechanism import window_pmf
-from .params import ReconstructionConfig, _Frozen, check_integer, check_trials
+from .params import ReconstructionConfig, _Frozen, check_integer, check_seed, check_trials
 from .reconstruct import cached_operator, fast_inversion, rounding
 
 __all__ = [
@@ -130,6 +130,7 @@ def run_protocol(
     if not 16 <= d < 2**63:
         raise ValueError(f"d must lie in [16, 2**63 - 1], got {d}")
     trials = check_trials(trials)
+    master_seed = check_seed(master_seed, "master_seed")
     cfg = protocol_config(epsilon, d)
     op = cached_operator(cfg)
     delta = sensitivity_bound(op, d)

@@ -15,6 +15,7 @@ from dpprofile.circulant import (
 from dpprofile.params import (
     ReconstructionConfig,
     max_spectrum_floor,
+    min_truncation_radius,
     truncation_radius,
 )
 from dpprofile.reconstruct import cached_operator
@@ -36,9 +37,19 @@ def cfg(request):
 
 
 # The build trusts the analytic floor instead of forming the spectrum, so the
-# spectrum tests also run at the derived noise bound over a wider range.
+# spectrum tests also run at the derived noise bound over a wider range, and
+# at the least B the build takes, the conditioning radius, with odd and even m.
 SPECTRUM_CFGS = [
     *(pytest.param(make_cfg(n, B, eps), id=f"n{n}B{B}e{eps}") for n, B, eps in CONFIGS),
+    *(
+        pytest.param(
+            ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=1000,
+                                 B=min_truncation_radius(eps), allow_small_n=True),
+            id=f"radius-n{n}e{eps:.4g}",
+        )
+        for eps in (0.01, 0.1, 0.5, 1.0, 2.0, math.asinh(4), 5.0)
+        for n in (40, 41)
+    ),
     *(
         pytest.param(
             ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=d, allow_small_n=True),
@@ -140,14 +151,50 @@ def window_spectrum(epsilon, B, ring):
     raise AssertionError(f"formed the spectrum of a ring of {ring}")
 
 
+def forward_taps(epsilon, B):
+    raise AssertionError(f"formed the {2 * B + 1} forward taps")
+
+
+# (epsilon, B, the conditioning radius ceil(log(4 / sinh eps) / eps))
+BELOW_RADIUS = [(0.1, 36, 37), (0.5, 4, 5), (1.0, 1, 2), (1.0, 0, 2)]
+
+
+@pytest.mark.parametrize("epsilon, B, radius", BELOW_RADIUS)
+def test_build_refuses_B_below_the_conditioning_radius_before_any_work(
+    monkeypatch, epsilon, B, radius
+):
+    # the config takes such a B, since binning needs no operator; the build
+    # refuses it
+    cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=64, d=1000, B=B)
+    assert min_truncation_radius(epsilon) == radius
+    monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "_kernel_taps", forward_taps)
+    with pytest.raises(ValueError) as err:
+        build_operator(cfg)
+    assert str(err.value) == (
+        f"noise bound B={B} is below the conditioning radius {radius} for "
+        f"epsilon={epsilon}, where the operator is not proven invertible"
+    )
+
+
+@pytest.mark.parametrize(
+    "epsilon, B", [(0.1, 37), (0.5, 5), (1.0, 2), (math.asinh(4), 0), (5.0, 0)]
+)
+def test_build_at_the_conditioning_radius_matches_dense(epsilon, B):
+    # B = 0 is the radius from epsilon = asinh(4) on, where sinh(eps) >= 4
+    assert min_truncation_radius(epsilon) == B
+    cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=64, d=1000, B=B)
+    op = build_operator(cfg)
+    dense = dense_operator(cfg)
+    x = np.random.default_rng(47).normal(size=op.m)
+    np.testing.assert_allclose(circulant.apply_inverse(op, x), dense_solve(dense, x), atol=1e-8)
+
+
 @pytest.mark.parametrize("n", [2 * 10**7, 2 * 10**7 + 1])  # odd and even m
 def test_ill_conditioned_wide_window_fails_before_length_m_work(monkeypatch, n):
     cfg = ReconstructionConfig(epsilon=1e-6, eta=0.05, n=n, d=3)
     assert cfg.m > 5 * 10**7
     assert spectrum_floor(cfg.epsilon, cfg.B) < circulant.MIN_EIGENVALUE
-
-    def forward_taps(epsilon, B):
-        raise AssertionError(f"formed the {2 * B + 1} forward taps")
 
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
     monkeypatch.setattr(circulant, "_kernel_taps", forward_taps)
@@ -184,8 +231,7 @@ def test_ill_conditioned_window_off_pi_fails_before_length_m_work(
 def test_floor_refuses_wide_windows_whose_exact_minimum_passes(monkeypatch):
     # The floor is a strict lower bound: on these windows the least
     # |eigenvalue| of the whole spectrum is 1.163e-12 and 1.136e-12, above
-    # MIN_EIGENVALUE, but the floor is not, and past the spectrum cap the
-    # floor alone decides.
+    # MIN_EIGENVALUE, but the floor is not, and the floor alone decides.
     B = truncation_radius(2.5e-6, 0.05, 1)
     windows = [
         ReconstructionConfig(epsilon=2.5e-6, eta=0.05, n=B + 1, d=1),
@@ -193,16 +239,15 @@ def test_floor_refuses_wide_windows_whose_exact_minimum_passes(monkeypatch):
     ]
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
     for cfg, floor in zip(windows, ("7.813e-13", "7.200e-13")):
-        assert cfg.m > circulant._SPECTRUM_CAP
+        assert cfg.m > 10**7
         with pytest.raises(ValueError, match=f"spectrum floor = {floor} < 1e-12"):
             build_operator(cfg)
 
 
-def test_floor_below_threshold_only_past_the_spectrum_cap():
+def test_floor_below_threshold_only_on_windows_past_1e7():
     # A derived B keeps the floor at least tanh^2(eps/2) / 2, so it falls
-    # below MIN_EIGENVALUE only at eps < 2.83e-6, where the window is far
-    # longer than the cap: the floor decides every such window in closed
-    # form, and no spectrum of the window's length is formed.
+    # below MIN_EIGENVALUE only at eps < 2.83e-6, where the window is longer
+    # than 1e7: only so wide a window is ever refused on the floor.
     refused = 0
     for epsilon in np.linspace(2e-6, 3.3e-6, 27):
         for d in (1, 10**6):
@@ -210,7 +255,8 @@ def test_floor_below_threshold_only_past_the_spectrum_cap():
             for n in (B, 2 * B):
                 if spectrum_floor(epsilon, B) < circulant.MIN_EIGENVALUE:
                     refused += 1
-                    assert n + 2 * B + 1 > circulant._SPECTRUM_CAP, (epsilon, d, n)
+                    assert epsilon < 2.83e-6, (epsilon, d, n)
+                    assert n + 2 * B + 1 > 10**7, (epsilon, d, n)
     assert 0 < refused < 27 * 4
 
 
@@ -353,12 +399,23 @@ def test_norm_bounds_finite_at_huge_epsilon(eps):
     assert norm_bounds(op) == (1.0, 1.0)
 
 
-def test_norm_bounds_signal_bad_denominator():
-    # B = 0 at small epsilon makes 1 - e^-2eps - 4 e^-eps negative
-    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=8, d=100, B=0)
+NEAR_ASINH_4 = [math.asinh(4) * (1 + k * 1e-9) for k in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "eps", [*np.geomspace(1e-4, 800.0, 25).tolist(), *NEAR_ASINH_4], ids="{:.10g}".format
+)
+def test_norm_bounds_finite_and_positive_at_the_conditioning_radius(eps):
+    # at B >= the radius q^B <= (1 - q^2) / (8q), so the bounds' denominators
+    # are at least (1 - q^2) / 2 and (1 - q)(3 - q) / 4
+    cfg = ReconstructionConfig(epsilon=eps, eta=0.05, n=1, d=1,
+                               B=min_truncation_radius(eps), allow_small_n=True)
     op = build_operator(cfg)
-    with pytest.raises(ValueError, match="bound undefined"):
-        norm_bounds(op)
+    bounds = norm_bounds(op)
+    q, p_norm = math.exp(-eps), op.p_norm_const
+    assert all(math.isfinite(b) and b >= 1.0 for b in bounds)
+    assert bounds.bound_1_inf <= 2 * (1 + q) / (1 - q) * p_norm * (1 + 1e-12)
+    assert bounds.bound_2 <= 4 * (1 + q) / ((1 - q) * (3 - q)) * p_norm * (1 + 1e-12)
 
 
 # --- structural properties ---------------------------------------------------

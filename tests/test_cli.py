@@ -155,6 +155,26 @@ def test_reconstruct_point_mass(tmp_path):
     assert sum(values.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_reconstruct_prints_p_norm_with_one_operator_lookup(tmp_path, capsys, monkeypatch):
+    from dpprofile import circulant, reconstruct
+
+    lookups = []
+    cached_operator = reconstruct.cached_operator
+
+    def counting(cfg):
+        lookups.append(cfg)
+        return cached_operator(cfg)
+
+    monkeypatch.setattr(reconstruct, "cached_operator", counting)
+    sketch = write_sketch_file(tmp_path, [1, 2, 3, 9] * 50, 1.0, 8)
+    out = tmp_path / "profile.csv"
+    assert main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"]) == 0
+    assert len(lookups) == 1
+    p_norm = circulant.kernel_normalizer(1.0, lookups[0].B)
+    assert p_norm == cached_operator(lookups[0]).p_norm_const
+    assert f"B={lookups[0].B} P_norm={p_norm!r} seconds=" in capsys.readouterr().err
+
+
 def test_reconstruct_clipped_sketch_uses_seed(tmp_path):
     counts = [0] * 50 + [2] * 100 + [5] * 50
     sketch = write_sketch_file(tmp_path, counts, 2.0, 5, clipped=True)

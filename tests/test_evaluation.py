@@ -93,6 +93,26 @@ def test_synth_spec_refuses_a_d_or_n_that_is_not_an_integer(name, value):
     assert type(getattr(spec, name)) is int and synth_histogram(spec).d == spec.d
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "2", None, -1, 2**64], ids=repr)
+def test_synth_spec_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="^seed "):
+        SynthSpec("uniform_counts", d=100, n=8, seed=seed)
+    spec = SynthSpec("uniform_counts", d=100, n=8, seed=np.uint64(2**64 - 1))
+    assert type(spec.seed) is int and synth_histogram(spec).d == 100
+
+
+@pytest.mark.parametrize("master_seed", [2.5, 2.0, True, "2", None, -1, 2**64], ids=repr)
+def test_sweep_refuses_a_master_seed_outside_64_bits(monkeypatch, master_seed):
+    # refused before any cell is built
+    grid = [(SynthSpec("point_mass", d=100, n=8, seed=0, param=1),
+             ReconstructionConfig(epsilon=2.0, eta=0.1, n=8, d=100))]
+    built = []
+    monkeypatch.setattr(evaluation, "_prepare_cell", lambda *cell: built.append(cell))
+    with pytest.raises(ValueError, match="^master_seed "):
+        sweep(grid, trials=2, master_seed=master_seed)
+    assert built == []
+
+
 @pytest.mark.parametrize("trials", [2.5, 2.0, True, "2", None], ids=repr)
 def test_sweep_refuses_trials_that_are_not_an_integer(trials):
     grid = [(SynthSpec("point_mass", d=100, n=8, seed=0, param=1),

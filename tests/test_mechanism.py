@@ -33,6 +33,7 @@ from dpprofile.params import (
     MAX_WINDOW,
     ReconstructionConfig,
     _MIN_EPSILON,
+    check_seed,
     check_trials,
     check_window,
     min_truncation_radius,
@@ -455,6 +456,24 @@ def test_window_pmf_rejects_counts_outside_0_n():
         window_pmf([0], float("nan"), 6, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5, 6.0, True, "6", None], ids=repr)
+def test_window_pmf_refuses_an_n_that_is_not_a_count(n):
+    with pytest.raises(ValueError, match="^maximum count n must be "):
+        window_pmf([0, 1], 1.0, n, 2)
+
+
+@pytest.mark.parametrize("B", [-1, -3, 2.5, 2.0, True, "2", None], ids=repr)
+def test_window_pmf_refuses_a_negative_or_non_integer_B(B):
+    # B = -1 gave rows summing to 2.086 and 1.0
+    with pytest.raises(ValueError, match="^noise bound B must be "):
+        window_pmf([0, 1], 1.0, 6, B)
+
+
+def test_window_pmf_takes_numpy_integers():
+    pmf = window_pmf([0, 1], 1.0, np.int64(6), np.int32(2))
+    assert pmf.tolist() == window_pmf([0, 1], 1.0, 6, 2).tolist()
+
+
 def test_window_pmf_at_huge_epsilon_is_the_identity_without_warnings():
     # q = e^-eps is 0: each count bins to itself, and the exponents' overflow
     # to -inf is the intended limit, so nothing is reported
@@ -576,6 +595,32 @@ def test_config_refuses_a_bool_epsilon(epsilon):
     with pytest.raises(ValueError, match=r"^epsilon must be a finite number >= .*, got (np\.)?True_?$"):
         ReconstructionConfig(epsilon=epsilon, eta=0.05, n=40, d=1000)
     assert ReconstructionConfig(epsilon=1, eta=0.05, n=40, d=1000).epsilon == 1
+
+
+@pytest.mark.parametrize("d", [1000.5, 1000.0, np.float64(8.0), True, np.True_, "8", None],
+                         ids=repr)
+def test_truncation_radius_refuses_a_d_that_is_not_an_integer(d):
+    # d = 1000.5 gave 10, and d = True gave 3
+    with pytest.raises(ValueError, match="^domain size d must be an integer, got "):
+        truncation_radius(1.0, 0.05, d)
+    with pytest.raises(ValueError, match="^domain size d must be >= 1$"):
+        truncation_radius(1.0, 0.05, 0)
+    assert truncation_radius(1.0, 0.05, np.int64(1000)) == truncation_radius(1.0, 0.05, 1000)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.True_, "2", None], ids=repr)
+def test_check_seed_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="^master_seed must be an integer, got "):
+        check_seed(seed, "master_seed")
+
+
+def test_check_seed_takes_64_bits_and_names_the_seed():
+    for seed in (-1, 2**64, -(2**63), 10**23):
+        with pytest.raises(ValueError) as err:
+            check_seed(seed, "--seed")
+        assert str(err.value) == f"--seed {seed}: must lie in [0, 2**64 - 1]"
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(7)):
+        assert check_seed(seed) == int(seed) and type(check_seed(seed)) is int
 
 
 @pytest.mark.parametrize("trials", [2.5, 2.0, True, np.True_, "2", None], ids=repr)

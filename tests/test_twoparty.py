@@ -170,6 +170,15 @@ def test_run_protocol_refuses_a_d_or_trials_that_is_not_an_integer(name, value):
     assert len(results) == (16 if name == "trials" else 2)
 
 
+@pytest.mark.parametrize("master_seed", [1.5, 2.0, True, "2", None, -1, 2**64], ids=repr)
+def test_run_protocol_refuses_a_master_seed_outside_64_bits(master_seed):
+    # -1 ran, its seed masked to 2**64 - 1
+    with pytest.raises(ValueError, match="^master_seed "):
+        run_protocol(d=256, epsilon=1.0, trials=2, master_seed=master_seed)
+    top = run_protocol(d=256, epsilon=1.0, trials=2, master_seed=np.uint64(2**64 - 1))
+    assert top == run_protocol(d=256, epsilon=1.0, trials=2, master_seed=2**64 - 1)
+
+
 def per_party_trials(d, epsilon, trials, seed):
     """The protocol run party by party: fresh sign vectors, Alice's message,
     Bob's estimate."""
