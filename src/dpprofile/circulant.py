@@ -204,36 +204,43 @@ def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
     )
 
 
-def _cyclic_product(taps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for symmetric centred taps
-    and a float64 vector x of any length m.
+def _cyclic_product(taps: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for 2w + 1 symmetric
+    centred taps and a float64 vector x of any length m >= w; out is a new
+    vector, or a given float64 one of length m that is x itself or shares no
+    memory with it.
 
     Symmetric taps fold offsets +-u into t_u (x[i-u] + x[i+u]), and only
     offsets with a nonzero tap are visited, so the cost is O(m nnz).
     Outputs are formed a cache-sized block at a time, each by the same
     sequence of operations, so a mirror-symmetric x gives an exactly
-    mirror-symmetric product (floating-point addition commutes).  A block
-    whose operands do not wrap reads x itself; only the others copy their
-    operand range, wrap-extended by w, so every shifted operand is a plain
-    slice and no copy of x of the window's length is made.
+    mirror-symmetric product (floating-point addition commutes), and the
+    product in place equals the one into a new vector bit for bit.  Each
+    block reads its operands from a scratch copy of x's original entries
+    (lo - w .. hi + w, wrapped), so every shifted operand is a plain slice
+    and out may overwrite x: the w entries left of a block are carried over
+    from the block before, and x[:w] is saved for the wraps of the last
+    blocks.  No temporary grows with m unless w does.
     """
     m = len(x)
     w = len(taps) // 2
     offsets = np.flatnonzero(taps[w + 1 :]) + 1
     pairs = list(zip(offsets.tolist(), taps[w + offsets].tolist()))
-    out = np.empty(m)
-    scratch = np.empty(min(_BLOCK, m))
+    out = np.empty(m) if out is None else out
+    size = min(_BLOCK, m)
+    # src[j] holds the original x[(lo - w + j) mod m] for the block at lo
+    src, scratch = np.empty(size + 2 * w), np.empty(size)
+    head = x[:w].copy()
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        if w <= lo and hi + w <= m:
-            src, base = x, lo
-        else:
-            src, base = np.take(x, np.arange(lo - w, hi + w), mode="wrap"), w
-        k = hi - lo
+        k, end = hi - lo, min(hi + w, m)
+        src[:w] = src[size : size + w] if lo else x[m - w :]
+        src[w : w + end - lo] = x[lo:end]
+        src[w + end - lo : k + 2 * w] = head[: hi + w - end]
         acc, pair = out[lo:hi], scratch[:k]
-        np.multiply(src[base : base + k], taps[w], out=acc)
+        np.multiply(src[w : w + k], taps[w], out=acc)
         for u, tap in pairs:
-            np.add(src[base - u : base - u + k], src[base + u : base + u + k], out=pair)
+            np.add(src[w - u : w - u + k], src[w + u : w + u + k], out=pair)
             pair *= tap
             acc += pair
     return out
@@ -251,9 +258,24 @@ def apply(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
     return _cyclic_product(op._fwd_taps, _operand(op, x))
 
 
-def apply_inverse(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
-    """A^{-1} @ x; since A is symmetric, also x^T A^{-1}."""
-    return _cyclic_product(op._inv_taps, _operand(op, x))
+def apply_inverse(
+    op: CirculantOperator, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """A^{-1} @ x; since A is symmetric, also x^T A^{-1}.
+
+    The product goes into a new vector, or into out, a float64 vector of the
+    window's length that is x itself or shares no memory with it.
+    """
+    x = _operand(op, x)
+    if out is not None and (
+        out.dtype != np.float64
+        or out.shape != x.shape
+        or (out is not x and np.may_share_memory(out, x))
+    ):
+        raise ValueError(
+            f"out must be a float64 vector of shape ({op.m},), x itself or apart from it"
+        )
+    return _cyclic_product(op._inv_taps, x, out)
 
 
 def norm_bounds(op: CirculantOperator) -> NormBounds:

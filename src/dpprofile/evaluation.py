@@ -38,7 +38,7 @@ from .mechanism import (
 from .params import (
     ReconstructionConfig, _Frozen, check_fit, check_integer, check_seed, check_trials,
 )
-from .reconstruct import Profile, _restore_sum, cached_operator, rounding
+from .reconstruct import Profile, _profile_from_product, cached_operator
 
 __all__ = [
     "ErrorReport",
@@ -156,7 +156,10 @@ def _shuffle(spec: SynthSpec, counts: np.ndarray) -> None:
 
 def true_profile(h: Histogram) -> Profile:
     """Exact frequency-of-frequencies of a histogram."""
-    return Profile(values=_bins(h.counts, 0, h.n) / h.d)
+    # a histogram's counts lie in [0, n], so none needs clamping
+    bins = _bins(h.counts, 0, h.n, clamp=False)
+    bins /= h.d
+    return Profile(values=bins)
 
 
 def pad_profile(profile: Profile, B: int) -> np.ndarray:
@@ -267,15 +270,14 @@ def _run_cell_trial(
 
     f~ is drawn once, by the cell's route, and reconstructed once with each
     norm objective; each error is measured in its own norm.  The norms share
-    the product A^{-1} f~, and each corrects a copy of it, as fast_inversion
-    would.
+    the product A^{-1} f~, and each corrects and rounds a copy of it in
+    place, as reconstruct_profile does its own.
     """
     f_tilde = _noisy_profile(cell, cfg, np.random.default_rng(seed))
     u = circulant.apply_inverse(cell.op, f_tilde)
     reports = []
     for p in NORMS:
-        relaxed = _restore_sum(cell.op, u.copy(), p)
-        rounded = rounding(relaxed, cfg.n)
+        rounded = _profile_from_product(cell.op, u.copy(), p)
         err = lp_norm(rounded.values - cell.f.values, p)
         reports.append(ErrorReport(d=cfg.d, n=cfg.n, epsilon=cfg.epsilon, eta=cfg.eta, p=p,
                                    trial=trial, err=err, bound=cell.bounds.for_norm(p)))

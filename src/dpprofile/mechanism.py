@@ -261,28 +261,61 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
 
 
 # Entries binned per block: a block's counts, uniforms and draws take
-# 256 KB each, whatever d is.
+# 256 KB each, whatever d and the window's length are.
 _BIN_BLOCK = 2**15
 
 
-def _bins(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1).
+def _bins(counts: np.ndarray, lo: int, hi: int, clamp: bool) -> np.ndarray:
+    """np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1), as floats.
 
-    Clipping copies its input, and bincount copies a read-only one whole, so
-    the counts go a block at a time and no temporary grows with their
-    number.  A block is at least the window's length, so that binning one
-    costs no more than its length.
+    The counts go a block at a time into one reused int64 buffer, clamped
+    to [lo, hi] and then shifted by -lo (the other order wraps at the int64
+    limits), or only shifted when clamp is False, for counts known to lie
+    in [lo, hi].  np.add.at adds each block to the bins, which hold exact
+    integers, so the bins are the one array of the window's length and no
+    temporary grows with the number of counts.
     """
-    m = hi - lo + 1
-    block = max(_BIN_BLOCK, m)
+    bins = np.zeros(hi - lo + 1)
+    at = np.empty(min(_BIN_BLOCK, len(counts)), dtype=np.int64)
+    for start in range(0, len(counts), _BIN_BLOCK):
+        block = counts[start : start + _BIN_BLOCK]
+        k = len(block)
+        if clamp:
+            np.clip(block, lo, hi, out=at[:k])
+            at[:k] -= lo
+        else:
+            np.subtract(block, lo, out=at[:k])
+        np.add.at(bins, at[:k], 1.0)
+    return bins
 
-    def bins_from(start: int) -> np.ndarray:
-        return np.bincount(np.clip(counts[start : start + block], lo, hi) - lo, minlength=m)
 
-    binned = bins_from(0)  # the sum: zeros beside it would be one more window
-    for start in range(block, len(counts), block):
-        binned += bins_from(start)
-    return binned
+def _window_profile(
+    s: PrivateSketch, cfg: ReconstructionConfig, rng: np.random.Generator | None
+) -> np.ndarray:
+    """empirical_profile(s, cfg, rng).values, in a new writable vector."""
+    if s.clipped and rng is None:
+        raise ValueError("unfold the sketch before taking its profile")
+    if s.n != cfg.n or s.d != cfg.d:
+        raise ValueError("config (n, d) does not match the sketch")
+    if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
+        raise ValueError("config epsilon does not match the sketch")
+    n, B = cfg.n, cfg.B
+    # a clipped sketch's counts lie in [0, n], inside the window
+    bins = _bins(s.counts, -B, n + B, clamp=not s.clipped)
+    if s.clipped:
+        for edge in (B, B + n):  # the bins of 0 and of n, in unfold's order
+            k = int(bins[edge])
+            bins[edge] = 0.0
+            for lo in range(0, k, _BIN_BLOCK):
+                g = sample_geometric(s.epsilon, rng, size=min(_BIN_BLOCK, k - lo))
+                np.minimum(g, B, out=g)
+                if edge == B:  # 0 - G: bins B, B - 1, .., 0
+                    np.subtract(B, g, out=g)
+                else:  # n + G: bins B + n, .., n + 2B
+                    g += edge
+                np.add.at(bins, g, 1.0)
+    bins /= s.d
+    return bins
 
 
 def empirical_profile(
@@ -304,27 +337,8 @@ def empirical_profile(
     draw, so the result equals empirical_profile(unfold(s, rng), cfg) bit
     for bit.
     """
-    if s.clipped and rng is None:
-        raise ValueError("unfold the sketch before taking its profile")
-    if s.n != cfg.n or s.d != cfg.d:
-        raise ValueError("config (n, d) does not match the sketch")
-    if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
-        raise ValueError("config epsilon does not match the sketch")
-    n, B = cfg.n, cfg.B
-    binned = _bins(s.counts, -B, n + B)
-    if s.clipped:
-        block = max(_BIN_BLOCK, cfg.m)
-        for edge in (B, B + n):  # the bins of 0 and of n, in unfold's order
-            k = int(binned[edge])
-            binned[edge] = 0
-            for lo in range(0, k, block):
-                g = sample_geometric(s.epsilon, rng, size=min(block, k - lo))
-                moved = np.bincount(np.minimum(g, B, out=g), minlength=B + 1)
-                if edge == B:  # 0 - G: bins B, B - 1, .., 0
-                    binned[: B + 1] += moved[::-1]
-                else:  # n + G: bins B + n, .., n + 2B
-                    binned[edge:] += moved
-    return EmpiricalProfile(values=binned / s.d, n=n, B=B, d=s.d)
+    values = _window_profile(s, cfg, rng)
+    return EmpiricalProfile(values=values, n=cfg.n, B=cfg.B, d=s.d)
 
 
 # --- file formats ---------------------------------------------------------

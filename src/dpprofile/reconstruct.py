@@ -16,17 +16,18 @@ one pass over the window leaves only the entries inside the bracket to
 solve exactly.  A window too short to bracket, or one whose threshold the
 bracket misses, is solved by sorting it whole.
 
-Memory: binning (mechanism._bins) holds the bins, one block of clamped
-counts and that block's bins, where a block is max(2^15, m) counts whatever
-d is; d counts at most m go in one block, whose bins are the bins.  Past
-that, a reconstruction keeps at most two arrays of the window's length alive
-at once besides its result: the bins and f~, then f~ and A^{-1} f~, then the
-relaxed solution and the clipped window that becomes the result (f~ is
-freed before rounding).  The bracket's pass runs over the window in
-cache-sized blocks (circulant._BLOCK entries) with block-sized scratch, and
-the drain runs in place, so rounding makes no temporary of the window's
-length beyond the clipped window.  At n = d = 1e6 a warm reconstruction's
-peak allocation (tracemalloc) fell from 4.3 to 2.25 times 8m bytes.
+Memory: a reconstruction owns one float64 array of the window's length
+and does every step in it.  Binning (mechanism._bins) adds the counts to
+it a block of 2^15 at a time, through one reused block buffer whatever d
+and m are, and divides it by d, so that it holds f~; apply_inverse writes
+A^{-1} f~ over it a cache-sized block (circulant._BLOCK entries) at a time,
+from a copy of each block's operands, wrap-extended by the taps' half-width;
+the unit-sum correction is subtracted from it; and its core is clipped and
+drained in place and handed to the profile as a view.  The bracket's pass
+runs over the core a block at a time with block-sized scratch; its sample
+and the entries inside the bracket take about a quarter of 8m bytes at
+m ~ 1e6.  At n = d = 2^20 a warm reconstruction's peak allocation
+(tracemalloc) is 1.25 times 8m bytes.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ import numpy as np
 
 from . import circulant
 from .circulant import CirculantOperator
-from .mechanism import (
-    EmpiricalProfile,
-    PrivateSketch,
-    empirical_profile,
-)
+from .mechanism import EmpiricalProfile, PrivateSketch, _window_profile
 from .params import ReconstructionConfig, _Frozen
 
 __all__ = [
@@ -107,17 +104,21 @@ class RelaxedSolution(_Frozen):
         values = np.asarray(values, dtype=np.float64)
         if len(values) != n + 2 * B + 1:
             raise ValueError("relaxed solution has wrong length for (n, B)")
-        core_sum = float(values[B : B + n + 1].sum())
-        if not abs(core_sum - 1.0) <= _SUM_TOL:  # NaN or inf in the core fails it
-            raise ValueError(
-                f"relaxed solution core sums to {core_sum}, must be 1"
-            )
+        core_sum = _core_sum(values[B : B + n + 1])
         values.flags.writeable = False
         self._set(values=values, n=n, B=B, objective_norm=objective_norm, core_sum=core_sum)
 
     def core(self) -> np.ndarray:
         """The slice covering counts 0..n."""
         return self.values[self.B : self.B + self.n + 1]
+
+
+def _core_sum(core: np.ndarray) -> float:
+    """The sum of a relaxed solution's core, which must be 1."""
+    core_sum = float(core.sum())
+    if not abs(core_sum - 1.0) <= _SUM_TOL:  # NaN or inf in the core fails it
+        raise ValueError(f"relaxed solution core sums to {core_sum}, must be 1")
+    return core_sum
 
 
 class _Correction(_Frozen):
@@ -242,14 +243,14 @@ def fast_inversion(
     as the two.
     """
     f = f_tilde.values if isinstance(f_tilde, EmpiricalProfile) else f_tilde
-    # rejects a vector of the wrong shape
-    return _restore_sum(op, circulant.apply_inverse(op, f), p)
+    u = circulant.apply_inverse(op, f)  # rejects a vector of the wrong shape
+    _restore_sum(op, u, p)
+    return RelaxedSolution(values=u, n=op.n, B=op.B, objective_norm=p)
 
 
-def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> RelaxedSolution:
-    """fast_inversion's solution from its product u = A^{-1} f, which it
-    corrects in place: callers that solve one f~ in several norms make the
-    product once and pass each norm a copy.
+def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> None:
+    """Correct the product u = A^{-1} f~, in place, into fast_inversion's
+    solution in norm p.
     """
     correction, denom = _correction_direction(op, p)
     window_sum = float(u[op.B : op.B + op.n + 1].sum())
@@ -257,7 +258,6 @@ def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> RelaxedSolutio
     if correction.alpha:
         u -= step * correction.alpha
     u[correction.indices] -= step * correction.local
-    return RelaxedSolution(values=u, n=op.n, B=op.B, objective_norm=p)
 
 
 def threshold_tau(r: np.ndarray, s: float) -> float:
@@ -362,10 +362,17 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
     """
     if n != r.n:
         raise ValueError(f"n={n} does not match the relaxed solution (n={r.n})")
-    core = r.core()
-    clipped = np.clip(core, 0.0, 1.0)
-    clipped_sum = float(clipped.sum())
-    s = clipped_sum - r.core_sum
+    return _project(r.core(), r.core_sum, out=None)
+
+
+def _project(core: np.ndarray, core_sum: float, out: np.ndarray | None) -> Profile:
+    """rounding's phases 2 and 3 for a core whose checked sum is core_sum.
+
+    The core is clipped into out (a new array when out is None; out may be
+    the core itself), and the surplus is drained from out in place.
+    """
+    clipped = np.clip(core, 0.0, 1.0, out=out)
+    s = float(clipped.sum()) - core_sum
     if s < -_SUM_TOL:
         raise AssertionError(
             f"clipping surplus {s} is negative; the relaxed input violated "
@@ -377,6 +384,21 @@ def rounding(r: RelaxedSolution, n: int) -> Profile:
         clipped -= tau
         np.maximum(clipped, 0.0, out=clipped)
     return Profile(values=clipped)
+
+
+def _profile_from_product(op: CirculantOperator, u: np.ndarray, p: str) -> Profile:
+    """rounding(fast_inversion's solution in norm p, n) from the product
+    u = A^{-1} f~, worked out in u's own memory.
+
+    u is corrected to unit sum and its core clipped and drained, all in
+    place, with fast_inversion's and rounding's checks; the profile's values
+    are a view of u's core, and u is left read-only.
+    """
+    _restore_sum(op, u, p)
+    core = u[op.B : op.B + op.n + 1]
+    profile = _project(core, _core_sum(core), out=core)
+    u.flags.writeable = False
+    return profile
 
 
 def cached_operator(cfg: ReconstructionConfig) -> CirculantOperator:
@@ -406,9 +428,11 @@ def reconstruct_profile(
     if s.clipped and rng is None:
         raise ValueError("a clipped sketch needs an rng for unfolding")
     op = cached_operator(cfg)  # before binning: it refuses an ill-conditioned window
-    # f~ is a temporary: it is freed before rounding makes its window copy
-    relaxed = fast_inversion(op, empirical_profile(s, cfg, rng), cfg.p_norm)
-    return rounding(relaxed, cfg.n)
+    # one buffer of the window's length is f~, then A^{-1} f~, then the
+    # relaxed solution, whose core becomes the profile
+    window = _window_profile(s, cfg, rng)
+    circulant.apply_inverse(op, window, out=window)
+    return _profile_from_product(op, window, cfg.p_norm)
 
 
 def write_profile_csv(path: str, profile: Profile) -> None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from dpprofile import circulant
 from dpprofile.circulant import (
@@ -520,8 +522,9 @@ def test_product_forms_one_shifted_pair_per_nonzero_offset(monkeypatch, eps, n, 
 
 @pytest.mark.parametrize("block", [1, 7, 16, 64, circulant._BLOCK])
 def test_blocked_product_matches_dense_for_any_block_size(monkeypatch, block):
-    # blocks narrower than the half-width w mix operands that wrap with
-    # ones read in place; each product must still be the dense one
+    # blocks narrower than the half-width w carry their left operands over
+    # several blocks and wrap on both sides; each product must still be the
+    # dense one
     monkeypatch.setattr(circulant, "_BLOCK", block)
     for tap_cfg in (make_cfg(600, 10, 0.5), make_cfg(7, 6, 0.5), make_cfg(64, 6, 0.5)):
         op = build_operator(tap_cfg)
@@ -530,3 +533,47 @@ def test_blocked_product_matches_dense_for_any_block_size(monkeypatch, block):
         x = np.random.default_rng(43).normal(size=op.m)
         np.testing.assert_allclose(circulant.apply_inverse(op, x), inv @ x, atol=1e-8)
         np.testing.assert_allclose(circulant.apply(op, x), dense.entries @ x, atol=1e-9)
+
+
+@seed(2025)
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 300),
+    w_share=st.floats(0.0, 1.0),
+    density=st.floats(0.0, 1.0),
+    block=st.sampled_from([1, 3, 7]),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_product_in_place_equals_product_into_a_new_vector(m, w_share, density, block, data_seed):
+    # with w up to m // 2 and blocks of 1, 3 and 7 entries, a block's left
+    # operands come from several blocks before it and its right ones wrap
+    # onto entries already written over; the product over x must be the
+    # product into a new vector, bit for bit, and both the cyclic sum
+    rng = np.random.default_rng(data_seed)
+    w = int(w_share * (m // 2))
+    half = rng.normal(size=w + 1) * (rng.random(w + 1) < density)
+    taps = np.concatenate((half[:0:-1], half))
+    x = rng.normal(size=m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circulant, "_BLOCK", block)
+        fresh = circulant._cyclic_product(taps, x)
+        y = x.copy()
+        in_place = circulant._cyclic_product(taps, y, out=y)
+    assert in_place is y
+    assert in_place.tobytes() == fresh.tobytes()
+    want = sum(tap * np.roll(x, u) for u, tap in zip(range(-w, w + 1), taps))
+    np.testing.assert_allclose(fresh, want, rtol=0, atol=1e-12 * (1 + np.abs(taps).sum()) * np.abs(x).max())
+
+
+def test_apply_inverse_writes_over_its_operand_and_refuses_a_bad_out(cfg):
+    op = build_operator(cfg)
+    x = np.random.default_rng(44).normal(size=op.m)
+    y = x.copy()
+    assert circulant.apply_inverse(op, y, out=y) is y
+    assert y.tobytes() == circulant.apply_inverse(op, x).tobytes()
+    pair = np.zeros(op.m + 1)
+    bad = [(x, np.empty(op.m + 1)), (x, np.empty(op.m, dtype=np.float32)),
+           (pair[:-1], pair[1:])]  # the last overlaps x without being x
+    for vec, out in bad:
+        with pytest.raises(ValueError, match="out must be"):
+            circulant.apply_inverse(op, vec, out=out)

@@ -227,7 +227,7 @@ def test_reconstruct_ill_conditioned_window_fails_before_binning(tmp_path, capsy
     def binning(*args):
         raise AssertionError("binned the sketch before checking the operator")
 
-    monkeypatch.setattr(reconstruct, "empirical_profile", binning)
+    monkeypatch.setattr(reconstruct, "_window_profile", binning)
     sketch = write_sketch_file(tmp_path, [1, 2, 3], 1e-6, 2 * 10**7)
     out = tmp_path / "p.csv"
     code = main(["reconstruct", "--input", sketch, "--output", str(out), "--eta", "0.05"])

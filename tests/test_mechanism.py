@@ -353,8 +353,8 @@ BINNING_CASES = [(0.3, 8, 12), (1.0, 32, 20), (2.0, 4, 3), (50.0, 4, 0)]
 @pytest.mark.parametrize("epsilon, n, B", BINNING_CASES)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_clipped_binning_equals_binning_the_unfolded_sketch(monkeypatch, block, epsilon, n, B, seed):
-    # counts and pushes are binned a block at a time (the window's length at
-    # least): the same bins, bit for bit, and the same draws used
+    # counts and pushes are binned a block at a time, whatever the window's
+    # length: the same bins, bit for bit, and the same draws used
     monkeypatch.setattr(mechanism, "_BIN_BLOCK", block)
     d = 3000
     cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=d, B=B, allow_small_n=True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dpprofile import circulant, reconstruct
+from dpprofile import circulant, mechanism, reconstruct
 from dpprofile.mechanism import (
     Histogram,
     PrivateSketch,
@@ -470,6 +470,34 @@ def test_reconstruct_deterministic_for_unclipped():
     )
 
 
+@pytest.mark.parametrize("p", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("n, d", [(40, 3000), (mechanism._BIN_BLOCK + 100, 40000)])
+def test_reconstruction_in_one_buffer_equals_the_public_steps(p, clip, n, d):
+    # reconstruct_profile bins, inverts, corrects and rounds in one buffer,
+    # on windows shorter and longer than a binning block; the public steps,
+    # each into a new array, give the same bytes and leave their inputs'
+    # bytes as they were
+    rng = np.random.default_rng(n + d)
+    h = Histogram(counts=rng.integers(0, n + 1, size=d), n=n)
+    s = privatize(h, 0.7, clip=clip, rng=rng)
+    cfg = ReconstructionConfig(epsilon=0.7, eta=0.05, n=n, d=d, p_norm=p)
+    counts = s.counts.tobytes()
+    got = reconstruct_profile(s, cfg, np.random.default_rng(7))
+    f = empirical_profile(s, cfg, np.random.default_rng(7))
+    f_bytes = f.values.tobytes()
+    relaxed = fast_inversion(cached_operator(cfg), f, p)
+    relaxed_bytes = relaxed.values.tobytes()
+    want = rounding(relaxed, n)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert s.counts.tobytes() == counts
+    assert f.values.tobytes() == f_bytes
+    assert relaxed.values.tobytes() == relaxed_bytes
+    # the profile is a view of the buffer, which is left read-only too
+    with pytest.raises(ValueError):
+        got.values.flags.writeable = True
+
+
 def test_operator_cache_reuses_instances():
     cfg_a = make_cfg(12, 3, 1.25)
     cfg_b = make_cfg(12, 3, 1.25, d=5000)
@@ -628,14 +656,15 @@ def test_products_and_corrections_match_dense_construction(eps, n, log_d):
 def test_reconstruction_makes_one_product_of_the_window_length(monkeypatch):
     # the corrections are built on the pad's neighbourhood, so a cold
     # reconstruction, operator build included, reads the window's length
-    # once: A^{-1} f
+    # once: A^{-1} f, written over f
     reconstruct._operator.cache_clear()
-    lengths = []
+    lengths, in_place = [], []
     product = circulant._cyclic_product
 
-    def spy(taps, x):
+    def spy(taps, x, out=None):
         lengths.append(len(x))
-        return product(taps, x)
+        in_place.append(out is x)
+        return product(taps, x, out)
 
     monkeypatch.setattr(circulant, "_cyclic_product", spy)
     d = n = 10**5
@@ -644,9 +673,11 @@ def test_reconstruction_makes_one_product_of_the_window_length(monkeypatch):
     for p in ("l1", "l2", "linf"):
         cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d, p_norm=p)
         lengths.clear()
+        in_place.clear()
         reconstruct_profile(s, cfg)
         assert sorted(lengths)[-1] == cfg.m
         assert sorted(lengths)[-2] < cfg.m // 100
+        assert in_place[lengths.index(cfg.m)]
 
 
 def test_profile_validation():
@@ -685,22 +716,25 @@ def test_rounding_never_returns_nan():
         rounding(bad, 2)
 
 
-def test_warm_reconstruction_allocates_under_two_and_a_half_windows():
-    # numpy reports its buffers to tracemalloc, so the peak is exact: binning,
-    # inversion and rounding each hold two length-m arrays at most
+@pytest.mark.parametrize("clip", [False, True])
+def test_warm_reconstruction_allocates_under_one_and_a_half_windows(clip):
+    # numpy reports its buffers to tracemalloc, so the peak is exact: one
+    # length-m buffer is binned, inverted, corrected and rounded in place,
+    # beside block-sized scratch and the rounding bracket's sample
     n = d = 2**20
     rng = np.random.default_rng(20)
     h = Histogram(counts=rng.integers(0, n + 1, d), n=n)
-    sketch = privatize(h, 1.0, clip=False, rng=rng)
+    sketch = privatize(h, 1.0, clip=clip, rng=rng)
     cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
-    reconstruct_profile(sketch, cfg)  # cold: caches the operator and its correction
+    # cold: caches the operator and its correction
+    reconstruct_profile(sketch, cfg, np.random.default_rng(21))
     tracemalloc.start()
     try:
-        reconstruct_profile(sketch, cfg)
+        reconstruct_profile(sketch, cfg, np.random.default_rng(21))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * cfg.m
+    assert peak <= 1.5 * 8 * cfg.m
 
 
 def test_write_profile_csv(tmp_path):
