@@ -8,27 +8,26 @@ window of length m = n + 2B + 1, A is circulant, and because the kernel is
 symmetric, so is A: its eigenvalues are real (a cosine closed form), and
 its inverse is again a symmetric circulant, so A^{-T} = A^{-1}.
 
-An operator is its taps: A and A^{-1} are each stored as an exactly
-symmetric vector of centred taps (the first column at offsets -w..w) and
-applied by one cyclic product that visits only the nonzero taps, folding
-each pair of offsets +-u into one multiply, at O(m nnz) cost.  The forward
-taps are the kernel's 2B + 1 entries; the spectrum is computed on read.  The inverse factors as P/(1-q^2) T (I - E)^{-1},
-with q = e^{-eps}, T the 3-tap circulant (-q, 1+q^2, -q) and E a 4-tap
-circulant at offsets +-B and +-(B+1) of norm rho = 2q^{B+1}/(1-q).  The
-derived B is at least the conditioning radius log(4/sinh eps)/eps, which
-holds rho below (1 + q)/4 <= 1/2, so the powers of E, and with them the
-inverse taps, fall below the double-precision noise floor within a few
-dozen clusters at offsets near 0, +-B, +-2B, ..., each a few dozen taps
-wide.  So nnz does not grow with 1/eps, while the half-width w, which
-spans the clusters, grows like B.  Taps below the noise floor are zeroed.
-An operator is built only at B at least that radius, where the analytic
-spectrum floor is positive and so proves every eigenvalue nonzero; a lower,
-overridden B is refused, and so is a floor below MIN_EIGENVALUE, both
-before any work of the window's length.  The taps are read off the inverse
-on a small ring that is still longer than the kernel, where the
-wrapped-around tails are far below roundoff, so the build does no work that
-grows with m; only taps that would span a short window take its own
-inverse column whole, which is exact.
+A is its kernel's 2B + 1 centred taps, and A^{-1} is stored in factored
+form: with q = e^{-eps} and P the kernel's mass, A^{-1} = P/(1-q^2) T N,
+where T is the 3-tap circulant (-q, 1 + q^2, -q), N = (I - E)^{-1}, and E
+the 4-tap circulant with -q^{B+2}/(1-q^2) at offsets +-B and q^{B+1}/(1-q^2)
+at +-(B+1).  E's l1 norm is 2q^{B+1}/(1-q), and the derived B is at least
+the conditioning radius log(4/sinh eps)/eps, which holds it at most 1/2, so
+N is the Neumann series sum_k E^k, summed on the window's ring Z_m itself
+(wrapping commutes with convolution) by sparse powers of E, offsets mod m.
+They cluster near offsets 0, +-B, +-2B, ..., so N has few nonzeros whatever
+1/eps is (5-13 at d = 1e6 for eps from 0.01 to 2, about 1070 at eps = 0.001
+and d = 4) while its half-width grows like B; the build makes no transform
+and no array of the window's length.  Only a B at least the radius, where
+the analytic spectrum floor proves every eigenvalue nonzero, is built; a
+lower B, or a floor below MIN_EIGENVALUE, is refused before any O(B) work.
+
+One cyclic product applies both, visiting only nonzero taps and folding
+each pair of offsets +-u into one multiply, at O(m nnz) cost: A over its
+2B + 1 taps, and A^{-1} as T's three taps, then N's, in the same blocked
+pass: T's near-cancelling second difference acts on the operand itself,
+then N, whose taps carry the scale P/(1-q^2), on that.
 """
 
 from __future__ import annotations
@@ -49,45 +48,37 @@ __all__ = [
     "norm_bounds",
 ]
 
-# Kernel entries below this fraction of the peak are indistinguishable from
-# the roundoff already present in an FFT-computed kernel; dropping them
-# changes products by strictly less than ordinary transform roundoff.
-_TAP_FLOOR = 1e-15
+# N's taps at most this fraction of its centre tap are zeroed, and its series
+# stops at a power of l1 norm below it (the rest adds at most twice that to a
+# tap): A^{-1}'s taps stay within 1e-15 of the largest of the exact sum's.
+_TAP_FLOOR = 5e-16
 
-# Smallest ring tried for the inverse taps; rings double from here, or from
-# the least power of two longer than the kernel's 2B + 1 taps.
-_FIRST_RING = 64
-
-# Outputs per block of the cyclic product: a block's accumulator, its pair
-# scratch and the operand slices it reads (256 KB each) stay in a 2 MB L2.
+# Outputs per block of the cyclic product: a block's output, its z, its pair
+# scratch and the operand it reads (256 KB each) stay in a 2 MB L2.  Taps that
+# reach w > 2^16 take blocks of w/2, so that carrying z over stays cheap.
 _BLOCK = 1 << 15
 
 
 class CirculantOperator(_Frozen):
-    """The operator as its taps; the spectrum is computed on read.
+    """A^{-1}'s factors; A's taps and the spectrum are computed on read.  Compared
+    and hashed by identity: the correction cache is keyed by it."""
 
-    Compared and hashed by identity: the correction cache is keyed by it.
-    """
-
-    __slots__ = ("m", "n", "B", "epsilon", "p_norm_const", "_fwd_taps", "_inv_taps")
+    __slots__ = ("m", "n", "B", "epsilon", "p_norm_const", "_inv_pairs", "_t_side")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(
-        self,
-        m: int,
-        n: int,
-        B: int,
-        epsilon: float,
-        p_norm_const: float,
-        _fwd_taps: np.ndarray,  # centred taps of A (2B+1)
-        _inv_taps: np.ndarray,  # centred taps of A^{-1}
+        self, m: int, n: int, B: int, epsilon: float, p_norm_const: float,
+        _inv_pairs: tuple,  # P(1+q^2)/(1-q^2) N as (offset, tap): 0, then N's other offsets
+        _t_side: float,  # T's taps at +-1 over its centre tap: -q/(1+q^2)
     ):
-        # operators are shared through the cache, so nothing may edit them
-        _fwd_taps.flags.writeable = False
-        _inv_taps.flags.writeable = False
         self._set(m=m, n=n, B=B, epsilon=epsilon, p_norm_const=p_norm_const,
-                  _fwd_taps=_fwd_taps, _inv_taps=_inv_taps)
+                  _inv_pairs=_inv_pairs, _t_side=_t_side)
+
+    @property
+    def _fwd_taps(self) -> np.ndarray:
+        """A's 2B + 1 centred taps; only apply reads them, so the build makes none."""
+        return _kernel_taps(self.epsilon, self.B)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -143,19 +134,36 @@ def spectrum_floor(epsilon: float, B: int) -> float:
     return (1.0 - q - 2.0 * q ** (B + 1)) / ((1.0 + q) * p_norm)
 
 
-def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
-    """Centred taps of A^{-1}, exactly symmetric and zero below the tap floor.
-
-    This is the one place invertibility is decided, by the analytic floor
-    alone, and only at B >= the conditioning radius, where the floor proves
-    every eigenvalue.  On a ring longer than the kernel's 2B + 1 taps, the
-    inverse column is the line kernel summed over its wrap-arounds, so once
-    the trimmed taps fill at most a quarter of such a ring, the wrapped
-    tails are below the tap floor and the ring's taps are the window's.
-    Rings double from the least power of two longer than the kernel; one
-    that reaches m has the window's own column used whole, which is exact.
+def _neumann_pairs(epsilon: float, B: int, m: int, scale: float) -> tuple:
+    """scale N on Z_m, N = sum_k E^k, as (offset, tap) pairs: the centre, then
+    every offset in 1..m // 2 whose tap is above the floor.  Each power is
+    the last convolved with E's four taps, offsets mod m, up to the first of
+    l1 norm below the floor.  Each entry gives half of itself to its pair
+    +-u's tap, which is so their mean, and at u = m/2 on an even ring (one
+    offset) the half that x[i-u] + x[i+u] = 2 x[i+u] needs.
     """
-    epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
+    q = math.exp(-epsilon)
+    e_offsets = np.array([B, -B, B + 1, -B - 1]) % m
+    e_taps = np.array([-q, -q, 1.0, 1.0]) * (q ** (B + 1) / (1.0 - q * q))
+    offsets, taps = [np.zeros(1, dtype=np.int64)], [np.ones(1)]
+    while np.abs(taps[-1]).sum() >= _TAP_FLOOR:
+        power, at = np.unique((offsets[-1][:, None] + e_offsets) % m, return_inverse=True)
+        offsets.append(power)
+        taps.append(np.bincount(at.ravel(), weights=(taps[-1][:, None] * e_taps).ravel()))
+    offsets, taps = np.concatenate(offsets), np.concatenate(taps)
+    folded, at = np.unique(np.minimum(offsets, m - offsets), return_inverse=True)
+    pair_taps = np.bincount(at, weights=np.where(offsets == 0, taps, taps / 2))
+    keep = np.abs(pair_taps) > _TAP_FLOOR * pair_taps[0]  # N's centre tap, near 1
+    return tuple(zip(folded[keep].tolist(), (scale * pair_taps[keep]).tolist()))
+
+
+def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
+    """Construct the operator for a configuration, if it is proven invertible:
+    the one place that is decided, by the analytic floor alone, and only at
+    B >= the conditioning radius, where the floor proves every eigenvalue and
+    N's series converges.  Both refusals come before any O(B) work.
+    """
+    epsilon, B = cfg.epsilon, cfg.B
     radius = min_truncation_radius(epsilon)
     if B < radius:
         raise ValueError(
@@ -168,82 +176,74 @@ def _inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
             f"operator is ill-conditioned: spectrum floor = {floor:.3e} < "
             f"{MIN_EIGENVALUE:g} for (n={cfg.n}, B={B}, epsilon={epsilon})"
         )
-    # a ring no longer than the kernel wraps the kernel onto itself, and the
-    # inverse on it is then not the window's
-    ring = max(_FIRST_RING, 1 << (2 * B + 1).bit_length())
-    while True:
-        ring = min(ring, m)
-        col = np.fft.irfft(1.0 / _half_spectrum(epsilon, B, ring), ring)
-        mag = np.abs(col[: ring // 2 + 1])  # col is symmetric
-        w = int(np.flatnonzero(mag > _TAP_FLOOR * mag.max())[-1])
-        if 4 * w < ring or ring == m:
-            break
-        ring *= 2
-    # taps[w + u] = col[u mod ring] for centred offsets u in [-w, w]
-    taps = np.concatenate((col[ring - w :], col[: w + 1]))
-    # the column is symmetric up to transform roundoff; the folded product
-    # reads one tap per offset pair, so store the pair's mean in both
-    taps = 0.5 * (taps + taps[::-1])
-    taps[np.abs(taps) <= _TAP_FLOOR * mag.max()] = 0.0
-    if 2 * w == ring:
-        # offsets -ring/2 and +ring/2 are the same antipodal entry; split it
-        taps[0] = taps[-1] = taps[0] / 2.0
-    return taps
-
-
-def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
-    """Construct the operator for a configuration and verify its spectrum."""
+    q, p_norm = math.exp(-epsilon), kernel_normalizer(epsilon, B)
+    # A^{-1} = P/(1-q^2) T N, with T's centre tap taken into N's scale
+    scale = p_norm * (1.0 + q * q) / (1.0 - q * q)
     return CirculantOperator(
-        m=cfg.m,
-        n=cfg.n,
-        B=cfg.B,
-        epsilon=cfg.epsilon,
-        p_norm_const=kernel_normalizer(cfg.epsilon, cfg.B),
-        _inv_taps=_inverse_taps(cfg),  # first: it refuses before any O(B) work
-        _fwd_taps=_kernel_taps(cfg.epsilon, cfg.B),
+        m=cfg.m, n=cfg.n, B=B, epsilon=epsilon, p_norm_const=p_norm,
+        _inv_pairs=_neumann_pairs(epsilon, B, cfg.m, scale),
+        _t_side=-q / (1.0 + q * q),
     )
 
 
-def _cyclic_product(taps: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """out[i] = sum_u taps[w + u] x[(i - u) mod m], for 2w + 1 symmetric
-    centred taps and a float64 vector x of any length m >= w; out is a new
-    vector, or a given float64 one of length m that is x itself or shares no
-    memory with it.
+def _cyclic_product(
+    pairs: tuple, x: np.ndarray, out: np.ndarray | None = None, side: float | None = None
+) -> np.ndarray:
+    """sum_u t_u z[(i - u) mod m] for symmetric taps t_u = t_{-u} given as
+    (u, t_u) pairs, u = 0 first, then ascending to w, where z is x, or with
+    a side tap r, z[i] = x[i] + r (x[i-1] + x[i+1]).  x is a float64 vector
+    of any length m > w; out is a new vector, or a given float64 one of
+    length m that is x itself or shares no memory with it.
 
-    Symmetric taps fold offsets +-u into t_u (x[i-u] + x[i+u]), and only
-    offsets with a nonzero tap are visited, so the cost is O(m nnz).
-    Outputs are formed a cache-sized block at a time, each by the same
-    sequence of operations, so a mirror-symmetric x gives an exactly
-    mirror-symmetric product (floating-point addition commutes), and the
-    product in place equals the one into a new vector bit for bit.  Each
-    block reads its operands from a scratch copy of x's original entries
-    (lo - w .. hi + w, wrapped), so every shifted operand is a plain slice
-    and out may overwrite x: the w entries left of a block are carried over
-    from the block before, and x[:w] is saved for the wraps of the last
-    blocks.  No temporary grows with m unless w does.
+    Taps fold offsets +-u into t_u (z[i-u] + z[i+u]): O(m nnz).  Outputs are
+    formed a block at a time, every entry by the same operations, so a
+    mirror-symmetric x gives an exactly mirror-symmetric product, and the
+    product in place equals the one into a new vector bit for bit: a block's
+    z is formed before its outputs overwrite x, from x right of the block
+    (x[:g + e] is saved for the last blocks' wraps) and the block before's
+    last 2g.  No temporary grows with m unless w does.
     """
-    m = len(x)
-    w = len(taps) // 2
-    offsets = np.flatnonzero(taps[w + 1 :]) + 1
-    pairs = list(zip(offsets.tolist(), taps[w + offsets].tolist()))
-    out = np.empty(m) if out is None else out
-    size = min(_BLOCK, m)
-    # src[j] holds the original x[(lo - w + j) mod m] for the block at lo
-    src, scratch = np.empty(size + 2 * w), np.empty(size)
-    head = x[:w].copy()
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        k, end = hi - lo, min(hi + w, m)
-        src[:w] = src[size : size + w] if lo else x[m - w :]
-        src[w : w + end - lo] = x[lo:end]
-        src[w + end - lo : k + 2 * w] = head[: hi + w - end]
-        acc, pair = out[lo:hi], scratch[:k]
-        np.multiply(src[w : w + k], taps[w], out=acc)
-        for u, tap in pairs:
-            np.add(src[w - u : w - u + k], src[w + u : w + u + k], out=pair)
-            pair *= tap
-            acc += pair
+    m, centre, rest, w = len(x), pairs[0][1], pairs[1:], pairs[-1][0]
+    e = 0 if side is None else 1
+    g, out = max(w, e), np.empty(m) if out is None else out  # g >= e: see the docstring
+    block = max(_BLOCK, w // 2)
+    size = min(block, m)
+    # z[j] is z at ring index lo - g + j for the block at lo
+    z, pair, head = np.empty(size + 2 * g), np.empty(size), x[: g + e].copy()
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        k, new = hi - lo, 2 * g if lo else 0
+        z[:new] = z[size : size + new]
+        a, b = lo - g + new - e, hi + g + e  # the x that z's new entries read
+        if lo == 0:  # nothing is written over yet; a ring shorter than b - a wraps more
+            short = b > m or -a > m
+            xs = x.take(np.arange(a, b), mode="wrap") if short else np.concatenate((x[m + a :], x[:b]))
+        else:
+            xs = x[a:b] if b <= m else np.concatenate((x[min(a, m) :], head[max(a - m, 0) : b - m]))
+        fresh = z[new : k + 2 * g]
+        if side is None:
+            fresh[:] = xs
+        else:
+            np.add(xs[:-2], xs[2:], out=fresh)
+            fresh *= side
+            fresh += xs[1:-1]
+        acc, p = out[lo:hi], pair[:k]
+        np.multiply(z[g : g + k], centre, out=acc)
+        for u, tap in rest:
+            np.add(z[g - u : g - u + k], z[g + u : g + u + k], out=p)
+            p *= tap
+            acc += p
     return out
+
+
+def _ones_image(op: CirculantOperator) -> float:
+    """Every entry of A^{-1} 1 (1 up to roundoff) as the product forms it:
+    the same operations in the same order, on operands that are all 1."""
+    z = (1.0 + 1.0) * op._t_side + 1.0
+    y = z * op._inv_pairs[0][1]
+    for _, tap in op._inv_pairs[1:]:
+        y += (z + z) * tap
+    return y
 
 
 def _operand(op: CirculantOperator, x) -> np.ndarray:
@@ -255,13 +255,11 @@ def _operand(op: CirculantOperator, x) -> np.ndarray:
 
 def apply(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
     """A @ x."""
-    return _cyclic_product(op._fwd_taps, _operand(op, x))
+    return _cyclic_product(tuple(enumerate(op._fwd_taps[op.B :].tolist())), _operand(op, x))
 
 
-def apply_inverse(
-    op: CirculantOperator, x: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """A^{-1} @ x; since A is symmetric, also x^T A^{-1}.
+def apply_inverse(op: CirculantOperator, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A^{-1} @ x = T (N x); since A is symmetric, also x^T A^{-1}.
 
     The product goes into a new vector, or into out, a float64 vector of the
     window's length that is x itself or shares no memory with it.
@@ -275,7 +273,7 @@ def apply_inverse(
         raise ValueError(
             f"out must be a float64 vector of shape ({op.m},), x itself or apart from it"
         )
-    return _cyclic_product(op._inv_taps, x, out)
+    return _cyclic_product(op._inv_pairs, x, out, op._t_side)
 
 
 def norm_bounds(op: CirculantOperator) -> NormBounds:

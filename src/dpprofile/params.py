@@ -104,9 +104,12 @@ def check_fit(trials_per_d: dict[int, int]) -> None:
 
 
 # Largest reconstruction window m = n + 2B + 1.  A first reconstruction at a
-# given (n, B, epsilon) peaks at about 10 bytes per window entry (tracemalloc,
-# n = d = 1e6), some 1 GB at this cap; past it, sizes fail closed with a message
-# instead of failing to allocate.  B >= 0, so it also caps n at MAX_WINDOW - 1.
+# given (n, B, epsilon) peaks (tracemalloc) at about 10 bytes per window entry
+# when n fills the window (n = d = 1e6, eps 1), some 1 GB at this cap, and at
+# about 75 when B does and the unit-sum corrections span the window (eps 1e-5,
+# n = 1.7e6, d = 1e6), some 7.5 GB here; past the cap, sizes fail closed with a
+# message instead of failing to allocate.  B >= 0, so it also caps n at
+# MAX_WINDOW - 1.
 # The eval command holds its synthetic domain sizes d to the same cap (a
 # d-length histogram is 8 bytes per item, 0.8 GB here).
 MAX_WINDOW = 10**8

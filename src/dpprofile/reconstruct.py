@@ -16,18 +16,21 @@ one pass over the window leaves only the entries inside the bracket to
 solve exactly.  A window too short to bracket, or one whose threshold the
 bracket misses, is solved by sorting it whole.
 
-Memory: a reconstruction owns one float64 array of the window's length
-and does every step in it.  Binning (mechanism._bins) adds the counts to
-it a block of 2^15 at a time, through one reused block buffer whatever d
-and m are, and divides it by d, so that it holds f~; apply_inverse writes
-A^{-1} f~ over it a cache-sized block (circulant._BLOCK entries) at a time,
-from a copy of each block's operands, wrap-extended by the taps' half-width;
-the unit-sum correction is subtracted from it; and its core is clipped and
-drained in place and handed to the profile as a view.  The bracket's pass
-runs over the core a block at a time with block-sized scratch; its sample
-and the entries inside the bracket take about a quarter of 8m bytes at
-m ~ 1e6.  At n = d = 2^20 a warm reconstruction's peak allocation
-(tracemalloc) is 1.25 times 8m bytes.
+Memory: a reconstruction owns one float64 array of the window's length and
+does every step in it.  Binning (mechanism._bins) adds the counts to it a
+block of 2^15 at a time, through one reused block buffer whatever d and m
+are, and divides it by d, so that it holds f~.  apply_inverse writes A^{-1}
+f~ = N (T f~) over it in one pass, a cache-sized block (circulant._BLOCK
+entries) at a time: it forms T f~ on the block widened by N's half-width w
+(a second difference, taken on the binned counts themselves, where its
+cancellation is harmless), reading f~ right of the block and carrying the
+rest over from the block before, then N's few nonzero taps over that into
+the block.  The unit-sum correction is subtracted from it, and its core is
+clipped and drained in place and handed to the profile as a view.  The
+bracket's pass runs over the core a block at a time with block-sized
+scratch; its sample and the entries inside the bracket take about a quarter
+of 8m bytes at m ~ 1e6.  At n = d = 2^20 a warm reconstruction's peak
+allocation (tracemalloc) is 1.25 times 8m bytes.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _SUM_TOL = 1e-9
 
 # Operators kept for reuse (unit-sum corrections: three norms per operator).
 # An operator holds its taps and a correction about 2B + 4w entries around
-# the pad (w the inverse taps' half-width): a few KB each at m ~ 1e6 and
+# the pad (w the reach of A^{-1}'s taps): a few KB each at m ~ 1e6 and
 # eps >= 0.5, whatever n is.
 _CACHE_SIZE = 8
 
@@ -140,30 +143,33 @@ def _ring_indices(m: int, start: int, length: int) -> np.ndarray:
 
 def _local_image(op: CirculantOperator, start: int, x: np.ndarray) -> tuple[int, np.ndarray]:
     """A^{-1} applied to x at ring indices start, start + 1, ...: its image
-    (start', values), w entries wider on each side in O(len(x) nnz).
+    (start', values), w entries wider on each side (w the reach of A^{-1}'s
+    taps) in O(len(x) nnz), or the whole ring from index 0.
 
     Padded with w zeros on each side, x fills a ring on which no tap wraps
     an entry of x onto another, so the cyclic product there is the linear
-    one.  An image longer than the window's ring is folded onto its indices
-    0..m-1; that adds at most two entries, which commute, so the image of
-    an x mirrored about the pad centre is an exact mirror too.
+    one; when that ring is no longer than the window's, its entries are the
+    image's at distinct ring indices.  A longer image covers the window's
+    ring, and is formed there, on x laid on the ring, as the window's own
+    product forms it.  Either way the image of an x mirrored about the pad
+    centre is an exact mirror too.
     """
-    m, taps = op.m, op._inv_taps
-    w = len(taps) // 2
+    m, w = op.m, op._inv_pairs[-1][0] + 1  # N's reach plus T's
+    if len(x) + 2 * w > m:
+        ring = np.zeros(m)
+        ring[_ring_indices(m, start, len(x))] = x
+        return 0, circulant._cyclic_product(op._inv_pairs, ring, side=op._t_side)
     padded = np.zeros(len(x) + 2 * w)
     padded[w : w + len(x)] = x
-    image = circulant._cyclic_product(taps, padded)
-    if len(image) <= m:
-        return (start - w) % m, image
-    return 0, np.bincount(_ring_indices(m, start - w, len(image)), weights=image, minlength=m)
+    return (start - w) % m, circulant._cyclic_product(op._inv_pairs, padded, side=op._t_side)
 
 
 def _window_image(op: CirculantOperator, unit: float) -> tuple[int, np.ndarray]:
     """c = A^{-1} 1_window near the pad: (start, c on the arc from start).
 
     c = A^{-1} 1 - A^{-1} 1_pad, so c is `unit` (A^{-1} 1) wherever no tap
-    reaches the 2B pad entries, and the arc is the pad widened by the taps'
-    half-width w on both sides, or the whole ring when that covers it.
+    reaches the 2B pad entries, and the arc is the pad widened by the reach
+    w of A^{-1}'s taps on both sides, or the whole ring when that covers it.
     Either way the arc is centred on the pad, so reversing it mirrors it
     about the window centre; the operands of both products below are
     mirror-symmetric and the product is mirror-exact, so c is an exact
@@ -171,8 +177,7 @@ def _window_image(op: CirculantOperator, unit: float) -> tuple[int, np.ndarray]:
     pad-side taps, and pad-side entries their sum over the window-side taps,
     so an entry that no tap reaches is exactly `unit` or exactly 0.
     """
-    m, B, taps = op.m, op.B, op._inv_taps
-    w = len(taps) // 2
+    m, B, w = op.m, op.B, op._inv_pairs[-1][0] + 1
     start, from_pad = _local_image(op, -B, np.ones(2 * B))
     c = unit - from_pad
     # pad entries: the window's entries within w of the pad, on the pad
@@ -180,7 +185,8 @@ def _window_image(op: CirculantOperator, unit: float) -> tuple[int, np.ndarray]:
     # range reaches past its ends, so its cyclic product there is linear
     ring = _ring_indices(m, -(B + w), 2 * (B + w))
     window = ((ring >= B) & (ring <= B + op.n)).astype(np.float64)
-    c[(ring[w : w + 2 * B] - start) % m] = circulant._cyclic_product(taps, window)[w : w + 2 * B]
+    image = circulant._cyclic_product(op._inv_pairs, window, side=op._t_side)
+    c[(ring[w : w + 2 * B] - start) % m] = image[w : w + 2 * B]
     return start, c
 
 
@@ -196,15 +202,15 @@ def _correction_direction(op: CirculantOperator, p: str) -> tuple[_Correction, f
     a and A^{-1} a are each a constant plus a part local to the pad (l2:
     c / ||c||; linf: sign(c) = 1 - 2 [c < 0], sign(0) taken as +1) or local
     alone (l1: e_t at the largest |c_t|).  So each is built as its constant
-    and its local part, in work that does not grow with n.  The stored taps
-    sum to 1 up to the tap floor, and their sum stands for A^{-1} 1, so the
-    correction is the stored operator's own image.  The local parts of c
+    and its local part, in work that does not grow with n.  A^{-1} 1 is 1
+    up to the tap floor, and is taken as the product's own image of the
+    all-ones vector, so the correction is the stored operator's own image.
+    The local parts of c
     and of the l2 and linf images are exactly mirror-symmetric, so the l1
     direction's tie between the two window edges resolves by ring index
     (the lowest) instead of by roundoff.
     """
-    m, taps = op.m, op._inv_taps
-    unit = float(taps.sum())
+    m, unit = op.m, circulant._ones_image(op)
     start, c = _window_image(op, unit)
     if p == "l1":
         ring, values = _ring_indices(m, start, len(c)), c

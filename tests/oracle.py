@@ -2,7 +2,9 @@
 
 Everything here is quadratic or worse, or works item by item, and exists to
 cross-check the fast paths: the operator's generator row from its closed
-form and dense realizations of the operator, the optimal correction
+form and dense realizations of the operator, its inverse taps as the
+package once built them (by an FFT on rings of up to the window's length)
+and as its closed form gives them in 40-digit arithmetic, the optimal correction
 direction on a whole vector, exact constrained least squares via the
 stationarity system, Monte-Carlo simulation of the mass-smearing process,
 bisection for the drain threshold, the iterative form of the rounding
@@ -13,12 +15,15 @@ itself never imports this module.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
+from dpprofile.circulant import _half_spectrum, kernel_normalizer, spectrum_floor
 from dpprofile.mechanism import Histogram, PrivateSketch, int64_array, privatize, update
-from dpprofile.params import ReconstructionConfig
+from dpprofile.params import MIN_EIGENVALUE, ReconstructionConfig, min_truncation_radius
 from dpprofile.reconstruct import Profile, reconstruct_profile
 from dpprofile.twoparty import PROTOCOL_N, ProtocolResult, _publish, protocol_config
 
@@ -27,6 +32,9 @@ __all__ = [
     "DenseOperator",
     "dense_operator",
     "dense_solve",
+    "fft_inverse_taps",
+    "exact_inverse_column",
+    "factored_column",
     "equality_constrained_ls",
     "sample_truncated_dlap",
     "monte_carlo_generator",
@@ -101,6 +109,93 @@ def dense_solve(dense: DenseOperator, x: np.ndarray) -> np.ndarray:
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(x)))):
         raise AssertionError(f"dense solve residual {resid:.3e} too large")
     return y
+
+
+def fft_inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
+    """Centred taps of A^{-1}, as the package built them before it summed
+    the closed form's series: the inverse spectrum's transform on a small
+    ring, exactly symmetric and zero below 1e-15 of the largest tap.
+
+    On a ring longer than the kernel's 2B + 1 taps, the inverse column is
+    the line kernel summed over its wrap-arounds, so once the trimmed taps
+    fill at most a quarter of such a ring, the wrapped tails are below the
+    floor and the ring's taps are the window's.  Rings double from the least
+    power of two longer than the kernel, and from 64; one that reaches m
+    has the window's own column used whole.  A window of several million
+    entries takes seconds and some 170 bytes per entry.
+    """
+    epsilon, B, m = cfg.epsilon, cfg.B, cfg.m
+    if B < min_truncation_radius(epsilon) or spectrum_floor(epsilon, B) < MIN_EIGENVALUE:
+        raise ValueError("the operator is not proven invertible")
+    ring = max(64, 1 << (2 * B + 1).bit_length())
+    while True:
+        ring = min(ring, m)
+        col = np.fft.irfft(1.0 / _half_spectrum(epsilon, B, ring), ring)
+        mag = np.abs(col[: ring // 2 + 1])  # col is symmetric
+        w = int(np.flatnonzero(mag > 1e-15 * mag.max())[-1])
+        if 4 * w < ring or ring == m:
+            break
+        ring *= 2
+    # taps[w + u] = col[u mod ring] for centred offsets u in [-w, w]
+    taps = np.concatenate((col[ring - w :], col[: w + 1]))
+    taps = 0.5 * (taps + taps[::-1])
+    taps[np.abs(taps) <= 1e-15 * mag.max()] = 0.0
+    if 2 * w == ring:
+        # offsets -ring/2 and +ring/2 are the same antipodal entry; split it
+        taps[0] = taps[-1] = taps[0] / 2.0
+    return taps
+
+
+def exact_inverse_column(epsilon: float, B: int, m: int) -> dict[int, float]:
+    """A^{-1}'s first column on Z_m, {ring index: entry}, from the closed
+    form P/(1 - q^2) T (I - E)^{-1} summed in 40-digit decimal arithmetic.
+
+    It starts from the package's double-precision q, 1 - q^2 and P (whose
+    own rounding it does not judge), sums (I - E)^{-1} = sum_k E^k power by
+    power on the ring until a power's l1 norm is below 1e-24, and keeps
+    every entry.  It needs no array of the window's length.
+    """
+    q_f = math.exp(-epsilon)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q, one_q2 = Decimal(q_f), Decimal(1.0 - q_f * q_f)
+        e = defaultdict(Decimal)
+        for offset, tap in ((B, -q ** (B + 2)), (-B, -q ** (B + 2)),
+                            (B + 1, q ** (B + 1)), (-B - 1, q ** (B + 1))):
+            e[offset % m] += tap / one_q2
+        power, series = {0: Decimal(1)}, defaultdict(Decimal, {0: Decimal(1)})
+        while sum(abs(v) for v in power.values()) >= Decimal("1e-24"):
+            nxt = defaultdict(Decimal)
+            for u, v in power.items():
+                for offset, tap in e.items():
+                    nxt[(u + offset) % m] += v * tap
+            power = nxt
+            for u, v in power.items():
+                series[u] += v
+        scale = Decimal(kernel_normalizer(epsilon, B)) / one_q2
+        col = defaultdict(Decimal)
+        for u, v in series.items():
+            col[u] += scale * (1 + q * q) * v
+            col[(u + 1) % m] -= scale * q * v
+            col[(u - 1) % m] -= scale * q * v
+        return {u: float(v) for u, v in col.items()}
+
+
+def factored_column(op) -> dict[int, float]:
+    """A^{-1}'s first column on Z_m as an operator stores it, T N laid out
+    from N's (offset, tap) pairs and T's side tap: {ring index: entry}."""
+    m, side = op.m, op._t_side
+    n_col = defaultdict(float)
+    for u, tap in op._inv_pairs:
+        n_col[u % m] += tap
+        if u:
+            n_col[-u % m] += tap
+    col = defaultdict(float)
+    for u, v in n_col.items():
+        col[u] += v
+        col[(u + 1) % m] += side * v
+        col[(u - 1) % m] += side * v
+    return dict(col)
 
 
 def equality_constrained_ls(dense: DenseOperator, f_tilde: np.ndarray) -> np.ndarray:

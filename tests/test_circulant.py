@@ -1,6 +1,8 @@
 """Tests for the banded-taps deconvolution operator against dense oracles."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,14 @@ from dpprofile.params import (
 from dpprofile.reconstruct import cached_operator
 from dpprofile.twoparty import protocol_config
 
-from oracle import dense_operator, dense_solve, generator_vector
+from oracle import (
+    dense_operator,
+    dense_solve,
+    exact_inverse_column,
+    factored_column,
+    fft_inverse_taps,
+    generator_vector,
+)
 
 CONFIGS = [(32, 4, 1.0), (64, 6, 0.5), (128, 8, 2.0)]
 
@@ -126,19 +135,29 @@ def test_wide_operator_holds_nothing_of_window_length():
             value = value.base
 
 
-def test_wide_build_forms_no_window_spectrum(monkeypatch):
-    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=10**6, d=10**6)
-    rings = []
-    half_spectrum = circulant._half_spectrum
+class _NoTransforms:
+    """numpy without its FFT module."""
 
-    def spy(epsilon, B, ring):
-        rings.append(ring)
-        return half_spectrum(epsilon, B, ring)
+    def __getattr__(self, name):
+        if name == "fft":
+            raise AssertionError("the build took a transform")
+        return getattr(np, name)
 
-    monkeypatch.setattr(circulant, "_half_spectrum", spy)
-    op = build_operator(cfg)
-    assert rings and op.m not in rings
-    assert max(rings) <= 1024  # a small ring, whatever m is
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_wide_build_forms_no_array_of_the_window_length(monkeypatch, eps):
+    # N's series is summed on the window's ring in sparse form, so the
+    # build's peak allocation is far below one float64 vector of length m
+    cfg = ReconstructionConfig(epsilon=eps, eta=0.05, n=10**6, d=10**6)
+    monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "np", _NoTransforms())
+    tracemalloc.start()
+    try:
+        op = build_operator(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < op.m  # bytes: an eighth of one vector of the window
 
 
 def test_ill_conditioned_configuration_rejected(monkeypatch):
@@ -151,6 +170,10 @@ def test_ill_conditioned_configuration_rejected(monkeypatch):
 
 def window_spectrum(epsilon, B, ring):
     raise AssertionError(f"formed the spectrum of a ring of {ring}")
+
+
+def neumann_series(epsilon, B, m, scale):
+    raise AssertionError(f"summed N's series on a ring of {m}")
 
 
 def forward_taps(epsilon, B):
@@ -170,6 +193,7 @@ def test_build_refuses_B_below_the_conditioning_radius_before_any_work(
     cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=64, d=1000, B=B)
     assert min_truncation_radius(epsilon) == radius
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "_neumann_pairs", neumann_series)
     monkeypatch.setattr(circulant, "_kernel_taps", forward_taps)
     with pytest.raises(ValueError) as err:
         build_operator(cfg)
@@ -199,6 +223,7 @@ def test_ill_conditioned_wide_window_fails_before_length_m_work(monkeypatch, n):
     assert spectrum_floor(cfg.epsilon, cfg.B) < circulant.MIN_EIGENVALUE
 
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "_neumann_pairs", neumann_series)
     monkeypatch.setattr(circulant, "_kernel_taps", forward_taps)
     with pytest.raises(ValueError, match="ill-conditioned"):
         build_operator(cfg)
@@ -221,6 +246,7 @@ def test_ill_conditioned_window_off_pi_fails_before_length_m_work(
     cfg = ReconstructionConfig(epsilon=epsilon, eta=0.05, n=n, d=1, allow_small_n=True)
     assert cfg.m > 10**7
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "_neumann_pairs", neumann_series)
     message = (
         f"operator is ill-conditioned: spectrum floor = {floor} < 1e-12 "
         f"for (n={n}, B={cfg.B}, epsilon={epsilon})"
@@ -240,6 +266,7 @@ def test_floor_refuses_wide_windows_whose_exact_minimum_passes(monkeypatch):
         ReconstructionConfig(epsilon=2.4e-6, eta=0.05, n=2, d=1, allow_small_n=True),
     ]
     monkeypatch.setattr(circulant, "_half_spectrum", window_spectrum)
+    monkeypatch.setattr(circulant, "_neumann_pairs", neumann_series)
     for cfg, floor in zip(windows, ("7.813e-13", "7.200e-13")):
         assert cfg.m > 10**7
         with pytest.raises(ValueError, match=f"spectrum floor = {floor} < 1e-12"):
@@ -449,7 +476,7 @@ TAP_CASES = [
 def test_inverse_taps_match_dense(label, tap_cfg, full_ring):
     op = build_operator(tap_cfg)
     assert (op.m % 2 == 0) == (label == "full-ring-even")
-    assert (len(op._inv_taps) >= op.m) == full_ring
+    assert (2 * (op._inv_pairs[-1][0] + 1) + 1 >= op.m) == full_ring
     inv = np.linalg.inv(dense_operator(tap_cfg).entries)
     # the dense inverse's roundoff grows with cond(A) ||A^{-1}||, and
     # ||A||_1 = 1, so cond(A) = ||A^{-1}||_1
@@ -465,26 +492,138 @@ def test_inverse_taps_match_dense(label, tap_cfg, full_ring):
         )
 
 
+# --- the factored inverse against its references ------------------------------
+
+def grid_window(eps, d, eta, n):
+    """A window of the grid: n a number, or "B" for n equal to the derived B."""
+    if n == "B":
+        n = max(1, ReconstructionConfig(epsilon=eps, eta=eta, n=1, d=d, allow_small_n=True).B)
+    return ReconstructionConfig(epsilon=eps, eta=eta, n=n, d=d, allow_small_n=True)
+
+
+# eps from 3e-6 to 700 and asinh 4, d from 1 to 1e6, eta 0.05 and 0.5, and n
+# in {1, 4, 32, B, 1000}: at the least eps the window is longer than 1e7 and
+# N's series wraps the ring several times, at the conditioning radius many
+GRID = [
+    (eps, d, eta, n)
+    for eps in (*np.geomspace(3e-6, 700.0, 30).tolist(), math.asinh(4))
+    for d in (1, 1000, 10**6)
+    for eta in (0.05, 0.5)
+    for n in (1, 4, 32, "B", 1000)
+]
+GRID_SAMPLE = random.Random(2026).sample(GRID, 48)
+FULL_RING_CASES = [case for case in TAP_CASES if case[2]]
+
+
+def grid_id(window):
+    eps, d, eta, n = window
+    return f"eps{eps:.3g}-d{d}-eta{eta}-n{n}"
+
+
+def largest_difference(col, want):
+    """max |col - want| over the ring, as a share of want's largest entry."""
+    scale = max(abs(v) for v in want.values())
+    return max(abs(col.get(u, 0.0) - want.get(u, 0.0)) for u in col.keys() | want.keys()) / scale
+
+
+@pytest.mark.parametrize("window", GRID_SAMPLE, ids=grid_id)
+def test_factored_inverse_matches_its_closed_form_summed_exactly(window):
+    # T N on Z_m against the same closed form summed in 40-digit arithmetic
+    # from the same double-precision q, 1 - q^2 and P, with no tap dropped:
+    # series truncation, tap floor and roundoff together stay within 1e-15
+    # of the largest tap
+    cfg = grid_window(*window)
+    op = build_operator(cfg)
+    want = exact_inverse_column(cfg.epsilon, cfg.B, cfg.m)
+    assert largest_difference(factored_column(op), want) <= 1e-15
+
+
+def fft_column(cfg):
+    """The FFT-built taps laid on Z_m (a split antipodal tap rejoins)."""
+    taps = fft_inverse_taps(cfg)
+    w = len(taps) // 2
+    col = {}
+    for u, tap in zip(range(-w, w + 1), taps.tolist()):
+        col[u % cfg.m] = col.get(u % cfg.m, 0.0) + tap
+    return col
+
+
+# the FFT build transforms a ring of up to the window's length, at about 170
+# bytes per entry, so it is run on the sample's windows up to 2^20 entries
+FFT_WINDOWS = [
+    *(pytest.param(grid_window(*w), id=grid_id(w)) for w in GRID_SAMPLE
+      if grid_window(*w).m <= 2**20),
+    *(pytest.param(cfg, id=label) for label, cfg, _ in FULL_RING_CASES),
+]
+
+
+@pytest.mark.parametrize("cfg", FFT_WINDOWS)
+def test_factored_inverse_matches_the_fft_build(cfg):
+    # The FFT build's own roundoff reaches 7.5e-15 of the largest tap on
+    # rings of awkward length (the window's own, once the taps span it),
+    # against the exactly summed closed form, which the factored taps meet
+    # within 1e-15 above; so the two builds agree within 1e-14.
+    op = build_operator(cfg)
+    assert largest_difference(factored_column(op), fft_column(cfg)) <= 1e-14
+
+
+@pytest.mark.parametrize("label, tap_cfg, full_ring", FULL_RING_CASES, ids=[c[0] for c in FULL_RING_CASES])
+def test_full_ring_factored_inverse_matches_its_closed_form_summed_exactly(label, tap_cfg, full_ring):
+    op = build_operator(tap_cfg)
+    want = exact_inverse_column(tap_cfg.epsilon, tap_cfg.B, tap_cfg.m)
+    assert largest_difference(factored_column(op), want) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_cfg(7, 6, 0.5), make_cfg(16, 10, 1.0), protocol_config(0.5, 1000),
+     ReconstructionConfig(epsilon=0.001, eta=0.05, n=10**5, d=4),
+     ReconstructionConfig(epsilon=50.0, eta=0.05, n=8, d=100)],
+    ids=["full-ring-even", "full-ring-odd", "protocol-n4", "e0.001", "B0"],
+)
+def test_ones_image_is_the_products_own(cfg):
+    # the correction takes A^{-1} 1 from _ones_image; every entry of the
+    # product of the all-ones vector is that value bit for bit
+    op = build_operator(cfg)
+    image = circulant.apply_inverse(op, np.ones(op.m))
+    assert np.all(image == circulant._ones_image(op))
+    # A^{-1} 1 = 1, up to roundoff on the scale of A^{-1}'s taps
+    l1 = sum(abs(tap) for tap in factored_column(op).values())
+    assert abs(circulant._ones_image(op) - 1.0) <= 1e-15 * l1
+
+
 # --- a product whose cost does not grow with 1/eps ---------------------------
 
 def test_inverse_taps_are_sparse_at_small_epsilon():
     # at eps = 0.001 the taps span the clusters at 0, +-B, +-2B, ... (half
     # width about 25 B), but only the clusters' few entries are above roundoff
     op = cached_operator(ReconstructionConfig(epsilon=0.001, eta=0.05, n=10**6, d=4))
-    assert op.B == 8295 and len(op._inv_taps) > 40 * op.B
-    assert np.count_nonzero(op._inv_taps) <= len(op._inv_taps) // 100
+    width = 2 * (op._inv_pairs[-1][0] + 1) + 1
+    assert op.B == 8295 and width > 40 * op.B
+    assert nonzero_taps(op) <= width // 100
+
+
+def nonzero_taps(op):
+    """The nonzero taps of A^{-1} = T N as the operator stores it."""
+    return sum(1 for tap in factored_column(op).values() if tap)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0])
 def test_inverse_tap_count_does_not_grow_with_inverse_epsilon(eps):
     op = cached_operator(ReconstructionConfig(epsilon=eps, eta=0.05, n=10**6, d=10**6))
-    assert np.count_nonzero(op._inv_taps) <= 23
+    assert nonzero_taps(op) <= 23
 
 
 def test_inverse_taps_are_exactly_symmetric():
+    # one stored tap per offset pair +-u, so the product is mirror-exact
     for tap_cfg in (make_cfg(600, 10, 0.5), make_cfg(7, 6, 0.5), make_cfg(16, 10, 1.0)):
-        taps = build_operator(tap_cfg)._inv_taps
-        assert np.array_equal(taps, taps[::-1])
+        op = build_operator(tap_cfg)
+        offsets = [u for u, _ in op._inv_pairs]
+        assert offsets == sorted(set(offsets)) and offsets[0] == 0 and offsets[-1] <= op.m // 2
+        half = np.random.default_rng(45).normal(size=op.m)
+        x = half + half[::-1]
+        y = circulant.apply_inverse(op, x)
+        assert np.array_equal(y, y[::-1])
 
 
 class _CountingNumpy:
@@ -509,15 +648,19 @@ def test_product_forms_one_shifted_pair_per_nonzero_offset(monkeypatch, eps, n, 
     counting = _CountingNumpy()
     monkeypatch.setattr(circulant, "np", counting)
     x = np.random.default_rng(41).normal(size=op.m)
-    blocks = -(-op.m // circulant._BLOCK)
-    products = [(op._inv_taps, circulant.apply_inverse)]
+
+    def blocks(w):  # taps reaching w take blocks of at least w // 2
+        return -(-op.m // max(circulant._BLOCK, w // 2))
+
+    # T's one pair and N's nonzero offsets (its centre, first, is nonzero)
+    w = op._inv_pairs[-1][0]
+    products = [(blocks(w) * len(op._inv_pairs), circulant.apply_inverse)]
     if op.B < 100:  # the forward taps are dense: 2B+1 nonzeros
-        products.append((op._fwd_taps, circulant.apply))
-    for taps, product in products:
+        products.append((blocks(op.B) * (np.count_nonzero(op._fwd_taps) - 1) // 2, circulant.apply))
+    for pair_sums, product in products:
         counting.pair_sums = 0
         product(op, x)
-        nonzero_offsets = (np.count_nonzero(taps) - 1) // 2  # taps[w] is nonzero
-        assert counting.pair_sums == blocks * nonzero_offsets
+        assert counting.pair_sums == pair_sums
 
 
 @pytest.mark.parametrize("block", [1, 7, 16, 64, circulant._BLOCK])
@@ -542,13 +685,16 @@ def test_blocked_product_matches_dense_for_any_block_size(monkeypatch, block):
     w_share=st.floats(0.0, 1.0),
     density=st.floats(0.0, 1.0),
     block=st.sampled_from([1, 3, 7]),
+    side=st.one_of(st.none(), st.floats(-1.0, 1.0)),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_product_in_place_equals_product_into_a_new_vector(m, w_share, density, block, data_seed):
+def test_product_in_place_equals_product_into_a_new_vector(m, w_share, density, block, side, data_seed):
     # with w up to m // 2 and blocks of 1, 3 and 7 entries, a block's left
     # operands come from several blocks before it and its right ones wrap
     # onto entries already written over; the product over x must be the
-    # product into a new vector, bit for bit, and both the cyclic sum
+    # product into a new vector, bit for bit, and both the cyclic sum, with
+    # or without the side taps at +-1 (circulants commute, so the reference
+    # applies them last)
     rng = np.random.default_rng(data_seed)
     w = int(w_share * (m // 2))
     half = rng.normal(size=w + 1) * (rng.random(w + 1) < density)
@@ -556,13 +702,20 @@ def test_product_in_place_equals_product_into_a_new_vector(m, w_share, density, 
     x = rng.normal(size=m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(circulant, "_BLOCK", block)
-        fresh = circulant._cyclic_product(taps, x)
+        pairs = tuple(enumerate(taps[w:].tolist()))
+        fresh = circulant._cyclic_product(pairs, x, side=side)
         y = x.copy()
-        in_place = circulant._cyclic_product(taps, y, out=y)
+        in_place = circulant._cyclic_product(pairs, y, out=y, side=side)
     assert in_place is y
     assert in_place.tobytes() == fresh.tobytes()
     want = sum(tap * np.roll(x, u) for u, tap in zip(range(-w, w + 1), taps))
-    np.testing.assert_allclose(fresh, want, rtol=0, atol=1e-12 * (1 + np.abs(taps).sum()) * np.abs(x).max())
+    gain = 1.0
+    if side is not None:
+        want = want + side * (np.roll(want, 1) + np.roll(want, -1))
+        gain = 1 + 2 * abs(side)
+    np.testing.assert_allclose(
+        fresh, want, rtol=0, atol=1e-12 * gain * (1 + np.abs(taps).sum()) * np.abs(x).max()
+    )
 
 
 def test_apply_inverse_writes_over_its_operand_and_refuses_a_bad_out(cfg):

@@ -156,9 +156,9 @@ def value_classes():
          dict(values=np.full(5, 0.2), n=2, B=1, d=5)),
         (CirculantOperator,
          dict(m=REQUIRED, n=REQUIRED, B=REQUIRED, epsilon=REQUIRED, p_norm_const=REQUIRED,
-              _fwd_taps=REQUIRED, _inv_taps=REQUIRED),
+              _inv_pairs=REQUIRED, _t_side=REQUIRED),
          dict(m=op.m, n=op.n, B=op.B, epsilon=op.epsilon, p_norm_const=op.p_norm_const,
-              _fwd_taps=op._fwd_taps, _inv_taps=op._inv_taps)),
+              _inv_pairs=op._inv_pairs, _t_side=op._t_side)),
         (Profile, dict(values=REQUIRED), dict(values=np.array([0.25, 0.75]))),
         (RelaxedSolution,
          dict(values=REQUIRED, n=REQUIRED, B=REQUIRED, objective_norm=REQUIRED),
