@@ -41,7 +41,6 @@ _EXPORTS = {
         "read_sketch",
         "sample_dlap",
         "sample_geometric",
-        "unfold",
         "update",
         "write_sketch",
     ),

@@ -5,8 +5,9 @@ its noisy histogram: each unit of mass is smeared by a truncated two-sided
 exponential kernel with decay e^{-eps} and support radius B, normalized so
 every row sums to one.  Because the kernel wraps cyclically on the index
 window of length m = n + 2B + 1, A is circulant, and because the kernel is
-symmetric, so is A: its eigenvalues are real (a cosine closed form), and
-its inverse is again a symmetric circulant, so A^{-T} = A^{-1}.
+symmetric, so is A: its eigenvalues are real, and its inverse is again a
+symmetric circulant, so A^{-T} = A^{-1}.  Nothing here forms the spectrum:
+an analytic floor bounds it, and the inverse comes from its closed form.
 
 A is its kernel's 2B + 1 centred taps, and A^{-1} is stored in factored
 form: with q = e^{-eps} and P the kernel's mass, A^{-1} = P/(1-q^2) T N,
@@ -60,8 +61,8 @@ _BLOCK = 1 << 15
 
 
 class CirculantOperator(_Frozen):
-    """A^{-1}'s factors; A's taps and the spectrum are computed on read.  Compared
-    and hashed by identity: the correction cache is keyed by it."""
+    """A^{-1}'s factors; A's taps are computed on read.  Compared and hashed by
+    identity: the correction cache is keyed by it."""
 
     __slots__ = ("m", "n", "B", "epsilon", "p_norm_const", "_inv_pairs", "_t_side")
     __eq__ = object.__eq__
@@ -80,12 +81,6 @@ class CirculantOperator(_Frozen):
         """A's 2B + 1 centred taps; only apply reads them, so the build makes none."""
         return _kernel_taps(self.epsilon, self.B)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum; index i holds the eigenvalue of mode i."""
-        half = _half_spectrum(self.epsilon, self.B, self.m)
-        return np.concatenate((half, half[1 : self.m - len(half) + 1][::-1]))
-
 
 class NormBounds(NamedTuple):
     bound_1_inf: float  # bounds both the max-column-sum and max-row-sum norm of A^{-1}
@@ -102,25 +97,6 @@ def _kernel_taps(epsilon: float, B: int) -> np.ndarray:
     """Centred taps of A: e^{-eps |u|} / P at offsets u = -B..B."""
     decay = np.exp(-epsilon * np.arange(B + 1))
     return np.concatenate((decay[:0:-1], decay)) / kernel_normalizer(epsilon, B)
-
-
-def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:
-    """Eigenvalues of modes 0..ring//2 of the kernel wrapped on a ring.
-
-    The other modes mirror these, since the kernel is symmetric.  The
-    eigenvalue at angle theta is (1 + 2 sum_{j=1..B} q^j cos(j theta)) / P;
-    summing the geometric series collapses it to a ratio of three cosines,
-    so each mode costs O(1) scalar operations.
-    """
-    q = math.exp(-epsilon)
-    k = np.arange(ring // 2 + 1)
-
-    def cos_of(j: int) -> np.ndarray:
-        return np.cos((2.0 * np.pi / ring) * ((j * k) % ring))
-
-    numer = 1.0 - q * q - 2.0 * q ** (B + 1) * (cos_of(B + 1) - q * cos_of(B))
-    denom = 1.0 - 2.0 * q * cos_of(1) + q * q
-    return numer / denom / kernel_normalizer(epsilon, B)
 
 
 def spectrum_floor(epsilon: float, B: int) -> float:

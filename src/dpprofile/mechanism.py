@@ -1,10 +1,11 @@
 """Discrete Laplace mechanism for histograms.
 
 Covers coordinate-wise privatization (with optional clipping into [0, n]),
-recovery of an unclipped-distributed sketch from a clipped one via the
-memorylessness of the geometric distribution, additive sketch updates,
-extraction of the empirical frequency-of-frequencies vector used by the
-reconstruction pipeline, and the exact law of one binned noisy count.
+additive updates of unclipped sketches, extraction of the empirical
+frequency-of-frequencies vector used by the reconstruction pipeline (a
+clipped sketch is binned as its unfolding, which the memorylessness of the
+geometric distribution makes distributed as an unclipped sketch), and the
+exact law of one binned noisy count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "sample_dlap",
     "window_pmf",
     "privatize",
-    "unfold",
     "update",
     "empirical_profile",
     "read_int_lines",
@@ -211,26 +211,6 @@ def privatize(
     return PrivateSketch(counts=counts, epsilon=epsilon, n=h.n, clipped=clip)
 
 
-def unfold(s: PrivateSketch, rng: np.random.Generator) -> PrivateSketch:
-    """Convert a clipped sketch into one distributed like an unclipped sketch.
-
-    Interior entries are kept; entries stuck at the boundaries are pushed
-    outward by an independent geometric draw (0 becomes -G, n becomes n + G).
-    Memorylessness of the geometric distribution makes the result exactly
-    distributed as unclipped noisy counts.
-    """
-    if not s.clipped:
-        raise ValueError("sketch is already unclipped")
-    counts = s.counts.copy()
-    at_zero = np.flatnonzero(counts == 0)
-    at_n = np.flatnonzero(counts == s.n)
-    if len(at_zero):
-        counts[at_zero] -= sample_geometric(s.epsilon, rng, size=len(at_zero))
-    if len(at_n):
-        counts[at_n] += sample_geometric(s.epsilon, rng, size=len(at_n))
-    return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
-
-
 def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     """Shift an unclipped sketch by an integer delta vector.
 
@@ -239,7 +219,9 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     clipping, so clipped sketches are rejected.
     """
     if s.clipped:
-        raise ValueError("clipped sketches are not updatable; unfold first")
+        raise ValueError(
+            "a clipped sketch cannot be updated; sketch the histogram again without clipping"
+        )
     delta = int64_array(delta, "delta")
     if delta.shape != s.counts.shape:
         raise ValueError(
@@ -294,7 +276,7 @@ def _window_profile(
 ) -> np.ndarray:
     """empirical_profile(s, cfg, rng).values, in a new writable vector."""
     if s.clipped and rng is None:
-        raise ValueError("unfold the sketch before taking its profile")
+        raise ValueError("a clipped sketch is binned as its unfolding, which needs an rng")
     if s.n != cfg.n or s.d != cfg.d:
         raise ValueError("config (n, d) does not match the sketch")
     if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
@@ -303,7 +285,7 @@ def _window_profile(
     # a clipped sketch's counts lie in [0, n], inside the window
     bins = _bins(s.counts, -B, n + B, clamp=not s.clipped)
     if s.clipped:
-        for edge in (B, B + n):  # the bins of 0 and of n, in unfold's order
+        for edge in (B, B + n):  # the bins of 0 and then of n, as the unfolding pushes them
             k = int(bins[edge])
             bins[edge] = 0.0
             for lo in range(0, k, _BIN_BLOCK):
@@ -330,12 +312,13 @@ def empirical_profile(
     endpoint so that the result always sums to exactly one.  _bins takes
     the counts a block at a time, so no temporary grows with d.
 
-    A clipped sketch is binned as its unfolding, without forming it: unfold
-    moves the k entries at 0 to -G and then those at n to n + G, with G from
-    sample_geometric of size k, and rng draws these pushes a block at a time
-    (G clamps to B).  Blocks of uniforms concatenate to the uniforms of one
-    draw, so the result equals empirical_profile(unfold(s, rng), cfg) bit
-    for bit.
+    A clipped sketch is binned as its unfolding, without forming it: the
+    k entries at 0 move to -G and then those at n to n + G, with G from
+    sample_geometric of size k, which by the memorylessness of the geometric
+    distribution leaves counts distributed as an unclipped sketch's.  rng
+    draws these pushes a block at a time (G clamps to B).  Blocks of uniforms
+    concatenate to the uniforms of one draw, so the result equals, bit for
+    bit, binning the unfolded counts formed whole (tests/oracle.py's unfold).
     """
     values = _window_profile(s, cfg, rng)
     return EmpiricalProfile(values=values, n=cfg.n, B=cfg.B, d=s.d)

@@ -126,15 +126,23 @@ def _core_sum(core: np.ndarray) -> float:
 
 class _Correction(_Frozen):
     """A vector on the ring of length m: alpha everywhere, plus local[j] at
-    ring index (start + j) mod m.
+    ring index (start + j) mod m, on an arc of at most m indices.
     """
 
-    __slots__ = ("m", "alpha", "local", "indices")
+    __slots__ = ("m", "alpha", "start", "local")
 
     def __init__(self, m: int, alpha: float, start: int, local: np.ndarray):
-        indices = _ring_indices(m, start, len(local))
-        local.flags.writeable = indices.flags.writeable = False
-        self._set(m=m, alpha=alpha, local=local, indices=indices)
+        local.flags.writeable = False
+        self._set(m=m, alpha=alpha, start=start % m, local=local)
+
+    def runs(self) -> list[tuple[int, int, int]]:
+        """The arc as (position j, its ring index, length) runs of ascending
+        ring indices: one, or two where it wraps, which it does at most once."""
+        head = min(len(self.local), self.m - self.start)
+        runs = [(0, self.start, head)]
+        if head < len(self.local):
+            runs.append((head, 0, len(self.local) - head))
+        return runs
 
 
 def _ring_indices(m: int, start: int, length: int) -> np.ndarray:
@@ -226,9 +234,12 @@ def _correction_direction(op: CirculantOperator, p: str) -> tuple[_Correction, f
         correction = _Correction(m, unit, *_local_image(op, start, np.where(c < 0, -2.0, 0.0)))
     else:
         raise ValueError(f"unknown norm selector {p!r}")
-    ring = correction.indices
-    in_window = (ring >= op.B) & (ring <= op.B + op.n)
-    denom = correction.alpha * (op.n + 1) + float(correction.local[in_window].sum())
+    in_window = [correction.local[:0]]  # the local entries on the count window, in arc order
+    for j, r, k in correction.runs():
+        a, b = max(r, op.B), min(r + k, op.B + op.n + 1)
+        if a < b:
+            in_window.append(correction.local[j + a - r : j + b - r])
+    denom = correction.alpha * (op.n + 1) + float(np.concatenate(in_window).sum())
     if abs(denom) < 1e-300:
         raise ArithmeticError(
             "degenerate correction direction; operator spectrum is broken"
@@ -257,13 +268,22 @@ def fast_inversion(
 def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> None:
     """Correct the product u = A^{-1} f~, in place, into fast_inversion's
     solution in norm p.
+
+    The local part is subtracted over the correction's arc, a block at a
+    time through one block-sized scratch, so nothing grows with the arc.
     """
     correction, denom = _correction_direction(op, p)
     window_sum = float(u[op.B : op.B + op.n + 1].sum())
     step = (window_sum - 1.0) / denom
     if correction.alpha:
         u -= step * correction.alpha
-    u[correction.indices] -= step * correction.local
+    local, block = correction.local, circulant._BLOCK
+    scratch = np.empty(min(block, len(local)))
+    for j, r, k in correction.runs():
+        for lo in range(0, k, block):
+            b = min(block, k - lo)
+            np.multiply(local[j + lo : j + lo + b], step, out=scratch[:b])
+            u[r + lo : r + lo + b] -= scratch[:b]
 
 
 def threshold_tau(r: np.ndarray, s: float) -> float:

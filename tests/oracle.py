@@ -2,14 +2,15 @@
 
 Everything here is quadratic or worse, or works item by item, and exists to
 cross-check the fast paths: the operator's generator row from its closed
-form and dense realizations of the operator, its inverse taps as the
-package once built them (by an FFT on rings of up to the window's length)
-and as its closed form gives them in 40-digit arithmetic, the optimal correction
-direction on a whole vector, exact constrained least squares via the
-stationarity system, Monte-Carlo simulation of the mass-smearing process,
-bisection for the drain threshold, the iterative form of the rounding
-adjustment, and the two-party protocol run party by party.  The package
-itself never imports this module.
+form and dense realizations of the operator, its spectrum in closed form,
+its inverse taps as the package once built them (by an FFT on rings of up
+to the window's length) and as its closed form gives them in 40-digit
+arithmetic, the optimal correction direction on a whole vector, exact
+constrained least squares via the stationarity system, the unfolding of a
+clipped sketch formed whole, Monte-Carlo simulation of the mass-smearing
+process, bisection for the drain threshold, the iterative form of the
+rounding adjustment, and the two-party protocol run party by party.  The
+package itself never imports this module.
 """
 
 from __future__ import annotations
@@ -21,8 +22,15 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from dpprofile.circulant import _half_spectrum, kernel_normalizer, spectrum_floor
-from dpprofile.mechanism import Histogram, PrivateSketch, int64_array, privatize, update
+from dpprofile.circulant import kernel_normalizer, spectrum_floor
+from dpprofile.mechanism import (
+    Histogram,
+    PrivateSketch,
+    int64_array,
+    privatize,
+    sample_geometric,
+    update,
+)
 from dpprofile.params import MIN_EIGENVALUE, ReconstructionConfig, min_truncation_radius
 from dpprofile.reconstruct import Profile, reconstruct_profile
 from dpprofile.twoparty import PROTOCOL_N, ProtocolResult, _publish, protocol_config
@@ -32,10 +40,12 @@ __all__ = [
     "DenseOperator",
     "dense_operator",
     "dense_solve",
+    "eigenvalues",
     "fft_inverse_taps",
     "exact_inverse_column",
     "factored_column",
     "equality_constrained_ls",
+    "unfold",
     "sample_truncated_dlap",
     "monte_carlo_generator",
     "bisection_tau",
@@ -109,6 +119,31 @@ def dense_solve(dense: DenseOperator, x: np.ndarray) -> np.ndarray:
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(x)))):
         raise AssertionError(f"dense solve residual {resid:.3e} too large")
     return y
+
+
+def _half_spectrum(epsilon: float, B: int, ring: int) -> np.ndarray:
+    """Eigenvalues of modes 0..ring//2 of the kernel wrapped on a ring.
+
+    The other modes mirror these, since the kernel is symmetric.  The
+    eigenvalue at angle theta is (1 + 2 sum_{j=1..B} q^j cos(j theta)) / P;
+    summing the geometric series collapses it to a ratio of three cosines,
+    so each mode costs O(1) scalar operations.
+    """
+    q = math.exp(-epsilon)
+    k = np.arange(ring // 2 + 1)
+
+    def cos_of(j: int) -> np.ndarray:
+        return np.cos((2.0 * np.pi / ring) * ((j * k) % ring))
+
+    numer = 1.0 - q * q - 2.0 * q ** (B + 1) * (cos_of(B + 1) - q * cos_of(B))
+    denom = 1.0 - 2.0 * q * cos_of(1) + q * q
+    return numer / denom / kernel_normalizer(epsilon, B)
+
+
+def eigenvalues(op) -> np.ndarray:
+    """An operator's real spectrum; index i holds the eigenvalue of mode i."""
+    half = _half_spectrum(op.epsilon, op.B, op.m)
+    return np.concatenate((half, half[1 : op.m - len(half) + 1][::-1]))
 
 
 def fft_inverse_taps(cfg: ReconstructionConfig) -> np.ndarray:
@@ -224,6 +259,26 @@ def equality_constrained_ls(dense: DenseOperator, f_tilde: np.ndarray) -> np.nda
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular stationarity system: {exc}") from exc
     return solution[:m]
+
+
+def unfold(s: PrivateSketch, rng: np.random.Generator) -> PrivateSketch:
+    """Convert a clipped sketch into one distributed like an unclipped sketch.
+
+    Interior entries are kept; entries stuck at the boundaries are pushed
+    outward by an independent geometric draw (0 becomes -G, n becomes n + G).
+    Memorylessness of the geometric distribution makes the result exactly
+    distributed as unclipped noisy counts.
+    """
+    if not s.clipped:
+        raise ValueError("sketch is already unclipped")
+    counts = s.counts.copy()
+    at_zero = np.flatnonzero(counts == 0)
+    at_n = np.flatnonzero(counts == s.n)
+    if len(at_zero):
+        counts[at_zero] -= sample_geometric(s.epsilon, rng, size=len(at_zero))
+    if len(at_n):
+        counts[at_n] += sample_geometric(s.epsilon, rng, size=len(at_n))
+    return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
 
 
 def sample_truncated_dlap(

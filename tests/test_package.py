@@ -30,7 +30,7 @@ PUBLIC = [
     "read_sketch", "reconstruct", "reconstruct_profile", "rounding",
     "run_protocol", "sample_dlap", "sample_geometric",
     "sensitivity_bound", "sweep", "synth_histogram", "theoretical_bounds",
-    "threshold_tau", "true_profile", "truncation_radius", "twoparty", "unfold",
+    "threshold_tau", "true_profile", "truncation_radius", "twoparty",
     "update", "write_sketch",
 ]
 
@@ -43,6 +43,8 @@ REMOVED = {
     "alice_message": "twoparty",
     "bob_estimate": "twoparty",
     "generator_vector": "circulant",
+    "unfold": "mechanism",
+    "_half_spectrum": "circulant",
 }
 
 LAYERS = ("circulant", "params", "mechanism", "reconstruct", "evaluation", "twoparty")
@@ -73,7 +75,8 @@ def test_unknown_attribute_raises_attribute_error():
         assert not hasattr(dpprofile, name), name
         module = getattr(dpprofile, layer)
         assert not hasattr(module, name) and name not in module.__all__, name
-    assert not hasattr(dpprofile.CirculantOperator, "generator")
+    for name in ("generator", "eigenvalues"):
+        assert not hasattr(dpprofile.CirculantOperator, name), name
     with pytest.raises(ImportError):
         from dpprofile import no_such_name  # noqa: F401
 
@@ -120,6 +123,21 @@ def test_a_name_loads_only_the_layers_its_module_needs():
         # json serves the sketch codec alone (numpy itself loads inspect)
         ("import dpprofile.evaluation", ["dataclasses", "json"]),
         ("import dpprofile.twoparty", ["dataclasses", "json"]),
+        # the inverse is summed from its closed form, so no reconstruction,
+        # clipped or not, in any norm, takes a transform: numpy loads
+        # numpy.fft only on use
+        pytest.param(
+            "import numpy as np\n"
+            "from dpprofile import Histogram, ReconstructionConfig, privatize, reconstruct_profile\n"
+            "rng = np.random.default_rng(1)\n"
+            "h = Histogram(counts=rng.integers(0, 33, size=1000), n=32)\n"
+            "for clip in (False, True):\n"
+            "    for p in ('l1', 'l2', 'linf'):\n"
+            "        cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=1000, p_norm=p)\n"
+            "        reconstruct_profile(privatize(h, 1.0, clip, rng), cfg, rng)",
+            ["numpy.fft", "scipy"],
+            id="reconstruct_profile",
+        ),
     ],
 )
 def test_a_layer_loads_no_module_it_does_not_use(statement, unwanted):

@@ -16,7 +16,6 @@ from dpprofile.mechanism import (
     PrivateSketch,
     empirical_profile,
     privatize,
-    unfold,
 )
 from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import (
@@ -40,6 +39,7 @@ from oracle import (
     direction_vector,
     equality_constrained_ls,
     iterated_adjustment,
+    unfold,
 )
 
 
@@ -586,7 +586,7 @@ def test_window_image_is_exactly_mirror_symmetric(cfg):
 def densify(correction):
     """The correction's vector of the window's length."""
     dense = np.full(correction.m, correction.alpha)
-    dense[correction.indices] += correction.local
+    dense[(correction.start + np.arange(len(correction.local))) % correction.m] += correction.local
     return dense
 
 
@@ -652,6 +652,59 @@ def test_products_and_corrections_match_dense_construction(eps, n, log_d):
         _, dense = dense_correction(op, p)
         built = densify(reconstruct._correction_direction(op, p)[0])
         assert np.max(np.abs(built - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+# at eps = 1e-4, n = 2e5, d = 1e5 (m = 490 175) the reach of A^{-1} covers
+# the ring, so each correction's local part is about m long
+RING_COVERING = ReconstructionConfig(epsilon=1e-4, eta=0.05, n=2 * 10**5, d=10**5)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        protocol_config(1.0, 1000),
+        ReconstructionConfig(epsilon=0.5, eta=0.05, n=7, d=10, B=6),  # full ring
+        ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=10**6),
+        ReconstructionConfig(epsilon=0.1, eta=0.05, n=3000, d=10**4),
+        RING_COVERING,
+    ],
+    ids=["n4", "n7B6", "n32", "n3000e0.1", "ring-covering"],
+)
+def test_correction_over_its_arc_equals_indexing_the_ring(cfg):
+    # the local part, kept as an arc and subtracted a block at a time, gives
+    # bit for bit what indexing the ring with (start + j) mod m gives
+    op = cached_operator(cfg)
+    u = np.random.default_rng(cfg.n).random(op.m)
+    for p in ("l1", "l2", "linf"):
+        correction, denom = reconstruct._correction_direction(op, p)
+        ring = (correction.start + np.arange(len(correction.local))) % op.m
+        in_window = (ring >= op.B) & (ring <= op.B + op.n)
+        assert denom == correction.alpha * (op.n + 1) + float(correction.local[in_window].sum())
+        want = u.copy()
+        step = (float(want[op.B : op.B + op.n + 1].sum()) - 1.0) / denom
+        if correction.alpha:
+            want -= step * correction.alpha
+        want[ring] -= step * correction.local
+        got = u.copy()
+        reconstruct._restore_sum(op, got, p)
+        assert got.tobytes() == want.tobytes(), p
+
+
+@pytest.mark.parametrize("p", ["l1", "l2", "linf"])
+def test_restoring_the_sum_allocates_only_block_scratch(p):
+    # the correction holds its arc's start, not an index per entry, and is
+    # subtracted through one block-sized scratch
+    op = cached_operator(RING_COVERING)
+    correction, _ = reconstruct._correction_direction(op, p)  # cold: built and cached
+    assert len(correction.local) > 0.9 * op.m
+    u = np.random.default_rng(3).random(op.m)
+    tracemalloc.start()
+    try:
+        reconstruct._restore_sum(op, u, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * op.m
 
 
 def test_reconstruction_makes_one_product_of_the_window_length(monkeypatch):
