@@ -133,6 +133,24 @@ class EmpiricalProfile(_Frozen):
         return len(self.values)
 
 
+# Entries drawn or binned per block: a block's counts, uniforms and draws take
+# 256 KB each, whatever d and the window's length are.
+_BIN_BLOCK = 2**15
+
+
+def _draw_geometric(epsilon: float, rng: np.random.Generator, u: np.ndarray,
+                    out: np.ndarray) -> None:
+    """Fill out (int64) with len(out) geometric draws through the float scratch u."""
+    rng.random(out=u)
+    # In place, in the buffer of the uniforms.  log(x) / -eps equals
+    # -log(x) / eps bit for bit: IEEE division is symmetric in sign.
+    np.subtract(1.0, u, out=u)  # in (0, 1]: keeps the logarithm finite
+    np.log(u, out=u)
+    np.divide(u, -epsilon, out=u)
+    np.floor(u, out=u)
+    np.copyto(out, u, casting="unsafe")  # whole floats below 2**63: exact
+
+
 def sample_geometric(epsilon: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` geometric draws G >= 0, P[G = t] = (1 - e^{-eps}) e^{-eps t}, as int64.
 
@@ -141,16 +159,19 @@ def sample_geometric(epsilon: float, rng: np.random.Generator, size: int) -> np.
     2^-53 grid, so no draw exceeds 53 ln(2) / eps (about 36.7 / eps) and the
     far tail is distorted.  The exact discrete-Laplace item of ROADMAP.md
     plans an exact integer sampler.
+
+    The uniforms are drawn _BIN_BLOCK at a time into one reused buffer, and
+    each block's draws are written straight into the output.  Blocks of
+    uniforms concatenate to the uniforms of one draw, so the result does not
+    depend on the block size.
     """
     _check_epsilon(epsilon)
-    u = rng.random(size)
-    # In place, in the buffer of the uniforms.  log(x) / -eps equals
-    # -log(x) / eps bit for bit: IEEE division is symmetric in sign.
-    np.subtract(1.0, u, out=u)  # in (0, 1]: keeps the logarithm finite
-    np.log(u, out=u)
-    np.divide(u, -epsilon, out=u)
-    np.floor(u, out=u)
-    return u.astype(np.int64)
+    out = np.empty(size, dtype=np.int64)
+    u = np.empty(min(_BIN_BLOCK, size))
+    for lo in range(0, size, _BIN_BLOCK):
+        block = out[lo : lo + _BIN_BLOCK]
+        _draw_geometric(epsilon, rng, u[: len(block)], block)
+    return out
 
 
 def sample_dlap(epsilon: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -159,10 +180,20 @@ def sample_dlap(epsilon: float, rng: np.random.Generator, size: int) -> np.ndarr
     Realized as the difference of two independent geometric draws, which has
     exactly the target pmf ((1 - e^{-eps}) / (1 + e^{-eps})) e^{-eps |t|}
     when the draws are exact; sample_geometric says where they are not.
+
+    The first `size` geometric draws are the output; the second `size` are
+    drawn a block at a time in stream order and subtracted block by block,
+    so the only array of `size` entries is the output itself.
     """
-    g1 = sample_geometric(epsilon, rng, size)
-    g1 -= sample_geometric(epsilon, rng, size)
-    return g1
+    out = sample_geometric(epsilon, rng, size)
+    u = np.empty(min(_BIN_BLOCK, size))
+    g = np.empty(len(u), dtype=np.int64)
+    for lo in range(0, size, _BIN_BLOCK):
+        block = out[lo : lo + _BIN_BLOCK]
+        k = len(block)
+        _draw_geometric(epsilon, rng, u[:k], g[:k])
+        block -= g[:k]
+    return out
 
 
 def window_pmf(values, epsilon: float, n: int, B: int) -> np.ndarray:
@@ -242,32 +273,32 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
 
 
-# Entries binned per block: a block's counts, uniforms and draws take
-# 256 KB each, whatever d and the window's length are.
-_BIN_BLOCK = 2**15
-
-
 def _bins(counts: np.ndarray, lo: int, hi: int, clamp: bool) -> np.ndarray:
     """np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1), as floats.
 
-    The counts go a block at a time into one reused int64 buffer, clamped
-    to [lo, hi] and then shifted by -lo (the other order wraps at the int64
-    limits), or only shifted when clamp is False, for counts known to lie
-    in [lo, hi].  np.add.at adds each block to the bins, which hold exact
-    integers, so the bins are the one array of the window's length and no
-    temporary grows with the number of counts.
+    The counts go a block at a time into one reused int64 buffer, shifted
+    by -lo.  The shift is one to one modulo 2^64 and takes exactly [lo, hi]
+    onto [0, hi - lo], so with clamp one max() of the buffer viewed as
+    uint64 says whether any count of the block left [lo, hi]: a count below
+    lo, or one whose shift wrapped past INT64_MAX (every caller has lo <= 0),
+    reads 2^63 or more, and MAX_WINDOW keeps hi - lo far below that.  Only
+    such a block, the probability-eta event, is rebuilt from its counts
+    clamped to [lo, hi] and then shifted (the other order wraps at the int64
+    limits).  Without clamp the counts must lie in [lo, hi].  np.add.at
+    adds each block to the bins, which hold exact integers, so the bins are
+    the one array of the window's length and no temporary grows with the
+    number of counts.
     """
     bins = np.zeros(hi - lo + 1)
     at = np.empty(min(_BIN_BLOCK, len(counts)), dtype=np.int64)
     for start in range(0, len(counts), _BIN_BLOCK):
         block = counts[start : start + _BIN_BLOCK]
-        k = len(block)
-        if clamp:
-            np.clip(block, lo, hi, out=at[:k])
-            at[:k] -= lo
-        else:
-            np.subtract(block, lo, out=at[:k])
-        np.add.at(bins, at[:k], 1.0)
+        shifted = at[: len(block)]
+        np.subtract(block, lo, out=shifted)
+        if clamp and shifted.view(np.uint64).max() > hi - lo:
+            np.clip(block, lo, hi, out=shifted)
+            shifted -= lo
+        np.add.at(bins, shifted, 1.0)
     return bins
 
 
@@ -310,7 +341,8 @@ def empirical_profile(
     Counts outside the window (noise larger than B, which happens with
     probability at most eta by the choice of B) are clamped to the nearest
     endpoint so that the result always sums to exactly one.  _bins takes
-    the counts a block at a time, so no temporary grows with d.
+    the counts a block at a time, so no temporary grows with d, and clamps
+    only a block that holds such a count.
 
     A clipped sketch is binned as its unfolding, without forming it: the
     k entries at 0 move to -G and then those at n to n + G, with G from
@@ -380,7 +412,6 @@ def _parse_ints(data: bytes, pos: int, end: int, out: np.ndarray, sep: bytes) ->
             len(starts) != gaps[0] + 1 or starts[0]  # one "," between two tokens, none first
             # each "," is followed by a " ", and each " " past the first byte follows a ","
             or not ((piece[:-1] == ord(",")) == (piece[1:] == ord(" "))).all()
-            or ((piece[starts + neg] == ord("0")) & (ends - starts > 1)).any()  # 01, -0
         ):
             return None
         values = out[filled : filled + len(starts)]
@@ -393,6 +424,10 @@ def _parse_ints(data: bytes, pos: int, end: int, out: np.ndarray, sep: bytes) ->
             magnitude += np.multiply(digit, _POW10[place], dtype=np.uint64)
         # 19 digits fit in a uint64, so one comparison bounds them to int64
         if top == 19 and (magnitude > np.uint64(_INT64_MAX) + neg).any():
+            return None
+        # a leading zero leaves the magnitude below 10**(ndig - 1): json
+        # writes it only as the whole token "0", so 00, 01, -0 and -01 fail
+        if canonical and ((magnitude < _POW10[ndig - 1]) & (ends - starts > 1)).any():
             return None
         if minus:
             values *= 1 - 2 * neg.view(np.int8)  # 2**63 is its own negative

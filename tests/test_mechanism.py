@@ -133,6 +133,22 @@ def test_samplers_match_reference_formula(epsilon):
         assert z.tolist() == [expected]
 
 
+@pytest.mark.parametrize("block", [1, 3, 2**15])
+def test_samplers_do_not_depend_on_the_block_size(monkeypatch, block):
+    # the draws go a block at a time into the output, in stream order
+    want_g = sample_geometric(0.8, np.random.default_rng(41), size=10)
+    want_z = sample_dlap(0.8, np.random.default_rng(41), size=10)
+    monkeypatch.setattr(mechanism, "_BIN_BLOCK", block)
+    rng = np.random.default_rng(41)
+    assert np.array_equal(sample_geometric(0.8, rng, size=10), want_g)
+    rng_z = np.random.default_rng(41)
+    assert np.array_equal(sample_dlap(0.8, rng_z, size=10), want_z)
+    rng_ref = np.random.default_rng(41)
+    rng_ref.random(20)
+    assert rng_z.random() == rng_ref.random()  # exactly 2 * size uniforms used
+    assert sample_dlap(0.8, rng, size=0).shape == sample_geometric(0.8, rng, size=0).shape == (0,)
+
+
 # --- privatize ------------------------------------------------------------
 
 def test_privatize_noiseless_limit():
@@ -169,6 +185,22 @@ def test_privatize_matches_dlap_pmf():
     pmf = np.array([dlap_pmf(1.0, t) for t in support])
     pmf = pmf / pmf.sum()
     assert gof_chi2_pvalue(np.asarray(s.counts), support, pmf) > 0.01
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_privatize_peak_allocation_is_about_its_output(clip):
+    # numpy reports its buffers to tracemalloc: the 8d bytes of the noisy
+    # counts, and block-sized scratch for the uniforms and the second draw
+    d = 10**6
+    h = Histogram(counts=np.random.default_rng(8).integers(0, 33, d), n=32)
+    tracemalloc.start()
+    try:
+        s = privatize(h, 1.0, clip=clip, rng=np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.d == d
+    assert peak <= 1.2 * 8 * d
 
 
 # --- unfold ---------------------------------------------------------------
@@ -388,6 +420,90 @@ def test_unclipped_binning_equals_clamping_and_binning_whole(monkeypatch, block,
         want = np.bincount(np.clip(s.counts, -B, n + B) + B, minlength=cfg.m) / d
         assert empirical_profile(s, cfg).values.tobytes() == want.tobytes()
     assert (wide < -B).any() and (wide > n + B).any()
+
+
+def clamped_bincount(counts, lo, hi):
+    return np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1).astype(np.float64)
+
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.one_of(st.integers(-60, 60), st.sampled_from([INT64_MIN, -2**62, INT64_MAX - 40])),
+    span=st.integers(0, 40),
+    counts=st.lists(
+        st.one_of(st.integers(-120, 120),
+                  st.sampled_from([INT64_MIN, INT64_MIN + 1, -2**62, 2**62, INT64_MAX - 1,
+                                   INT64_MAX])),
+        min_size=1, max_size=40),
+    block=st.sampled_from([1, 2, 3, 7, 2**15]),
+)
+def test_bins_equal_clamping_then_counting(lo, span, counts, block):
+    hi = lo + span
+    counts = np.array(counts, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mechanism, "_BIN_BLOCK", block)
+        got = mechanism._bins(counts, lo, hi, clamp=True)
+    assert got.tobytes() == clamped_bincount(counts, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("length", [mechanism._BIN_BLOCK - 1, mechanism._BIN_BLOCK,
+                                    mechanism._BIN_BLOCK + 1, 3 * mechanism._BIN_BLOCK])
+def test_bins_range_check_at_block_edges(length):
+    # each value just outside or at the ends of the window, and the int64
+    # limits, whose shift by -lo wraps, at the first and last entry of every
+    # block, alone in its block
+    lo, hi, block = -3, 10, mechanism._BIN_BLOCK
+    base = np.random.default_rng(length).integers(lo, hi + 1, size=length)
+    want = clamped_bincount(base, lo, hi)
+    assert mechanism._bins(base, lo, hi, clamp=True).tobytes() == want.tobytes()
+    assert mechanism._bins(base, lo, hi, clamp=False).tobytes() == want.tobytes()
+    edges = sorted({i for b in range(0, length, block) for i in (b, b + block - 1)
+                    if i < length} | {length - 1})
+    for value in (INT64_MIN, INT64_MAX, lo - 1, lo, hi, hi + 1):
+        for at in edges:
+            counts = base.copy()
+            counts[at] = value
+            got = mechanism._bins(counts, lo, hi, clamp=True)
+            assert got.tobytes() == clamped_bincount(counts, lo, hi).tobytes(), (value, at)
+
+
+class ClipSpy:
+    """numpy, with every np.clip call counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def clip(self, *args, **kwargs):
+        self.calls += 1
+        return np.clip(*args, **kwargs)
+
+
+def test_reconstructing_an_in_window_sketch_clamps_no_block(monkeypatch):
+    # an unclipped sketch inside the window is only shifted; a block that
+    # holds a count outside it is the one that is clamped
+    from dpprofile.reconstruct import reconstruct_profile
+
+    n, d = 32, 3 * mechanism._BIN_BLOCK + 5
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
+    rng = np.random.default_rng(12)
+    counts = rng.integers(-cfg.B, n + cfg.B + 1, size=d)
+    inside = PrivateSketch(counts=counts, epsilon=1.0, n=n, clipped=False)
+    counts = counts.copy()
+    counts[mechanism._BIN_BLOCK + 7] = n + cfg.B + 1
+    outside = PrivateSketch(counts=counts, epsilon=1.0, n=n, clipped=False)
+    want_inside, want_outside = reconstruct_profile(inside, cfg), reconstruct_profile(outside, cfg)
+    spy = ClipSpy()
+    monkeypatch.setattr(mechanism, "np", spy)
+    assert reconstruct_profile(inside, cfg).values.tobytes() == want_inside.values.tobytes()
+    assert spy.calls == 0
+    assert reconstruct_profile(outside, cfg).values.tobytes() == want_outside.values.tobytes()
+    assert spy.calls == 1
 
 
 @pytest.mark.parametrize("binning", ["clipped", "unclipped", "true_profile"])
@@ -1191,6 +1307,29 @@ def test_read_sketch_decides_a_defect_on_a_cut_as_json_does(tmp_path, monkeypatc
     path = tmp_path / "sketch.json"
     path.write_bytes(data)
     assert (_parse_canonical(data) is not None) == (name == "canonical")
+    assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
+        reference_read_sketch, str(path))
+
+
+# json writes a zero only as the token "0": the others with a leading zero
+# are off write_sketch's layout (json refuses them, or reads -0 as 0)
+ZERO_TOKENS = {b"0": True, b"-0": False, b"00": False, b"01": False, b"-01": False,
+               b"10": True, b"-10": True}
+
+
+@pytest.mark.parametrize("piece", [*range(1, 9), 2**17])
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("token", ZERO_TOKENS)
+def test_read_sketch_decides_leading_zeros_as_json_does(tmp_path, monkeypatch, token, place,
+                                                        piece):
+    # small pieces put the token first or last in its piece, either side of a cut
+    monkeypatch.setattr(mechanism, "_PARSE_PIECE", piece)
+    body = {"first": token + b", 1111, 2", "middle": b"1111, " + token + b", 22",
+            "last": b"1111, 2, " + token}[place]
+    data = GOOD_HEAD.replace(b'"d": 2', b'"d": 3') + b'"counts": [' + body + b"]}\n"
+    path = tmp_path / "sketch.json"
+    path.write_bytes(data)
+    assert (_parse_canonical(data) is not None) == ZERO_TOKENS[token]
     assert sketch_outcome(read_sketch, str(path)) == sketch_outcome(
         reference_read_sketch, str(path))
 

@@ -289,6 +289,24 @@ def test_threshold_tau_falls_back_when_the_bracket_misses(monkeypatch, scale):
     assert abs(tau - bisection_tau(r, s)) <= 1e-9
 
 
+def test_rounding_a_wide_window_allocates_under_15_percent_of_it():
+    # numpy reports its buffers to tracemalloc: the clip and the drain run in
+    # the core itself, and the bracket's sample is sorted once and dropped
+    # before the pass; the entries inside the bracket are gathered, then
+    # sorted in place and solved beside their prefix sums and plateaus
+    relaxed = next(wide_relaxed_solutions())
+    core = relaxed.core().copy()
+    want = rounding(relaxed, relaxed.n).values
+    tracemalloc.start()
+    try:
+        got = reconstruct._project(core, relaxed.core_sum, out=core)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.values.tobytes() == want.tobytes()
+    assert peak <= 0.15 * 8 * len(relaxed.values)
+
+
 @pytest.mark.parametrize(
     "length",
     [circulant._BLOCK - 1, circulant._BLOCK, circulant._BLOCK + 1, 3 * circulant._BLOCK + 7],
