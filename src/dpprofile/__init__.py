@@ -22,7 +22,6 @@ _EXPORTS = {
     "circulant": (
         "CirculantOperator",
         "NormBounds",
-        "apply",
         "apply_inverse",
         "build_operator",
         "norm_bounds",

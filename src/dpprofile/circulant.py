@@ -1,4 +1,4 @@
-"""Circulant deconvolution operator applied in near-linear time at any size.
+"""Circulant deconvolution operator, inverted in near-linear time at any size.
 
 The operator A maps a (padded) profile to the expected empirical profile of
 its noisy histogram: each unit of mass is smeared by a truncated two-sided
@@ -24,11 +24,13 @@ and no array of the window's length.  Only a B at least the radius, where
 the analytic spectrum floor proves every eigenvalue nonzero, is built; a
 lower B, or a floor below MIN_EIGENVALUE, is refused before any O(B) work.
 
-One cyclic product applies both, visiting only nonzero taps and folding
-each pair of offsets +-u into one multiply, at O(m nnz) cost: A over its
-2B + 1 taps, and A^{-1} as T's three taps, then N's, in the same blocked
-pass: T's near-cancelling second difference acts on the operand itself,
-then N, whose taps carry the scale P/(1-q^2), on that.
+Reconstruction only ever applies A^{-1}, so that is the one product here:
+a cyclic product over N's nonzero taps, folding each pair of offsets +-u
+into one multiply, at O(m nnz) cost, with T's three taps applied in the
+same blocked pass: T's near-cancelling second difference acts on the
+operand itself, then N, whose taps carry the scale P/(1-q^2), on that.
+A itself appears only in the analysis, as the expected profile inside the
+error bounds, which convolves the profile with _kernel_taps directly.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "CirculantOperator",
     "NormBounds",
     "build_operator",
-    "apply",
     "apply_inverse",
     "norm_bounds",
 ]
@@ -61,8 +62,8 @@ _BLOCK = 1 << 15
 
 
 class CirculantOperator(_Frozen):
-    """A^{-1}'s factors; A's taps are computed on read.  Compared and hashed by
-    identity: the correction cache is keyed by it."""
+    """A^{-1}'s factors: N's (offset, tap) pairs and T's side tap.  Compared
+    and hashed by identity: the correction cache is keyed by it."""
 
     __slots__ = ("m", "n", "B", "epsilon", "p_norm_const", "_inv_pairs", "_t_side")
     __eq__ = object.__eq__
@@ -75,11 +76,6 @@ class CirculantOperator(_Frozen):
     ):
         self._set(m=m, n=n, B=B, epsilon=epsilon, p_norm_const=p_norm_const,
                   _inv_pairs=_inv_pairs, _t_side=_t_side)
-
-    @property
-    def _fwd_taps(self) -> np.ndarray:
-        """A's 2B + 1 centred taps; only apply reads them, so the build makes none."""
-        return _kernel_taps(self.epsilon, self.B)
 
 
 class NormBounds(NamedTuple):
@@ -163,11 +159,11 @@ def build_operator(cfg: ReconstructionConfig) -> CirculantOperator:
 
 
 def _cyclic_product(
-    pairs: tuple, x: np.ndarray, out: np.ndarray | None = None, side: float | None = None
+    pairs: tuple, x: np.ndarray, out: np.ndarray | None = None, *, side: float
 ) -> np.ndarray:
     """sum_u t_u z[(i - u) mod m] for symmetric taps t_u = t_{-u} given as
-    (u, t_u) pairs, u = 0 first, then ascending to w, where z is x, or with
-    a side tap r, z[i] = x[i] + r (x[i-1] + x[i+1]).  x is a float64 vector
+    (u, t_u) pairs, u = 0 first, then ascending to w, where z is x with a
+    side tap r: z[i] = x[i] + r (x[i-1] + x[i+1]).  x is a float64 vector
     of any length m > w; out is a new vector, or a given float64 one of
     length m that is x itself or shares no memory with it.
 
@@ -176,33 +172,31 @@ def _cyclic_product(
     mirror-symmetric x gives an exactly mirror-symmetric product, and the
     product in place equals the one into a new vector bit for bit: a block's
     z is formed before its outputs overwrite x, from x right of the block
-    (x[:g + e] is saved for the last blocks' wraps) and the block before's
+    (x[:g + 1] is saved for the last blocks' wraps) and the block before's
     last 2g.  No temporary grows with m unless w does.
     """
     m, centre, rest, w = len(x), pairs[0][1], pairs[1:], pairs[-1][0]
-    e = 0 if side is None else 1
-    g, out = max(w, e), np.empty(m) if out is None else out  # g >= e: see the docstring
+    g, out = max(w, 1), np.empty(m) if out is None else out
     block = max(_BLOCK, w // 2)
     size = min(block, m)
     # z[j] is z at ring index lo - g + j for the block at lo
-    z, pair, head = np.empty(size + 2 * g), np.empty(size), x[: g + e].copy()
+    z, pair, head = np.empty(size + 2 * g), np.empty(size), x[: g + 1].copy()
     for lo in range(0, m, block):
         hi = min(lo + block, m)
         k, new = hi - lo, 2 * g if lo else 0
         z[:new] = z[size : size + new]
-        a, b = lo - g + new - e, hi + g + e  # the x that z's new entries read
+        # the x that z's new entries read, T's side tap one past them; with
+        # g >= 1 the carried z covers the x left of the block, written over
+        a, b = lo - g + new - 1, hi + g + 1
         if lo == 0:  # nothing is written over yet; a ring shorter than b - a wraps more
             short = b > m or -a > m
             xs = x.take(np.arange(a, b), mode="wrap") if short else np.concatenate((x[m + a :], x[:b]))
         else:
             xs = x[a:b] if b <= m else np.concatenate((x[min(a, m) :], head[max(a - m, 0) : b - m]))
         fresh = z[new : k + 2 * g]
-        if side is None:
-            fresh[:] = xs
-        else:
-            np.add(xs[:-2], xs[2:], out=fresh)
-            fresh *= side
-            fresh += xs[1:-1]
+        np.add(xs[:-2], xs[2:], out=fresh)
+        fresh *= side
+        fresh += xs[1:-1]
         acc, p = out[lo:hi], pair[:k]
         np.multiply(z[g : g + k], centre, out=acc)
         for u, tap in rest:
@@ -229,11 +223,6 @@ def _operand(op: CirculantOperator, x) -> np.ndarray:
     return x
 
 
-def apply(op: CirculantOperator, x: np.ndarray) -> np.ndarray:
-    """A @ x."""
-    return _cyclic_product(tuple(enumerate(op._fwd_taps[op.B :].tolist())), _operand(op, x))
-
-
 def apply_inverse(op: CirculantOperator, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A^{-1} @ x = T (N x); since A is symmetric, also x^T A^{-1}.
 
@@ -249,7 +238,7 @@ def apply_inverse(op: CirculantOperator, x: np.ndarray, out: np.ndarray | None =
         raise ValueError(
             f"out must be a float64 vector of shape ({op.m},), x itself or apart from it"
         )
-    return _cyclic_product(op._inv_pairs, x, out, op._t_side)
+    return _cyclic_product(op._inv_pairs, x, out, side=op._t_side)
 
 
 def norm_bounds(op: CirculantOperator) -> NormBounds:

@@ -45,7 +45,6 @@ __all__ = [
     "SynthSpec",
     "synth_histogram",
     "true_profile",
-    "pad_profile",
     "theoretical_bounds",
     "sweep",
     "rows_to_csv",
@@ -156,15 +155,9 @@ def _shuffle(spec: SynthSpec, counts: np.ndarray) -> None:
 
 def true_profile(h: Histogram) -> Profile:
     """Exact frequency-of-frequencies of a histogram."""
-    # a histogram's counts lie in [0, n], so none needs clamping
-    bins = _bins(h.counts, 0, h.n, clamp=False)
+    bins = _bins(h.counts, 0, h.n)
     bins /= h.d
     return Profile(values=bins)
-
-
-def pad_profile(profile: Profile, B: int) -> np.ndarray:
-    """Embed a profile over 0..n into the window -B..n+B with zero padding."""
-    return np.concatenate([np.zeros(B), profile.values, np.zeros(B)])
 
 
 class BoundTriple(_Frozen):
@@ -185,12 +178,14 @@ def theoretical_bounds(
     Each norm combines twice the analytic operator-norm bound of the inverse
     with the corresponding concentration bound on how far the observed noisy
     profile strays from its expectation (valid with probability >= 1 - eta).
-    The expectation itself is computed exactly as the operator image of the
-    padded true profile.
+    The expectation is A applied to the true profile padded by B zeros on
+    each side; the window m = (n + 1) + (2B + 1) - 1 is exactly the length
+    of the profile's linear convolution with A's 2B + 1 taps, so no tap
+    wraps and that convolution is the expectation itself.
     """
     bounds = circulant.norm_bounds(op)
     d = cfg.d
-    expected = np.clip(circulant.apply(op, pad_profile(f, cfg.B)), 0.0, None)
+    expected = np.clip(np.convolve(f.values, circulant._kernel_taps(cfg.epsilon, cfg.B)), 0.0, None)
     log_eta = math.log(1.0 / cfg.eta)
     log_n_eta = math.log(cfg.n / cfg.eta)
     dev1 = float(np.sum(np.sqrt(expected))) / math.sqrt(d) + math.sqrt(

@@ -273,21 +273,21 @@ def update(s: PrivateSketch, delta: np.ndarray) -> PrivateSketch:
     return PrivateSketch(counts=counts, epsilon=s.epsilon, n=s.n, clipped=False)
 
 
-def _bins(counts: np.ndarray, lo: int, hi: int, clamp: bool) -> np.ndarray:
+def _bins(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1), as floats.
 
     The counts go a block at a time into one reused int64 buffer, shifted
     by -lo.  The shift is one to one modulo 2^64 and takes exactly [lo, hi]
-    onto [0, hi - lo], so with clamp one max() of the buffer viewed as
-    uint64 says whether any count of the block left [lo, hi]: a count below
-    lo, or one whose shift wrapped past INT64_MAX (every caller has lo <= 0),
-    reads 2^63 or more, and MAX_WINDOW keeps hi - lo far below that.  Only
-    such a block, the probability-eta event, is rebuilt from its counts
-    clamped to [lo, hi] and then shifted (the other order wraps at the int64
-    limits).  Without clamp the counts must lie in [lo, hi].  np.add.at
-    adds each block to the bins, which hold exact integers, so the bins are
-    the one array of the window's length and no temporary grows with the
-    number of counts.
+    onto [0, hi - lo], so one max() of the buffer viewed as uint64 says
+    whether any count of the block left [lo, hi]: a count below lo, or one
+    whose shift wrapped past INT64_MAX (every caller has lo <= 0), reads
+    2^63 or more, and MAX_WINDOW keeps hi - lo far below that.  Only such a
+    block, the probability-eta event, is rebuilt from its counts clamped to
+    [lo, hi] and then shifted (the other order wraps at the int64 limits);
+    a clipped sketch's or a histogram's counts lie in [lo, hi], so they
+    never take that branch.  np.add.at adds each block to the bins, which
+    hold exact integers, so the bins are the one array of the window's
+    length and no temporary grows with the number of counts.
     """
     bins = np.zeros(hi - lo + 1)
     at = np.empty(min(_BIN_BLOCK, len(counts)), dtype=np.int64)
@@ -295,7 +295,7 @@ def _bins(counts: np.ndarray, lo: int, hi: int, clamp: bool) -> np.ndarray:
         block = counts[start : start + _BIN_BLOCK]
         shifted = at[: len(block)]
         np.subtract(block, lo, out=shifted)
-        if clamp and shifted.view(np.uint64).max() > hi - lo:
+        if shifted.view(np.uint64).max() > hi - lo:
             np.clip(block, lo, hi, out=shifted)
             shifted -= lo
         np.add.at(bins, shifted, 1.0)
@@ -313,8 +313,7 @@ def _window_profile(
     if not math.isclose(s.epsilon, cfg.epsilon, rel_tol=1e-12):
         raise ValueError("config epsilon does not match the sketch")
     n, B = cfg.n, cfg.B
-    # a clipped sketch's counts lie in [0, n], inside the window
-    bins = _bins(s.counts, -B, n + B, clamp=not s.clipped)
+    bins = _bins(s.counts, -B, n + B)
     if s.clipped:
         for edge in (B, B + n):  # the bins of 0 and then of n, as the unfolding pushes them
             k = int(bins[edge])

@@ -189,13 +189,12 @@ def _window_image(op: CirculantOperator, unit: float) -> tuple[int, np.ndarray]:
     m, B, w = op.m, op.B, op._inv_pairs[-1][0] + 1
     start, from_pad = _local_image(op, -B, np.ones(2 * B))
     c = unit - from_pad
-    # pad entries: the window's entries within w of the pad, on the pad
-    # widened by w each side; no tap from the middle 2B entries of that
-    # range reaches past its ends, so its cyclic product there is linear
-    ring = _ring_indices(m, -(B + w), 2 * (B + w))
-    window = ((ring >= B) & (ring <= B + op.n)).astype(np.float64)
-    image = circulant._cyclic_product(op._inv_pairs, window, side=op._t_side)
-    c[(ring[w : w + 2 * B] - start) % m] = image[w : w + 2 * B]
+    # pad entries: the image of the window's entries on the pad widened by
+    # w each side (or on the whole ring), which every tap from the pad reads
+    arc = _ring_indices(m, -(B + w), min(2 * (B + w), m))
+    at, image = _local_image(op, -(B + w), ((arc >= B) & (arc <= B + op.n)).astype(np.float64))
+    pad = _ring_indices(m, -B, 2 * B)
+    c[(pad - start) % m] = image[(pad - at) % m]
     return start, c
 
 
@@ -355,9 +354,9 @@ def _bracket_threshold(r: np.ndarray, s: float) -> float:
     return _threshold_of_sorted(inside, s - below, above=n_hi)
 
 
-def _sorted_threshold(r: np.ndarray, s: float, above: int = 0) -> float:
+def _sorted_threshold(r: np.ndarray, s: float) -> float:
     """threshold_tau by sorting a copy of r: O(k log k) for k entries."""
-    return _threshold_of_sorted(np.sort(r), s, above)
+    return _threshold_of_sorted(np.sort(r), s)
 
 
 def _threshold_of_sorted(rs: np.ndarray, s: float, above: int = 0) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is quadratic or worse, or works item by item, and exists to
 cross-check the fast paths: the operator's generator row from its closed
-form and dense realizations of the operator, its spectrum in closed form,
+form, dense realizations of the operator and its product as a circular
+convolution, its spectrum in closed form,
 its inverse taps as the package once built them (by an FFT on rings of up
 to the window's length) and as its closed form gives them in 40-digit
 arithmetic, the optimal correction direction on a whole vector, exact
@@ -39,6 +40,7 @@ __all__ = [
     "generator_vector",
     "DenseOperator",
     "dense_operator",
+    "circular_apply",
     "dense_solve",
     "eigenvalues",
     "fft_inverse_taps",
@@ -104,6 +106,16 @@ def dense_operator(cfg: ReconstructionConfig) -> DenseOperator:
     for k in range(m):
         entries[k] = np.roll(gen, k)
     return DenseOperator(entries=entries, n=cfg.n, B=cfg.B)
+
+
+def circular_apply(cfg: ReconstructionConfig, x: np.ndarray) -> np.ndarray:
+    """A x on a window too long for dense_operator: the circular convolution
+    of x with the generator's 2B + 1 nonzero taps, by np.convolve of x
+    wrapped B entries on each side."""
+    B = cfg.B
+    taps = np.exp(-cfg.epsilon * np.abs(np.arange(-B, B + 1)))
+    taps /= math.fsum(taps)
+    return np.convolve(np.concatenate((x[len(x) - B :], x, x[:B])), taps, "valid")
 
 
 def dense_solve(dense: DenseOperator, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from dpprofile.evaluation import (
     ErrorReport,
     SynthSpec,
     fit_scaling,
-    pad_profile,
     rows_to_csv,
     sweep,
     synth_histogram,
@@ -28,10 +27,11 @@ from dpprofile.mechanism import (
     privatize,
 )
 from dpprofile.params import ReconstructionConfig
-from dpprofile.reconstruct import cached_operator, fast_inversion, rounding
+from dpprofile.reconstruct import Profile, cached_operator, fast_inversion, rounding
 from dpprofile._util import lp_norm
 
-from helpers import run_trial
+from helpers import random_profile, run_trial
+from oracle import dense_operator
 
 
 # --- synthetic histograms -----------------------------------------------------
@@ -165,9 +165,37 @@ def make_reference():
 
 
 def test_expected_profile_preserves_mass():
-    cfg, f, op = make_reference()
-    expected = circulant.apply(op, pad_profile(f, cfg.B))
+    cfg, f, _ = make_reference()
+    expected = dense_operator(cfg).entries @ np.pad(f.values, cfg.B)
     assert float(expected.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+BOUND_GRID = [
+    (eps, n, d)
+    for eps in (0.05, 0.3, 1.0, 5.0)
+    for n in (1, 4, 60)
+    for d in (20, 10**4)
+]
+
+
+@pytest.mark.parametrize("eps, n, d", BOUND_GRID, ids=[f"e{e}-n{n}-d{d}" for e, n, d in BOUND_GRID])
+def test_bounds_match_those_of_the_dense_expectation(eps, n, d):
+    # the expectation is A pad(f), here from the dense matrix; the window is
+    # exactly the length of f's linear convolution with A's taps, so the
+    # bounds' convolution wraps no tap and gives the same expectation
+    cfg = ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=d, allow_small_n=True)
+    f = Profile(values=random_profile(n, d, np.random.default_rng(derive_seed(59, n, d))))
+    op = cached_operator(cfg)
+    expected = np.clip(dense_operator(cfg).entries @ np.pad(f.values, cfg.B), 0.0, None)
+    norms = circulant.norm_bounds(op)
+    log_eta, log_n_eta = math.log(1.0 / cfg.eta), math.log(n / cfg.eta)
+    dev1 = float(np.sum(np.sqrt(expected))) / math.sqrt(d) + math.sqrt(2.0 * log_eta / d)
+    dev2 = math.sqrt(1.0 / d) + math.sqrt(log_eta / d)
+    devinf = math.sqrt(2.0 * log_n_eta / op.p_norm_const / d) + log_n_eta / (3.0 * d)
+    got = theoretical_bounds(cfg, f, op)
+    assert got.b1 == pytest.approx(2.0 * norms.bound_1_inf * dev1, rel=1e-14, abs=0)
+    assert got.b2 == pytest.approx(2.0 * norms.bound_2 * dev2, rel=1e-14, abs=0)
+    assert got.binf == pytest.approx(2.0 * norms.bound_1_inf * devinf, rel=1e-14, abs=0)
 
 
 def test_l2_bound_composition():

@@ -445,7 +445,7 @@ def test_bins_equal_clamping_then_counting(lo, span, counts, block):
     counts = np.array(counts, dtype=np.int64)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(mechanism, "_BIN_BLOCK", block)
-        got = mechanism._bins(counts, lo, hi, clamp=True)
+        got = mechanism._bins(counts, lo, hi)
     assert got.tobytes() == clamped_bincount(counts, lo, hi).tobytes()
 
 
@@ -458,15 +458,14 @@ def test_bins_range_check_at_block_edges(length):
     lo, hi, block = -3, 10, mechanism._BIN_BLOCK
     base = np.random.default_rng(length).integers(lo, hi + 1, size=length)
     want = clamped_bincount(base, lo, hi)
-    assert mechanism._bins(base, lo, hi, clamp=True).tobytes() == want.tobytes()
-    assert mechanism._bins(base, lo, hi, clamp=False).tobytes() == want.tobytes()
+    assert mechanism._bins(base, lo, hi).tobytes() == want.tobytes()
     edges = sorted({i for b in range(0, length, block) for i in (b, b + block - 1)
                     if i < length} | {length - 1})
     for value in (INT64_MIN, INT64_MAX, lo - 1, lo, hi, hi + 1):
         for at in edges:
             counts = base.copy()
             counts[at] = value
-            got = mechanism._bins(counts, lo, hi, clamp=True)
+            got = mechanism._bins(counts, lo, hi)
             assert got.tobytes() == clamped_bincount(counts, lo, hi).tobytes(), (value, at)
 
 
@@ -504,6 +503,24 @@ def test_reconstructing_an_in_window_sketch_clamps_no_block(monkeypatch):
     assert spy.calls == 0
     assert reconstruct_profile(outside, cfg).values.tobytes() == want_outside.values.tobytes()
     assert spy.calls == 1
+
+
+def test_clipped_sketches_and_histograms_clamp_no_block(monkeypatch):
+    # every block is range-checked, and counts in [0, n] never fail the check
+    from dpprofile.reconstruct import reconstruct_profile
+
+    n, d = 32, 3 * mechanism._BIN_BLOCK + 5
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=n, d=d)
+    rng = np.random.default_rng(13)
+    h = Histogram(counts=rng.integers(0, n + 1, size=d), n=n)
+    s = privatize(h, 1.0, clip=True, rng=rng)
+    want_profile = true_profile(h).values.tobytes()
+    want = reconstruct_profile(s, cfg, np.random.default_rng(14)).values.tobytes()
+    spy = ClipSpy()
+    monkeypatch.setattr(mechanism, "np", spy)
+    assert true_profile(h).values.tobytes() == want_profile
+    assert reconstruct_profile(s, cfg, np.random.default_rng(14)).values.tobytes() == want
+    assert spy.calls == 0
 
 
 @pytest.mark.parametrize("binning", ["clipped", "unclipped", "true_profile"])

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from dpprofile import circulant
-from dpprofile.evaluation import pad_profile
 from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import Profile
 
 from helpers import random_profile
 from oracle import (
     bisection_tau,
+    circular_apply,
     dense_operator,
     dense_solve,
     equality_constrained_ls,
@@ -73,16 +73,21 @@ def test_dense_solve_basics():
     np.testing.assert_allclose(dense_solve(dense, e0), inv[:, 0], atol=1e-10)
 
 
-def test_dense_solve_round_trips_fft_apply():
+def test_dense_solve_round_trips_dense_product():
     cfg = make_cfg(12, 3, 1.0)
     dense = dense_operator(cfg)
-    op = circulant.build_operator(cfg)
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = rng.normal(size=cfg.m)
-        np.testing.assert_allclose(
-            dense_solve(dense, circulant.apply(op, z)), z, atol=1e-8
-        )
+        np.testing.assert_allclose(dense_solve(dense, dense.entries @ z), z, atol=1e-8)
+
+
+@pytest.mark.parametrize("n, B, eps", [(6, 0, 50.0), (1, 2, 1.0), (12, 3, 1.0), (7, 6, 0.5), (40, 9, 0.3)])
+def test_circular_apply_matches_dense(n, B, eps):
+    cfg = ReconstructionConfig(epsilon=eps, eta=0.05, n=n, d=1000, B=B, allow_small_n=True)
+    dense = dense_operator(cfg)
+    x = np.random.default_rng(4).normal(size=cfg.m)
+    np.testing.assert_allclose(circular_apply(cfg, x), dense.entries @ x, rtol=0, atol=1e-14)
 
 
 # --- constrained least squares -------------------------------------------------
@@ -91,7 +96,7 @@ def test_ecls_recovers_exact_solution():
     cfg = make_cfg(16, 3, 1.0)
     dense = dense_operator(cfg)
     rng = np.random.default_rng(5)
-    f = pad_profile(Profile(values=random_profile(16, 400, rng)), cfg.B)
+    f = np.pad(random_profile(16, 400, rng), cfg.B)
     f_tilde = dense.entries @ f
     np.testing.assert_allclose(equality_constrained_ls(dense, f_tilde), f, atol=1e-9)
 
@@ -172,17 +177,16 @@ def test_monte_carlo_noiseless_limit():
     rng = np.random.default_rng(10)
     prof = Profile(values=random_profile(8, 100, rng))
     out = monte_carlo_generator(prof, cfg, 100, 3, rng)
-    np.testing.assert_allclose(out, pad_profile(prof, 0), atol=1e-12)
+    np.testing.assert_allclose(out, prof.values, atol=1e-12)
 
 
 def test_monte_carlo_converges_to_operator_image():
     cfg = make_cfg(12, 4, 1.0, d=2000)
-    op = circulant.build_operator(cfg)
     rng = np.random.default_rng(11)
     prof = Profile(values=random_profile(12, 2000, rng))
     trials = 500
     mean = monte_carlo_generator(prof, cfg, 2000, trials, rng)
-    target = circulant.apply(op, pad_profile(prof, cfg.B))
+    target = dense_operator(cfg).entries @ np.pad(prof.values, cfg.B)
     tol = 5.0 * math.sqrt(math.log(2 * cfg.m) / (2 * trials * 2000))
     assert float(np.max(np.abs(mean - target))) <= tol
 

@@ -24,7 +24,7 @@ PUBLIC = [
     "CirculantOperator", "EmpiricalProfile", "ErrorReport", "Histogram",
     "NormBounds", "PrivateSketch", "Profile", "ProtocolResult",
     "ReconstructionConfig", "RelaxedSolution", "SynthSpec",
-    "apply", "apply_inverse", "build_operator", "circulant",
+    "apply_inverse", "build_operator", "circulant",
     "empirical_profile", "evaluation", "fast_inversion",
     "fit_scaling", "mechanism", "norm_bounds", "params", "privatize", "read_histogram",
     "read_sketch", "reconstruct", "reconstruct_profile", "rounding",
@@ -45,6 +45,8 @@ REMOVED = {
     "generator_vector": "circulant",
     "unfold": "mechanism",
     "_half_spectrum": "circulant",
+    "apply": "circulant",
+    "pad_profile": "evaluation",
 }
 
 LAYERS = ("circulant", "params", "mechanism", "reconstruct", "evaluation", "twoparty")
@@ -75,7 +77,7 @@ def test_unknown_attribute_raises_attribute_error():
         assert not hasattr(dpprofile, name), name
         module = getattr(dpprofile, layer)
         assert not hasattr(module, name) and name not in module.__all__, name
-    for name in ("generator", "eigenvalues"):
+    for name in ("generator", "eigenvalues", "_fwd_taps"):
         assert not hasattr(dpprofile.CirculantOperator, name), name
     with pytest.raises(ImportError):
         from dpprofile import no_such_name  # noqa: F401

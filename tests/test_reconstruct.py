@@ -34,6 +34,7 @@ from dpprofile.twoparty import protocol_config
 from helpers import random_feasible, random_profile
 from oracle import (
     bisection_tau,
+    circular_apply,
     dense_operator,
     dense_solve,
     direction_vector,
@@ -94,7 +95,7 @@ def test_fast_inversion_noiseless_consistency(p):
     op = cached_operator(cfg)
     rng = np.random.default_rng(7)
     f = np.concatenate([np.zeros(3), random_profile(16, 1000, rng), np.zeros(3)])
-    f_tilde = circulant.apply(op, f)
+    f_tilde = dense_operator(cfg).entries @ f
     r = fast_inversion(op, f_tilde, p)
     np.testing.assert_allclose(r.values, f, atol=1e-8)
 
@@ -127,16 +128,16 @@ def test_fast_inversion_matches_constrained_least_squares():
 @pytest.mark.parametrize("p", ["l1", "linf"])
 def test_fast_inversion_dominates_random_competitors(p):
     cfg = make_cfg(16, 3, 1.0)
-    op = cached_operator(cfg)
+    op, dense = cached_operator(cfg), dense_operator(cfg)
     rng = np.random.default_rng(19)
     for _ in range(10):
         f_tilde = np.abs(rng.normal(size=op.m))
         f_tilde /= f_tilde.sum()
         r = fast_inversion(op, f_tilde, p)
-        obj = lp_norm(circulant.apply(op, r.values) - f_tilde, p)
+        obj = lp_norm(dense.entries @ r.values - f_tilde, p)
         for _ in range(50):
             v = random_feasible(op.m, op.n, op.B, rng)
-            competitor = lp_norm(circulant.apply(op, v) - f_tilde, p)
+            competitor = lp_norm(dense.entries @ v - f_tilde, p)
             assert obj <= competitor + 1e-9
 
 
@@ -212,13 +213,13 @@ def test_threshold_tau_agrees_with_bisection():
 
 
 def spy_on_sorts(monkeypatch):
-    """Record the (r, s, above) of every _sorted_threshold call."""
+    """Record the (r, s) of every _sorted_threshold call."""
     sort = reconstruct._sorted_threshold
     calls = []
 
-    def spy(r, s, above=0):
-        calls.append((r, s, above))
-        return sort(r, s, above)
+    def spy(r, s):
+        calls.append((r, s))
+        return sort(r, s)
 
     monkeypatch.setattr(reconstruct, "_sorted_threshold", spy)
     return calls
@@ -226,7 +227,7 @@ def spy_on_sorts(monkeypatch):
 
 def whole_sorts(calls, r):
     """The recorded sorts of all of r: the short-input and bracket-miss exits."""
-    return [call for call in calls if len(call[0]) == len(r) and call[2] == 0]
+    return [call for call in calls if len(call[0]) == len(r)]
 
 
 def test_threshold_tau_sorts_a_short_input_whole(monkeypatch):
@@ -533,7 +534,8 @@ def test_operator_cache_is_bounded():
     assert reconstruct._operator.cache_info().currsize == size
     rebuilt = cached_operator(cfgs[0])
     assert rebuilt is not first
-    np.testing.assert_array_equal(rebuilt._fwd_taps, first._fwd_taps)
+    assert (rebuilt.m, rebuilt.B, rebuilt.epsilon, rebuilt.p_norm_const) == (
+        first.m, first.B, first.epsilon, first.p_norm_const)
     assert rebuilt._inv_pairs == first._inv_pairs
     assert rebuilt._t_side == first._t_side
 
@@ -572,7 +574,7 @@ def test_l1_correction_takes_lower_window_edge(cfg):
     # the roundoff of the product
     op = cached_operator(cfg)
     correction, _ = reconstruct._correction_direction(op, "l1")
-    basis = circulant.apply(op, densify(correction))
+    basis = dense_operator(cfg).entries @ densify(correction)
     t = int(np.argmax(np.abs(basis)))
     assert abs(abs(basis[t]) - 1.0) < 1e-9
     assert t < op.m - 1 - t
@@ -645,7 +647,7 @@ def test_correction_equals_its_dense_construction(cfg):
         else:  # mirrored about the pad centre bit for bit, as a^T A^{-1} is
             assert np.array_equal(correction.local, correction.local[::-1])
         if p == "linf":  # the same sign vector
-            np.testing.assert_array_equal(np.where(circulant.apply(op, built) >= 0, 1.0, -1.0), a)
+            np.testing.assert_array_equal(np.where(circular_apply(cfg, built) >= 0, 1.0, -1.0), a)
 
 
 @seed(4096)
@@ -733,10 +735,10 @@ def test_reconstruction_makes_one_product_of_the_window_length(monkeypatch):
     lengths, in_place = [], []
     product = circulant._cyclic_product
 
-    def spy(pairs, x, out=None, side=None):
+    def spy(pairs, x, out=None, *, side):
         lengths.append(len(x))
         in_place.append(out is x)
-        return product(pairs, x, out, side)
+        return product(pairs, x, out, side=side)
 
     monkeypatch.setattr(circulant, "_cyclic_product", spy)
     d = n = 10**5
@@ -750,6 +752,45 @@ def test_reconstruction_makes_one_product_of_the_window_length(monkeypatch):
         assert sorted(lengths)[-1] == cfg.m
         assert sorted(lengths)[-2] < cfg.m // 100
         assert in_place[lengths.index(cfg.m)]
+
+
+# windows whose pad widened by A^{-1}'s reach w each side wraps past itself: 2(B + w) > m
+WHOLE_RING_CFGS = [
+    protocol_config(0.3, 1000),
+    protocol_config(1.0, 1000),
+    ReconstructionConfig(epsilon=0.5, eta=0.05, n=7, d=10, B=6),
+    ReconstructionConfig(epsilon=1.0, eta=0.05, n=16, d=1000, B=10),
+    ReconstructionConfig(epsilon=0.1, eta=0.05, n=1, d=10**4, allow_small_n=True),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ReconstructionConfig(epsilon=1e-4, eta=0.05, n=2 * 10**5, d=10**5), *WHOLE_RING_CFGS],
+    ids=["e1e-4", "n4e0.3", "n4e1", "n7B6", "n16B10", "n1e0.1"],
+)
+def test_corrections_make_no_array_longer_than_the_ring(monkeypatch, cfg):
+    # the window image's pad entries come from an arc of at most m entries,
+    # even where the pad widened by w each side would wrap past itself
+    op = cached_operator(cfg)
+    assert 2 * (op.B + op._inv_pairs[-1][0] + 1) > op.m
+    lengths = []
+    ring_indices, local_image = reconstruct._ring_indices, reconstruct._local_image
+
+    def ring_spy(m, start, length):
+        lengths.append(length)
+        return ring_indices(m, start, length)
+
+    def image_spy(op, start, x):
+        lengths.append(len(x))
+        return local_image(op, start, x)
+
+    monkeypatch.setattr(reconstruct, "_ring_indices", ring_spy)
+    monkeypatch.setattr(reconstruct, "_local_image", image_spy)
+    for p in ("l1", "l2", "linf"):
+        lengths.clear()
+        reconstruct._correction_direction.__wrapped__(op, p)
+        assert lengths and max(lengths) <= op.m, p
 
 
 def test_profile_validation():
