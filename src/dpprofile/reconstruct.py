@@ -221,10 +221,16 @@ def _correction_direction(op: CirculantOperator, p: str) -> tuple[_Correction, f
     m, unit = op.m, circulant._ones_image(op)
     start, c = _window_image(op, unit)
     if p == "l1":
-        ring, values = _ring_indices(m, start, len(c)), c
-        if len(c) < m:  # the lowest ring index where c is constant
-            ring, values = np.append(ring, (start + len(c)) % m), np.append(c, unit)
-        j = np.lexsort((ring, -np.abs(values)))[0]  # largest |c|, lowest index
+        # the largest |c| at the lowest ring index, with ring indices taken
+        # for the ties alone; past a shorter arc, c is `unit`, first at ring
+        # index start + len(c)
+        mag = np.abs(c)
+        top = mag.max() if len(c) == m else max(mag.max(), abs(unit))
+        ties = np.flatnonzero(mag == top)
+        ring, values = (start + ties) % m, c[ties]
+        if len(c) < m and abs(unit) == top:
+            ring, values = np.append(ring, (start + len(c)) % m), np.append(values, unit)
+        j = int(np.argmin(ring))
         sign = 1.0 if values[j] >= 0 else -1.0
         correction = _Correction(m, 0.0, *_local_image(op, int(ring[j]), np.array([sign])))
     elif p == "l2":

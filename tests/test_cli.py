@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via subprocesses."""
 
+import gc
 import json
 import os
 import stat
@@ -904,3 +905,50 @@ def test_cli_leaves_an_in_process_callers_environment_alone(hist_file, tmp_path,
     assert main(["sketch", "--input", hist_file, "--output", str(tmp_path / "s.json"),
                  "--epsilon", "1", "--n", "5"]) == 0
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+# --- process exit -----------------------------------------------------------------
+#
+# A process ends through cli.run, which freezes the collector, so the
+# interpreter's shutdown collections skip the objects numpy made; a caller
+# of cli.main keeps a working collector.
+
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+    "sys.argv[0] = 'dpprofile'\n"
+    "runpy.run_module('dpprofile', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["sketch", "--input", "{hist}", "--output", "{out}", "--epsilon", "1", "--n", "5"], 0),
+        (["sketch", "--input", "{hist}", "--output", "{out}", "--epsilon", "nan", "--n", "5"], 2),
+        (["sketch", "--n", "5"], 2),  # argparse: required flags missing
+        (["--help"], 0),
+    ],
+    ids=["sketch", "sketch --epsilon nan", "usage error", "--help"],
+)
+def test_every_exit_of_the_module_freezes_the_collector(hist_file, tmp_path, args, code):
+    out = tmp_path / "s.json"
+    args = [arg.format(hist=hist_file, out=out) for arg in args]
+    res = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *args], capture_output=True, text=True
+    )
+    assert res.returncode == code, res.stderr
+    assert res.stdout.splitlines()[-1] == "frozen at exit: True"
+    assert out.exists() == (code == 0 and args[0] == "sketch")
+
+
+def test_main_in_process_leaves_the_collector_as_it_found_it(hist_file, tmp_path):
+    before = gc.get_freeze_count()
+    out = str(tmp_path / "s.json")
+    assert main(["sketch", "--input", hist_file, "--output", out, "--epsilon", "1", "--n", "5"]) == 0
+    assert main(["sketch", "--input", hist_file, "--output", out, "--epsilon", "nan",
+                 "--n", "5"]) == 2
+    for args in (["sketch", "--n", "5"], ["--help"]):
+        with pytest.raises(SystemExit):
+            main(args)
+    assert gc.get_freeze_count() == before

@@ -1,11 +1,13 @@
 """The package namespace, whose layer modules load on first use."""
 
+import ast
 import copy
 import inspect
 import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,37 @@ def test_a_layer_loads_no_module_it_does_not_use(statement, unwanted):
         "print(json.dumps(loaded))\n"
     )
     assert loaded == []
+
+
+# --- process entries -------------------------------------------------------------
+
+def called_names(nodes):
+    return {
+        node.func.id
+        for tree in nodes
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_every_process_entry_goes_through_run():
+    # the console script, `python -m dpprofile` and cli.py run as a script
+    # all end in cli.run, which freezes the collector for the shutdown;
+    # cli.main stays the in-process entry
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"dpprofile": "dpprofile.cli:run"}
+    package = Path(dpprofile.__file__).parent
+    main_module = ast.parse((package / "__main__.py").read_text(encoding="utf-8"))
+    assert called_names([main_module]) == {"run"}
+    cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    script_blocks = [
+        node for node in cli.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(script_blocks) == 1
+    assert called_names(script_blocks) == {"run"}
 
 
 # --- the value classes ----------------------------------------------------------

@@ -793,6 +793,41 @@ def test_corrections_make_no_array_longer_than_the_ring(monkeypatch, cfg):
         assert lengths and max(lengths) <= op.m, p
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [RING_COVERING, ReconstructionConfig(epsilon=1.0, eta=0.05, n=32, d=10**6), *WHOLE_RING_CFGS],
+    ids=["ring-covering", "n32", "n4e0.3", "n4e1", "n7B6", "n16B10", "n1e0.1"],
+)
+def test_l1_direction_is_picked_in_one_pass_without_a_sort(monkeypatch, cfg):
+    # the largest |c| at the lowest ring index, where c is the window image
+    # on its arc and `unit` past it: only the ties are ranked by ring index
+    op = cached_operator(cfg)
+    unit = circulant._ones_image(op)
+    start, c = reconstruct._window_image(op, unit)
+    ring, values = (start + np.arange(len(c))) % op.m, c
+    if len(c) < op.m:
+        ring, values = np.append(ring, (start + len(c)) % op.m), np.append(c, unit)
+    j = np.lexsort((ring, -np.abs(values)))[0]
+    want = (int(ring[j]), 1.0 if values[j] >= 0 else -1.0)
+    picked, sorts = [], []
+    local_image, lexsort = reconstruct._local_image, np.lexsort
+
+    def image_spy(op, start, x):
+        if len(x) == 1:
+            picked.append((start, float(x[0])))
+        return local_image(op, start, x)
+
+    def lexsort_spy(*args, **kwargs):
+        sorts.append(args)
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "_local_image", image_spy)
+    monkeypatch.setattr(np, "lexsort", lexsort_spy)
+    reconstruct._correction_direction.__wrapped__(op, "l1")
+    assert sorts == []
+    assert picked == [want]
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         Profile(values=np.array([0.5, 0.6]))
