@@ -45,11 +45,7 @@ _EXPORTS = {
     ),
     "reconstruct": (
         "Profile",
-        "RelaxedSolution",
-        "fast_inversion",
         "reconstruct_profile",
-        "rounding",
-        "threshold_tau",
     ),
     "evaluation": (
         "ErrorReport",

@@ -1,20 +1,23 @@
 """Profile reconstruction from a noisy sketch in near-linear time.
 
-Two stages. Fast inversion solves the sum-constrained relaxation of the
-deconvolution problem exactly: it inverts the circulant operator on the
-empirical profile and then restores the unit-sum constraint by moving along
-the single direction that is cheapest in the chosen norm.  That is the one
-product of the window's length a reconstruction makes: every row of A sums
-to one, so A^{-1} 1 = 1, and the correction direction is a constant plus a
-part local to the 2B pad entries, built once per operator and norm in work
-that does not grow with n.  Rounding then projects the relaxed solution into
-the feasible polytope (entries in [0, 1] on the count window, zero outside,
-total mass one) without amplifying the l1/l2 error and at most doubling the
-linf error.  Its last phase is a Euclidean projection onto the simplex,
-solved without a full sort: a strided sample brackets the threshold, and
-one pass over the window leaves only the entries inside the bracket to
-solve exactly.  A window too short to bracket, or one whose threshold the
-bracket misses, is solved by sorting it whole.
+One route: bin the sketch into f~, take the product A^{-1} f~
+(circulant.apply_inverse), then _profile_from_product, which corrects the
+product to unit sum and rounds it.  reconstruct_profile, evaluation's trials
+and twoparty's protocol all go that way.  The correction solves the
+sum-constrained relaxation of the deconvolution problem exactly: it moves
+the product along the single direction that is cheapest in the chosen
+norm.  So the product is the one of the window's length a reconstruction
+makes: every row of A sums to one, so A^{-1} 1 = 1, and the correction
+direction is a constant plus a part local to the 2B pad entries, built once
+per operator and norm in work that does not grow with n.  Rounding then
+projects the relaxed solution into the feasible polytope (entries in [0, 1]
+on the count window, zero outside, total mass one) without amplifying the
+l1/l2 error and at most doubling the linf error.  Its last phase is a
+Euclidean projection onto the simplex, solved without a full sort: a
+strided sample brackets the threshold, and one pass over the window leaves
+only the entries inside the bracket to solve exactly.  A window too short
+to bracket, or one whose threshold the bracket misses, is solved by sorting
+it whole.
 
 Memory: a reconstruction owns one float64 array of the window's length and
 does every step in it.  Binning (mechanism._bins) adds the counts to it a
@@ -43,15 +46,11 @@ import numpy as np
 
 from . import circulant
 from .circulant import CirculantOperator
-from .mechanism import EmpiricalProfile, PrivateSketch, _window_profile
+from .mechanism import PrivateSketch, _window_profile
 from .params import ReconstructionConfig, _Frozen
 
 __all__ = [
     "Profile",
-    "RelaxedSolution",
-    "fast_inversion",
-    "threshold_tau",
-    "rounding",
     "cached_operator",
     "reconstruct_profile",
     "write_profile_csv",
@@ -93,28 +92,6 @@ class Profile(_Frozen):
     @property
     def n(self) -> int:
         return len(self.values) - 1
-
-
-class RelaxedSolution(_Frozen):
-    """Optimum of the sum-constrained relaxation, indexed t = -B .. n+B.
-
-    Entries may stray outside [0, 1]; only the unit sum over the count
-    window 0..n is guaranteed.  core_sum is that sum, as the check took it.
-    """
-
-    __slots__ = ("values", "n", "B", "objective_norm", "core_sum")
-
-    def __init__(self, values: np.ndarray, n: int, B: int, objective_norm: str):
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) != n + 2 * B + 1:
-            raise ValueError("relaxed solution has wrong length for (n, B)")
-        core_sum = _core_sum(values[B : B + n + 1])
-        values.flags.writeable = False
-        self._set(values=values, n=n, B=B, objective_norm=objective_norm, core_sum=core_sum)
-
-    def core(self) -> np.ndarray:
-        """The slice covering counts 0..n."""
-        return self.values[self.B : self.B + self.n + 1]
 
 
 def _core_sum(core: np.ndarray) -> float:
@@ -253,27 +230,10 @@ def _correction_direction(op: CirculantOperator, p: str) -> tuple[_Correction, f
     return correction, denom
 
 
-def fast_inversion(
-    op: CirculantOperator, f_tilde, p: str = "l2"
-) -> RelaxedSolution:
-    """Optimal solution of the sum-constrained deconvolution relaxation.
-
-    Computes u = A^{-1} f, then corrects the unit-sum violation along
-    A^{-1} a, where a is the unit-norm direction whose image has the largest
-    window sum.  The returned vector satisfies the sum constraint exactly and
-    attains the minimum residual among all vectors that do.  The correction
-    is a constant plus a part local to the pad, so it is subtracted in place
-    as the two.
-    """
-    f = f_tilde.values if isinstance(f_tilde, EmpiricalProfile) else f_tilde
-    u = circulant.apply_inverse(op, f)  # rejects a vector of the wrong shape
-    _restore_sum(op, u, p)
-    return RelaxedSolution(values=u, n=op.n, B=op.B, objective_norm=p)
-
-
 def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> None:
-    """Correct the product u = A^{-1} f~, in place, into fast_inversion's
-    solution in norm p.
+    """Correct the product u = A^{-1} f~, in place, into the optimum in norm
+    p of the sum-constrained relaxation: the vector of unit window sum with
+    the least residual, which may stray outside [0, 1].
 
     The local part is subtracted over the correction's arc, a block at a
     time through one block-sized scratch, so nothing grows with the arc.
@@ -292,34 +252,16 @@ def _restore_sum(op: CirculantOperator, u: np.ndarray, p: str) -> None:
             u[r + lo : r + lo + b] -= scratch[:b]
 
 
-def threshold_tau(r: np.ndarray, s: float) -> float:
-    """Solve sum_t min(tau, r[t]) = s for tau >= 0, in expected linear time.
+def _bracket_threshold(r: np.ndarray, s: float) -> float:
+    """Solve sum_t min(tau, r[t]) = s for tau >= 0, given 0 < s <= sum r.
 
     Equivalently sum_t max(r[t] - tau, 0) = sum r - s: tau is the threshold
-    of the Euclidean projection of r onto a scaled simplex.  It is bracketed
-    from a strided sample and solved exactly on the entries inside the
-    bracket; when the bracket misses or r is too short to bracket, a sort
-    of all of r solves it in O(len(r) log len(r)).
-    """
-    r = np.asarray(r, dtype=np.float64)
-    total = float(r.sum())
-    if s < 0 or s > total + 1e-9:
-        raise ValueError(f"target s={s} outside [0, sum r = {total}]")
-    if s <= 0:
-        return 0.0
-    if not len(r):  # an s within the tolerance of the empty sum
-        return s
-    return _bracket_threshold(r, s)
-
-
-def _bracket_threshold(r: np.ndarray, s: float) -> float:
-    """threshold_tau's tau for s > 0, from a sampled bracket.
-
-    The threshold of every _SAMPLE_STRIDE-th entry, for the target scaled
-    to the sample, sits at some rank j of the k sorted sample entries; the
-    sample entries _BRACKET_SPREAD sqrt(k) ranks below and above j bracket
-    tau as [lo, hi] (the sampling idea of Floyd & Rivest, CACM 1975, applied
-    to the breakpoints as in Kiwiel, Math. Program. 2008).  One pass over r,
+    of the Euclidean projection of r onto a scaled simplex.  The threshold
+    of every _SAMPLE_STRIDE-th entry, for the target scaled to the sample,
+    sits at some rank j of the k sorted sample entries; the sample entries
+    _BRACKET_SPREAD sqrt(k) ranks below and above j bracket tau as [lo, hi]
+    (the sampling idea of Floyd & Rivest, CACM 1975, applied to the
+    breakpoints as in Kiwiel, Math. Program. 2008).  One pass over r,
     a cache-sized block at a time with reused block-sized masks, then counts
     the entries above lo and above hi and the drained mass at lo, and
     compacts only the entries inside the bracket, which are solved exactly.
@@ -361,12 +303,12 @@ def _bracket_threshold(r: np.ndarray, s: float) -> float:
 
 
 def _sorted_threshold(r: np.ndarray, s: float) -> float:
-    """threshold_tau by sorting a copy of r: O(k log k) for k entries."""
+    """_bracket_threshold's tau by sorting a copy of r: O(k log k) for k entries."""
     return _threshold_of_sorted(np.sort(r), s)
 
 
 def _threshold_of_sorted(rs: np.ndarray, s: float, above: int = 0) -> float:
-    """threshold_tau on the k entries of rs, sorted ascending.
+    """_bracket_threshold's tau on the k entries of rs, sorted ascending.
 
     `above` more entries are known to lie above tau, so each drains tau.
     On the sorted values the drained mass is piecewise linear in tau; the
@@ -388,34 +330,16 @@ def _threshold_of_sorted(rs: np.ndarray, s: float, above: int = 0) -> float:
     return max(tau, 0.0)
 
 
-def rounding(r: RelaxedSolution, n: int) -> Profile:
-    """Project a relaxed solution onto the feasible profile polytope.
+def _project(core: np.ndarray, core_sum: float) -> Profile:
+    """Round a relaxed core whose checked sum is core_sum, in place.
 
-    Phase 1 discards mass outside counts 0..n.  Phase 2 clips the window into
-    a new array in [0, 1]; the clipping adds a surplus s = sum(clipped) -
-    sum(window) of mass, which is provably non-negative.  Phase 3 drains
-    exactly s back out of that array, in place, by lowering every entry by
-    min(tau, entry) with tau as threshold_tau finds it: this is the Euclidean
-    projection of the clipped window onto the simplex.  tau is solved on a
-    strided sample, then exactly on the entries of the window inside the
-    bracket the sample gives, so the window is read in about two passes
-    beyond the clip, the bracket's (a cache-sized block at a time) and the
-    drain's; the window's sum is the one the relaxed solution already
-    checked.  A window under about 320 entries, or one whose tau falls
-    outside the bracket, is sorted whole instead.
+    The core is clipped into [0, 1], which adds a surplus s = sum(clipped)
+    - core_sum of mass, provably non-negative.  Exactly s is drained back
+    out by lowering every entry by min(tau, entry), with tau from
+    _bracket_threshold: the Euclidean projection of the clipped core onto
+    the simplex.
     """
-    if n != r.n:
-        raise ValueError(f"n={n} does not match the relaxed solution (n={r.n})")
-    return _project(r.core(), r.core_sum, out=None)
-
-
-def _project(core: np.ndarray, core_sum: float, out: np.ndarray | None) -> Profile:
-    """rounding's phases 2 and 3 for a core whose checked sum is core_sum.
-
-    The core is clipped into out (a new array when out is None; out may be
-    the core itself), and the surplus is drained from out in place.
-    """
-    clipped = np.clip(core, 0.0, 1.0, out=out)
+    clipped = np.clip(core, 0.0, 1.0, out=core)
     s = float(clipped.sum()) - core_sum
     if s < -_SUM_TOL:
         raise AssertionError(
@@ -431,16 +355,17 @@ def _project(core: np.ndarray, core_sum: float, out: np.ndarray | None) -> Profi
 
 
 def _profile_from_product(op: CirculantOperator, u: np.ndarray, p: str) -> Profile:
-    """rounding(fast_inversion's solution in norm p, n) from the product
-    u = A^{-1} f~, worked out in u's own memory.
+    """The profile, in norm p, from the product u = A^{-1} f~, worked out in
+    u's own memory: the second half of every reconstruction.
 
-    u is corrected to unit sum and its core clipped and drained, all in
-    place, with fast_inversion's and rounding's checks; the profile's values
-    are a view of u's core, and u is left read-only.
+    u is corrected to unit sum (_restore_sum), its core's sum checked
+    (_core_sum), and the core clipped and drained (_project), all in place;
+    the mass outside the count window is discarded with the pad.  The
+    profile's values are a view of u's core, and u is left read-only.
     """
     _restore_sum(op, u, p)
     core = u[op.B : op.B + op.n + 1]
-    profile = _project(core, _core_sum(core), out=core)
+    profile = _project(core, _core_sum(core))
     u.flags.writeable = False
     return profile
 
@@ -464,7 +389,7 @@ def reconstruct_profile(
     cfg: ReconstructionConfig,
     rng: np.random.Generator | None = None,
 ) -> Profile:
-    """Full pipeline: bin -> invert -> round.
+    """Full pipeline: bin -> invert -> correct -> round.
 
     Deterministic given the sketch, except that a clipped sketch consumes
     randomness from rng: it is binned as its unfolding (empirical_profile).

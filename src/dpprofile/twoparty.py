@@ -21,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import derive_seed
-from .circulant import CirculantOperator, norm_bounds
+from .circulant import CirculantOperator, apply_inverse, norm_bounds
 from .mechanism import window_pmf
 from .params import ReconstructionConfig, _Frozen, check_integer, check_seed, check_trials
-from .reconstruct import cached_operator, fast_inversion, rounding
+from .reconstruct import _profile_from_product, cached_operator
 
 __all__ = [
     "ProtocolResult",
@@ -59,7 +59,8 @@ class ProtocolResult(_Frozen):
         delta_used: float,  # sensitivity bound that calibrated the output noise
         abs_error: float,
     ):
-        if abs(abs_error - abs(m_b - true_ip)) > 1e-6:
+        # written so that NaN and inf fail it: inf - inf is NaN
+        if not abs(abs_error - abs(m_b - true_ip)) <= 1e-6:
             raise ValueError("abs_error does not match |m_b - true_ip|")
         self._set(m_b=m_b, true_ip=true_ip, delta_used=delta_used, abs_error=abs_error)
 
@@ -98,8 +99,14 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     released value can betray the input (Mironov, "On Significance of the
     Least Significant Bits for Differential Privacy", CCS 2012).  The exact
     discrete-Laplace item of ROADMAP.md tracks an exact sampler.
+
+    A uniform of exactly 0 would give u = -1/2 and an infinite draw, so it
+    is drawn again; every other draw is the one a single uniform gives.
     """
-    u = rng.random() - 0.5  # uniform on [-1/2, 1/2)
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    u -= 0.5  # uniform on (-1/2, 1/2)
     return -scale * np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
@@ -122,9 +129,12 @@ def run_protocol(
     forming x or y: the class sizes (k0, k2, k4) of x + y + 2 as
     Multinomial(d; 1/4, 1/2, 1/4), then the binned noisy profile of Bob's
     updated sketch as the sum over classes of Multinomial(k_c, window_pmf
-    row of c) / d.  Bob reconstructs that profile (l2 objective) and
-    publishes as _publish states, and the exact inner product is k0 + k4 - k2.  A trial costs O(m), with
-    m = 4 + 2B + 1, so d may be any integer that int64 holds.
+    row of c) / d.  Bob reconstructs from it (l2 objective) by the
+    package's one route, in its own buffer: apply_inverse forms A^{-1} f~
+    in place, and _profile_from_product corrects and rounds it.  He
+    publishes as _publish states, and the exact inner product is
+    k0 + k4 - k2.  A trial costs O(m), with m = 4 + 2B + 1, so d may be any
+    integer that int64 holds.
     """
     d = check_integer(d, "d")
     if not 16 <= d < 2**63:
@@ -140,7 +150,8 @@ def run_protocol(
         rng = np.random.default_rng(derive_seed(master_seed, trial))
         k0, k2, k4 = rng.multinomial(d, _COMBINED_LAW).tolist()
         f_tilde = rng.multinomial([k0, k2, k4], pmf).sum(axis=0) / d
-        r = rounding(fast_inversion(op, f_tilde, cfg.p_norm), PROTOCOL_N)
+        apply_inverse(op, f_tilde, out=f_tilde)
+        r = _profile_from_product(op, f_tilde, cfg.p_norm)
         m_b = _publish(r.values, d, delta, epsilon, rng)
         true_ip = k0 + k4 - k2
         results.append(ProtocolResult(

@@ -10,8 +10,14 @@ arithmetic, the optimal correction direction on a whole vector, exact
 constrained least squares via the stationarity system, the unfolding of a
 clipped sketch formed whole, Monte-Carlo simulation of the mass-smearing
 process, bisection for the drain threshold, the iterative form of the
-rounding adjustment, and the two-party protocol run party by party.  The
-package itself never imports this module.
+rounding adjustment, and the two-party protocol run party by party.
+
+It also holds the reconstruction's two stages run apart, each into a new
+array, as thin compositions of the package's internals, which compose them
+only in one buffer: fast_inversion (apply_inverse, then _restore_sum) into
+a RelaxedSolution, rounding (_core_sum's check, then _project), and
+threshold_tau (its argument checks, then _bracket_threshold).  The package
+itself never imports this module.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from dpprofile.circulant import kernel_normalizer, spectrum_floor
+from dpprofile.circulant import apply_inverse, kernel_normalizer, spectrum_floor
 from dpprofile.mechanism import (
+    EmpiricalProfile,
     Histogram,
     PrivateSketch,
     int64_array,
@@ -32,8 +39,10 @@ from dpprofile.mechanism import (
     sample_geometric,
     update,
 )
-from dpprofile.params import MIN_EIGENVALUE, ReconstructionConfig, min_truncation_radius
-from dpprofile.reconstruct import Profile, reconstruct_profile
+from dpprofile.params import MIN_EIGENVALUE, ReconstructionConfig, _Frozen, min_truncation_radius
+from dpprofile.reconstruct import (
+    Profile, _bracket_threshold, _core_sum, _project, _restore_sum, reconstruct_profile,
+)
 from dpprofile.twoparty import PROTOCOL_N, ProtocolResult, _publish, protocol_config
 
 __all__ = [
@@ -47,6 +56,10 @@ __all__ = [
     "exact_inverse_column",
     "factored_column",
     "equality_constrained_ls",
+    "RelaxedSolution",
+    "fast_inversion",
+    "rounding",
+    "threshold_tau",
     "unfold",
     "sample_truncated_dlap",
     "monte_carlo_generator",
@@ -271,6 +284,59 @@ def equality_constrained_ls(dense: DenseOperator, f_tilde: np.ndarray) -> np.nda
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular stationarity system: {exc}") from exc
     return solution[:m]
+
+
+class RelaxedSolution(_Frozen):
+    """Optimum of the sum-constrained relaxation, indexed t = -B .. n+B.
+
+    Entries may stray outside [0, 1]; only the unit sum over the count
+    window 0..n is guaranteed.  core_sum is that sum, as _core_sum took it.
+    """
+
+    __slots__ = ("values", "n", "B", "objective_norm", "core_sum")
+
+    def __init__(self, values: np.ndarray, n: int, B: int, objective_norm: str):
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != n + 2 * B + 1:
+            raise ValueError("relaxed solution has wrong length for (n, B)")
+        core_sum = _core_sum(values[B : B + n + 1])
+        values.flags.writeable = False
+        self._set(values=values, n=n, B=B, objective_norm=objective_norm, core_sum=core_sum)
+
+    def core(self) -> np.ndarray:
+        """The slice covering counts 0..n."""
+        return self.values[self.B : self.B + self.n + 1]
+
+
+def fast_inversion(op, f_tilde, p: str = "l2") -> RelaxedSolution:
+    """The relaxation's optimum in norm p: A^{-1} f~ into a new array, then
+    corrected to unit sum in place."""
+    f = f_tilde.values if isinstance(f_tilde, EmpiricalProfile) else f_tilde
+    u = apply_inverse(op, f)  # rejects a vector of the wrong shape
+    _restore_sum(op, u, p)
+    return RelaxedSolution(values=u, n=op.n, B=op.B, objective_norm=p)
+
+
+def rounding(r: RelaxedSolution, n: int) -> Profile:
+    """A relaxed solution projected onto the profile polytope: its pad
+    discarded, and a copy of its core clipped and drained."""
+    if n != r.n:
+        raise ValueError(f"n={n} does not match the relaxed solution (n={r.n})")
+    return _project(r.core().copy(), r.core_sum)
+
+
+def threshold_tau(r: np.ndarray, s: float) -> float:
+    """Solve sum_t min(tau, r[t]) = s for tau >= 0, as _bracket_threshold
+    does for 0 < s <= sum r, and trivially at s = 0 or an empty r."""
+    r = np.asarray(r, dtype=np.float64)
+    total = float(r.sum())
+    if s < 0 or s > total + 1e-9:
+        raise ValueError(f"target s={s} outside [0, sum r = {total}]")
+    if s <= 0:
+        return 0.0
+    if not len(r):  # an s within the tolerance of the empty sum
+        return s
+    return _bracket_threshold(r, s)
 
 
 def unfold(s: PrivateSketch, rng: np.random.Generator) -> PrivateSketch:

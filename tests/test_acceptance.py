@@ -31,15 +31,7 @@ from dpprofile.mechanism import (
     sample_dlap,
 )
 from dpprofile.params import ReconstructionConfig
-from dpprofile.reconstruct import (
-    Profile,
-    RelaxedSolution,
-    cached_operator,
-    fast_inversion,
-    reconstruct_profile,
-    rounding,
-    threshold_tau,
-)
+from dpprofile.reconstruct import Profile, cached_operator, reconstruct_profile
 from dpprofile.twoparty import (
     PROTOCOL_N,
     protocol_config,
@@ -49,13 +41,17 @@ from dpprofile.twoparty import (
 
 from helpers import random_feasible, random_profile, two_sample_chi2_pvalue
 from oracle import (
+    RelaxedSolution,
     bisection_tau,
     dense_operator,
     eigenvalues,
     equality_constrained_ls,
+    fast_inversion,
     generator_vector,
     iterated_adjustment,
     monte_carlo_generator,
+    rounding,
+    threshold_tau,
     unfold,
 )
 

@@ -27,11 +27,11 @@ from dpprofile.mechanism import (
     privatize,
 )
 from dpprofile.params import ReconstructionConfig
-from dpprofile.reconstruct import Profile, cached_operator, fast_inversion, rounding
+from dpprofile.reconstruct import Profile, cached_operator
 from dpprofile._util import lp_norm
 
 from helpers import random_profile, run_trial
-from oracle import dense_operator
+from oracle import dense_operator, fast_inversion, rounding
 
 
 # --- synthetic histograms -----------------------------------------------------

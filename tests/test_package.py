@@ -17,7 +17,7 @@ from dpprofile.circulant import CirculantOperator
 from dpprofile.evaluation import BoundTriple, ErrorReport, SynthSpec, _Cell
 from dpprofile.mechanism import EmpiricalProfile, Histogram, PrivateSketch
 from dpprofile.params import ReconstructionConfig, truncation_radius
-from dpprofile.reconstruct import Profile, RelaxedSolution, _Correction, cached_operator
+from dpprofile.reconstruct import Profile, _Correction, cached_operator
 from dpprofile.twoparty import ProtocolResult
 
 # The public names of the package: the layer modules and the names they
@@ -25,14 +25,14 @@ from dpprofile.twoparty import ProtocolResult
 PUBLIC = [
     "CirculantOperator", "EmpiricalProfile", "ErrorReport", "Histogram",
     "NormBounds", "PrivateSketch", "Profile", "ProtocolResult",
-    "ReconstructionConfig", "RelaxedSolution", "SynthSpec",
+    "ReconstructionConfig", "SynthSpec",
     "apply_inverse", "build_operator", "circulant",
-    "empirical_profile", "evaluation", "fast_inversion",
+    "empirical_profile", "evaluation",
     "fit_scaling", "mechanism", "norm_bounds", "params", "privatize", "read_histogram",
-    "read_sketch", "reconstruct", "reconstruct_profile", "rounding",
+    "read_sketch", "reconstruct", "reconstruct_profile",
     "run_protocol", "sample_dlap", "sample_geometric",
     "sensitivity_bound", "sweep", "synth_histogram", "theoretical_bounds",
-    "threshold_tau", "true_profile", "truncation_radius", "twoparty",
+    "true_profile", "truncation_radius", "twoparty",
     "update", "write_sketch",
 ]
 
@@ -49,6 +49,10 @@ REMOVED = {
     "_half_spectrum": "circulant",
     "apply": "circulant",
     "pad_profile": "evaluation",
+    "RelaxedSolution": "reconstruct",
+    "fast_inversion": "reconstruct",
+    "rounding": "reconstruct",
+    "threshold_tau": "reconstruct",
 }
 
 LAYERS = ("circulant", "params", "mechanism", "reconstruct", "evaluation", "twoparty")
@@ -213,9 +217,6 @@ def value_classes():
          dict(m=op.m, n=op.n, B=op.B, epsilon=op.epsilon, p_norm_const=op.p_norm_const,
               _inv_pairs=op._inv_pairs, _t_side=op._t_side)),
         (Profile, dict(values=REQUIRED), dict(values=np.array([0.25, 0.75]))),
-        (RelaxedSolution,
-         dict(values=REQUIRED, n=REQUIRED, B=REQUIRED, objective_norm=REQUIRED),
-         dict(values=np.array([0.1, 0.5, 0.5, -0.1]), n=1, B=1, objective_norm="l2")),
         (_Correction,
          dict(m=REQUIRED, alpha=REQUIRED, start=REQUIRED, local=REQUIRED),
          dict(m=5, alpha=0.5, start=4, local=np.array([1.0, 2.0]))),

@@ -18,28 +18,23 @@ from dpprofile.mechanism import (
     privatize,
 )
 from dpprofile.params import ReconstructionConfig
-from dpprofile.reconstruct import (
-    Profile,
-    RelaxedSolution,
-    cached_operator,
-    fast_inversion,
-    reconstruct_profile,
-    rounding,
-    threshold_tau,
-    write_profile_csv,
-)
+from dpprofile.reconstruct import Profile, cached_operator, reconstruct_profile, write_profile_csv
 from dpprofile._util import lp_norm
 from dpprofile.twoparty import protocol_config
 
 from helpers import random_feasible, random_profile
 from oracle import (
+    RelaxedSolution,
     bisection_tau,
     circular_apply,
     dense_operator,
     dense_solve,
     direction_vector,
     equality_constrained_ls,
+    fast_inversion,
     iterated_adjustment,
+    rounding,
+    threshold_tau,
     unfold,
 )
 
@@ -300,7 +295,7 @@ def test_rounding_a_wide_window_allocates_under_15_percent_of_it():
     want = rounding(relaxed, relaxed.n).values
     tracemalloc.start()
     try:
-        got = reconstruct._project(core, relaxed.core_sum, out=core)
+        got = reconstruct._project(core, relaxed.core_sum)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,18 +484,27 @@ def test_reconstruct_deterministic_for_unclipped():
     )
 
 
-@pytest.mark.parametrize("p", ["l1", "l2", "linf"])
-@pytest.mark.parametrize("clip", [False, True])
-@pytest.mark.parametrize("n, d", [(40, 3000), (mechanism._BIN_BLOCK + 100, 40000)])
-def test_reconstruction_in_one_buffer_equals_the_public_steps(p, clip, n, d):
+ONE_BUFFER_CASES = [
+    *(pytest.param(ReconstructionConfig(epsilon=0.7, eta=0.05, n=n, d=d, p_norm=p), clip,
+                   id=f"{n}-{d}-{clip}-{p}")
+      for n, d in [(40, 3000), (mechanism._BIN_BLOCK + 100, 40000)]
+      for clip in (False, True) for p in ("l1", "l2", "linf")),
+    # the two-party protocol's own config: n = 4 < B, and the unit-sum
+    # corrections span the whole ring (m = 27 at eps 1, 445 at eps 0.05)
+    *(pytest.param(protocol_config(eps, 3000), False, id=f"protocol-{eps}") for eps in (1.0, 0.05)),
+]
+
+
+@pytest.mark.parametrize("cfg, clip", ONE_BUFFER_CASES)
+def test_reconstruction_in_one_buffer_equals_the_public_steps(cfg, clip):
     # reconstruct_profile bins, inverts, corrects and rounds in one buffer,
-    # on windows shorter and longer than a binning block; the public steps,
-    # each into a new array, give the same bytes and leave their inputs'
-    # bytes as they were
+    # on windows shorter and longer than a binning block; the oracle's
+    # stages, each into a new array, give the same bytes and leave their
+    # inputs' bytes as they were
+    n, d, p = cfg.n, cfg.d, cfg.p_norm
     rng = np.random.default_rng(n + d)
     h = Histogram(counts=rng.integers(0, n + 1, size=d), n=n)
-    s = privatize(h, 0.7, clip=clip, rng=rng)
-    cfg = ReconstructionConfig(epsilon=0.7, eta=0.05, n=n, d=d, p_norm=p)
+    s = privatize(h, cfg.epsilon, clip=clip, rng=rng)
     counts = s.counts.tobytes()
     got = reconstruct_profile(s, cfg, np.random.default_rng(7))
     f = empirical_profile(s, cfg, np.random.default_rng(7))
@@ -515,6 +519,34 @@ def test_reconstruction_in_one_buffer_equals_the_public_steps(p, clip, n, d):
     # the profile is a view of the buffer, which is left read-only too
     with pytest.raises(ValueError):
         got.values.flags.writeable = True
+
+
+def test_every_reconstruction_goes_through_the_one_route(monkeypatch):
+    # reconstruct_profile, a sweep cell (once per norm) and each protocol
+    # trial all correct and round the product through _profile_from_product;
+    # the spy replaces it wherever a layer module binds it
+    from dpprofile import evaluation, twoparty
+
+    original, calls = reconstruct._profile_from_product, []
+
+    def spy(op, u, p):
+        calls.append(p)
+        return original(op, u, p)
+
+    for module in (reconstruct, evaluation, twoparty):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, spy)
+    cfg = ReconstructionConfig(epsilon=1.0, eta=0.05, n=20, d=500)
+    h = Histogram(counts=np.random.default_rng(1).integers(0, 21, size=500), n=20)
+    reconstruct_profile(privatize(h, 1.0, clip=False, rng=np.random.default_rng(2)), cfg)
+    assert calls == ["l2"]
+    calls.clear()
+    evaluation.sweep([(evaluation.SynthSpec("uniform_counts", 500, 20, 3), cfg)], 1, 4)
+    assert calls == ["l1", "l2", "linf"]
+    calls.clear()
+    twoparty.run_protocol(d=1000, epsilon=1.0, trials=3, master_seed=5)
+    assert calls == ["l2"] * 3
 
 
 def test_operator_cache_reuses_instances():

@@ -10,6 +10,7 @@ from dpprofile.params import ReconstructionConfig
 from dpprofile.reconstruct import cached_operator, reconstruct_profile
 from dpprofile.twoparty import (
     PROTOCOL_N,
+    ProtocolResult,
     protocol_config,
     results_to_csv,
     run_protocol,
@@ -140,6 +141,32 @@ def test_sample_laplace_moments():
     assert abs(draws.mean()) < 0.01
     # Var = 2 scale^2 = 0.5
     assert np.var(draws) == pytest.approx(0.5, rel=0.05)
+
+
+class ScriptedUniforms:
+    """An rng stand-in whose random() returns the scripted uniforms in turn."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def test_sample_laplace_redraws_an_exact_zero_uniform():
+    # a uniform of exactly 0 would give log1p(-1) = -inf: it is drawn again,
+    # and the draw is the one the next uniform gives alone
+    rng = ScriptedUniforms(0.0, 0.75)
+    draw = sample_laplace(2.0, rng)
+    assert rng.uniforms == []
+    assert draw == sample_laplace(2.0, ScriptedUniforms(0.75))
+    assert draw == pytest.approx(2.0 * math.log(2.0))
+
+
+@pytest.mark.parametrize("m_b", [-math.inf, math.inf, math.nan])
+def test_protocol_result_refuses_a_release_that_is_not_finite(m_b):
+    with pytest.raises(ValueError, match="abs_error"):
+        ProtocolResult(m_b=m_b, true_ip=2, delta_used=0.1, abs_error=abs(m_b - 2))
 
 
 def test_run_protocol_deterministic_and_parity():
